@@ -29,11 +29,6 @@ class ShapeError(ValueError):
 class NumericError(RuntimeError):
     """Non-finite values where finite ones are required (loss, gradients)."""
 
-    def __init__(self, kind: str, *shapes):
-        super().__init__(f"{kind}: incompatible shapes {' vs '.join(str(s) for s in shapes)}")
-        self.kind = kind
-        self.shapes = shapes
-
 
 class Tensor:
     """A dense array node in a dynamically built computation graph."""
@@ -208,15 +203,17 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Product over the last two axes; any leading (batch) axes must match."""
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError("matmul", a.shape, b.shape)
     out = _make(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
         def _bw():
             if a.requires_grad:
-                a._accumulate(out.grad @ b.data.T)
+                a._accumulate(out.grad @ b.data.swapaxes(-1, -2))
             if b.requires_grad:
-                b._accumulate(a.data.T @ out.grad)
+                b._accumulate(a.data.swapaxes(-1, -2) @ out.grad)
         out._backward = _bw
     return out
 
@@ -343,12 +340,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
         raise ShapeError("transpose", a.shape)
-    out = _make(a.data.T.copy(), (a,), "transpose")
+    out = _make(a.data.swapaxes(-1, -2).copy(), (a,), "transpose")
     if out.requires_grad:
         def _bw():
-            a._accumulate(out.grad.T)
+            a._accumulate(out.grad.swapaxes(-1, -2))
         out._backward = _bw
     return out
 
@@ -408,40 +406,6 @@ def masked_row_logsumexp(a: Tensor, mask) -> Tensor:
             a._accumulate(out.grad[:, None] * p)
         out._backward = _bw
     return out
-
-
-# -- forward_primitive dispatch -------------------------------------------
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "exp": exp,
-    "log": log,
-    "softplus": softplus,
-    "reciprocal": reciprocal,
-    "square": square,
-    "sum": tsum,
-    "mean": tmean,
-    "row_softmax": row_softmax,
-    "row_gather": row_gather,
-    "concat": concat,
-    "scale": scale,
-    "layer_norm": layer_norm,
-    "dropout": dropout,
-    "transpose": transpose,
-    "reshape": reshape,
-    "masked_row_logsumexp": masked_row_logsumexp,
-}
-
-
-def forward_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply a primitive by name; kinds are the keys of `_PRIMITIVES`."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind '{kind}'") from None
-    return fn(*inputs, **kwargs)
 
 
 # -- gradient checking -----------------------------------------------------

@@ -3,8 +3,9 @@
 Subcommands: train, finetune, predict, evaluate, sample, gradcheck,
 dump-embeddings.  Configuration comes from a JSON file (--config), overridden
 by repeatable --set key=value flags and then by the dedicated flags (--seed,
---out, --jobs).  Every run writes a resolved-config snapshot to the output
-directory so it can be reproduced bit-exactly from the snapshot alone.
+--out).  Every run writes a resolved-config snapshot to the output
+directory so it can be reproduced bit-exactly from the snapshot alone:
+`fewtag --config out/resolved_config.json --out replay/ <same subcommand>`.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
 (unreadable corpora, label maps, checkpoints), 4 numeric error (non-finite
@@ -47,7 +48,6 @@ _DEFAULTS = {
     "k_shot": 1,
     "n_runs": 5,
     "strict_k": False,
-    "jobs": 1,
     "gradcheck_batches": 20,
     "train_corpus": None,
     "support": None,
@@ -106,19 +106,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError("config file must hold a JSON object")
         config = _merge(config, file_config)
     config = _merge(config, _parse_set(args.set or []))
-    for flag in ("seed", "out", "jobs"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[flag] = value
     for key, value in vars(args).items():
-        if key in _DEFAULTS and key not in ("seed", "out", "jobs") and value is not None:
+        if key in _DEFAULTS and value is not None:
             config[key] = value
 
+    # a resolved-config snapshot names the subcommand it was written by
+    snapshot_command = config.pop("command", args.command)
+    if snapshot_command != args.command:
+        raise UsageError(f"config was written by {snapshot_command!r}, "
+                         f"not {args.command!r}")
     unknown = set(config) - set(_DEFAULTS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if not isinstance(config["jobs"], int) or config["jobs"] < 1:
-        raise UsageError("jobs must be a positive integer")
     if config["protocol"] not in ("episode", "low-resource"):
         raise UsageError(f"unknown protocol {config['protocol']!r}")
     if "alpha" in config and not 0.0 <= config["alpha"] <= 1.0:
@@ -305,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config key (dot paths allowed)")
     parser.add_argument("--seed", type=int, help="root random seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int,
-                        help="worker budget for evaluation subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     path_flags = {

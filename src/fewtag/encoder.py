@@ -17,8 +17,6 @@ from .autodiff import Tensor
 from .prompt import InputSequence
 from .rngutil import make_rng
 
-ATTN_MASK_VALUE = -1e9
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -47,15 +45,22 @@ class EncoderConfig:
 
 
 def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
-    """Scaled-uniform matrices, zero biases, unit norm gains; seeded."""
+    """Scaled-uniform matrices, zero biases, unit norm gains; seeded.
+
+    The attention q/k/v weights are drawn head by head, as (H, 3, d, dh)
+    blocks, and stored as one (d, d) matrix per kind whose column block h
+    is head h.
+    """
     rng = make_rng(config.seed, "encoder_init")
-    d, ff = config.d, config.ff
+    d, ff, H = config.d, config.ff, config.n_heads
     params: dict[str, Tensor] = {}
 
-    def matrix(name, rows, cols):
+    def uniform(rows, shape):
         bound = 1.0 / np.sqrt(rows)
-        params[name] = Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
-                              requires_grad=True)
+        return rng.uniform(-bound, bound, size=shape)
+
+    def matrix(name, rows, cols):
+        params[name] = Tensor(uniform(rows, (rows, cols)), requires_grad=True)
 
     def bias(name, n):
         params[name] = Tensor(np.zeros(n), requires_grad=True)
@@ -69,10 +74,11 @@ def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
     norm("emb")
     for i in range(config.n_layers):
         p = f"layer{i}"
-        for h in range(config.n_heads):
-            for kind in ("q", "k", "v"):
-                matrix(f"{p}.attn.{kind}{h}.w", d, config.head_dim)
-                bias(f"{p}.attn.{kind}{h}.bias", config.head_dim)
+        qkv = uniform(d, (H, 3, d, config.head_dim))
+        for j, kind in enumerate("qkv"):
+            params[f"{p}.attn.{kind}.w"] = Tensor(np.concatenate(list(qkv[:, j]), axis=1),
+                                                  requires_grad=True)
+            bias(f"{p}.attn.{kind}.bias", d)
         matrix(f"{p}.attn.out.w", d, d)
         bias(f"{p}.attn.out.bias", d)
         norm(f"{p}.attn")
@@ -89,14 +95,20 @@ def _apply_norm(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return ad.add(ad.mul(y, params[f"{prefix}.norm_gain"]), params[f"{prefix}.norm_bias"])
 
 
+def _heads(params: dict[str, Tensor], name: str, x: Tensor, config: EncoderConfig) -> Tensor:
+    """Projection `name` of x (L, d), viewed as (heads, head_dim, L)."""
+    proj = ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.bias"])
+    return ad.reshape(ad.transpose(proj), (config.n_heads, config.head_dim, x.shape[0]))
+
+
 def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
            train_mode: bool = False,
            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Hidden states for every position, shape (max_len, d).
+    """Hidden states of the occupied positions, shape (n_occupied, d).
 
-    Padding key positions are masked out of attention, so padding ids never
-    influence valid positions.  Dropout is active only in train mode and
-    draws from `rng`.
+    All heads of a layer attend at once: each q/k/v projection is viewed as
+    (heads, head_dim, positions) and scored with one batched matmul and one
+    softmax.  Dropout is active only in train mode and draws from `rng`.
     """
     ids = seq.token_ids
     if ids.max() >= config.vocab_size or ids.min() < 0:
@@ -107,8 +119,7 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
     def drop(x: Tensor) -> Tensor:
         return ad.dropout(x, config.dropout, rng, train=train_mode)
 
-    L = seq.max_len
-    key_bias = np.where(np.arange(L) < seq.n_occupied, 0.0, ATTN_MASK_VALUE)
+    L, d = len(ids), config.d
     inv_sqrt_dh = 1.0 / np.sqrt(config.head_dim)
 
     x = ad.add(ad.row_gather(params["emb.token"], ids),
@@ -117,15 +128,11 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
 
     for i in range(config.n_layers):
         p = f"layer{i}"
-        heads = []
-        for h in range(config.n_heads):
-            q = ad.add(ad.matmul(x, params[f"{p}.attn.q{h}.w"]), params[f"{p}.attn.q{h}.bias"])
-            k = ad.add(ad.matmul(x, params[f"{p}.attn.k{h}.w"]), params[f"{p}.attn.k{h}.bias"])
-            v = ad.add(ad.matmul(x, params[f"{p}.attn.v{h}.w"]), params[f"{p}.attn.v{h}.bias"])
-            scores = ad.add(ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_dh),
-                            Tensor(key_bias))
-            heads.append(ad.matmul(ad.row_softmax(scores), v))
-        attn = ad.add(ad.matmul(concat_cols(heads), params[f"{p}.attn.out.w"]),
+        q, k, v = (_heads(params, f"{p}.attn.{kind}", x, config) for kind in "qkv")
+        scores = ad.scale(ad.matmul(ad.transpose(q), k), inv_sqrt_dh)  # (H, L, L)
+        mixed = ad.matmul(v, ad.transpose(ad.row_softmax(scores)))     # (H, dh, L)
+        attn = ad.add(ad.matmul(ad.transpose(ad.reshape(mixed, (d, L))),
+                                params[f"{p}.attn.out.w"]),
                       params[f"{p}.attn.out.bias"])
         x = _apply_norm(params, f"{p}.attn", ad.add(x, drop(attn)))
 
@@ -133,7 +140,3 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
         ffn = ad.add(ad.matmul(hid, params[f"{p}.ff.w2"]), params[f"{p}.ff.bias2"])
         x = _apply_norm(params, f"{p}.ff", ad.add(x, drop(ffn)))
     return x
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    return ad.concat(parts, axis=1)

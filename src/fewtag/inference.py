@@ -18,7 +18,6 @@ import numpy as np
 from .data import (DataError, Episode, LabelSet, Sentence, greedy_sample_support,
                    tag_class)
 from .encoder import encode
-from .gaussian import project
 from .prompt import assemble_input, build_label_prompt
 from .training import Checkpoint, TrainConfig, finetune
 
@@ -84,26 +83,22 @@ class EvalReport:
         return out
 
 
-def _context_hidden(ckpt: Checkpoint, sentence: Sentence, max_len: int,
-                    use_projection: bool = False) -> tuple[np.ndarray, tuple[str, ...]]:
+def _context_hidden(ckpt: Checkpoint, sentence: Sentence,
+                    max_len: int) -> tuple[np.ndarray, tuple[str, ...]]:
     prompt = build_label_prompt(ckpt.label_set, ckpt.label_map)
     seq = assemble_input(sentence, prompt, ckpt.vocab, max_len=max_len)
     h = encode(ckpt.params, ckpt.encoder_config, seq, train_mode=False)
-    rows = h.data[seq.context_positions()]
-    if use_projection:
-        from . import autodiff as ad
-        rows = project(ckpt.params, ad.Tensor(rows)).mu.data
-    return rows, seq.gold_tags
+    return h.data[seq.context_positions()], seq.gold_tags
 
 
 def build_support_bank(ckpt: Checkpoint, support: list[Sentence],
-                       max_len: int = 128, use_projection: bool = False) -> SupportBank:
+                       max_len: int = 128) -> SupportBank:
     """Eval-mode hidden states of every valid support context token."""
     vectors: list[np.ndarray] = []
     tags: list[str] = []
     provenance: list[tuple[int, int]] = []
     for si, sent in enumerate(support):
-        rows, gold = _context_hidden(ckpt, sent, max_len, use_projection)
+        rows, gold = _context_hidden(ckpt, sent, max_len)
         for pos, (row, tag) in enumerate(zip(rows, gold)):
             vectors.append(row)
             tags.append(tag)
@@ -128,9 +123,9 @@ def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
 
 
 def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
-                    max_len: int = 128, use_projection: bool = False) -> list[str]:
+                    max_len: int = 128) -> list[str]:
     """Predicted IO tags for a sentence; truncated positions default to O."""
-    rows, _ = _context_hidden(ckpt, sentence, max_len, use_projection)
+    rows, _ = _context_hidden(ckpt, sentence, max_len)
     tags = nn_decode(rows, bank)
     return tags + ["O"] * (len(sentence.tokens) - len(tags))
 

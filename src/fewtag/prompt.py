@@ -2,11 +2,12 @@
 
 The model input is laid out as
 
-    [CLS] context-tokens [SEP] prompt-tokens [SEP] [PAD]...
+    [CLS] context-tokens [SEP] prompt-tokens [SEP]
 
 where the prompt lists every class (entity classes in label-set order, O
 last) as a [CLS] marker followed by the class's natural-language phrase.
-The [CLS] marker position is the class's representative token.
+The [CLS] marker position is the class's representative token.  Inputs are
+not padded: `max_len` is only the budget the context is truncated to.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLS, DataError, LabelMap, LabelSet, PAD, SEP, Sentence, Vocabulary
+from .data import CLS, DataError, LabelMap, LabelSet, SEP, Sentence, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,16 @@ class LabelPrompt:
 
 @dataclass(frozen=True)
 class InputSequence:
-    token_ids: np.ndarray            # (max_len,) int
-    context_mask: np.ndarray         # (max_len,) bool, true at valid context tokens
+    token_ids: np.ndarray            # (n_occupied,) int
+    context_mask: np.ndarray         # (n_occupied,) bool, true at valid context tokens
     label_rep_index: dict[str, int]  # class -> absolute position of its [CLS] marker
     gold_tags: tuple[str, ...]       # per context position, aligned with context_mask
     class_order: tuple[str, ...]
-    max_len: int
-    n_occupied: int  # positions before padding starts
+    max_len: int                     # the length budget n_occupied never exceeds
+
+    @property
+    def n_occupied(self) -> int:
+        return len(self.token_ids)
 
     @property
     def n_context(self) -> int:
@@ -64,7 +68,7 @@ def build_label_prompt(label_set: LabelSet, label_map: LabelMap) -> LabelPrompt:
 
 def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
                    max_len: int = 128) -> InputSequence:
-    """Concatenate context and prompt with specials, pad to max_len.
+    """Concatenate context and prompt with specials, at most max_len ids.
 
     Context is truncated from the right when over budget; the prompt is
     never truncated.
@@ -76,10 +80,9 @@ def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
     n_ctx = min(len(sentence.tokens), budget)
 
     words = [CLS] + list(sentence.tokens[:n_ctx]) + [SEP] + list(prompt.tokens) + [SEP]
-    ids = np.full(max_len, vocab.id(PAD), dtype=np.int64)
-    ids[:len(words)] = [vocab.id(w) for w in words]
+    ids = np.array([vocab.id(w) for w in words], dtype=np.int64)
 
-    context_mask = np.zeros(max_len, dtype=bool)
+    context_mask = np.zeros(len(words), dtype=bool)
     context_mask[1:1 + n_ctx] = True
 
     prompt_start = 1 + n_ctx + 1
@@ -93,5 +96,4 @@ def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
 
     return InputSequence(token_ids=ids, context_mask=context_mask,
                          label_rep_index=rep_index, gold_tags=gold,
-                         class_order=prompt.class_order, max_len=max_len,
-                         n_occupied=len(words))
+                         class_order=prompt.class_order, max_len=max_len)

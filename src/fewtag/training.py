@@ -9,16 +9,15 @@ squared Euclidean on the mu projections.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import NumericError, Tensor
 from .data import DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_vocab
 from .encoder import EncoderConfig, encode, init_encoder_params
@@ -128,7 +127,10 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
 # -- checkpoints -------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"FEWTAG\x00\x01"
-CHECKPOINT_VERSION = 1
+# v1 kept per-head attention weights `layer{i}.attn.{q,k,v}{h}.{w,bias}`;
+# v2 keeps one (d, d) matrix and (d,) bias per kind, head h in column block h.
+CHECKPOINT_VERSION = 2
+_META_KEYS = ("encoder_config", "vocab", "label_map", "label_set", "embed_dim")
 
 
 @dataclass
@@ -139,21 +141,23 @@ class Checkpoint:
     label_map: LabelMap
     label_set: LabelSet
     embed_dim: int
-    version: int = CHECKPOINT_VERSION
 
     def clone(self) -> "Checkpoint":
         params = {k: Tensor(v.data.copy(), requires_grad=True)
                   for k, v in self.params.items()}
         return Checkpoint(encoder_config=self.encoder_config, params=params,
                           vocab=self.vocab, label_map=self.label_map,
-                          label_set=self.label_set, embed_dim=self.embed_dim,
-                          version=self.version)
+                          label_set=self.label_set, embed_dim=self.embed_dim)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Versioned binary container: magic, metadata JSON, named f64 tensors."""
+    """Versioned binary container: magic, metadata JSON, named f64 tensors.
+
+    The file is written beside `path` and then renamed over it, so `path`
+    never holds a partly written checkpoint.
+    """
     meta = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "encoder_config": asdict(ckpt.encoder_config),
         "vocab": ckpt.vocab.token_to_id,
         "label_map": ckpt.label_map.phrases,
@@ -161,43 +165,56 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "embed_dim": ckpt.embed_dim,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", ckpt.version))
-        f.write(struct.pack("<Q", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(ckpt.params)))
-        for name in sorted(ckpt.params):
-            data = np.ascontiguousarray(ckpt.params[name].data, dtype="<f8")
-            name_b = name.encode()
-            f.write(struct.pack("<H", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            f.write(data.tobytes())
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<Q", len(meta_bytes)))
+            f.write(meta_bytes)
+            f.write(struct.pack("<I", len(ckpt.params)))
+            for name in sorted(ckpt.params):
+                data = np.ascontiguousarray(ckpt.params[name].data, dtype="<f8")
+                name_b = name.encode()
+                f.write(struct.pack("<H", len(name_b)))
+                f.write(name_b)
+                f.write(struct.pack("<B", data.ndim))
+                f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+                f.write(data.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; v1 per-head attention weights are fused on load.
+
+    Every malformed file raises CheckpointError naming `path`.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    off = 0
+
+    def take(n):
+        nonlocal off
+        if off + n > len(blob):
+            raise CheckpointError(f"{path}: truncated checkpoint file")
+        out = blob[off:off + n]
+        off += n
+        return out
+
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
-        off = 0
-
-        def take(n):
-            nonlocal off
-            if off + n > len(blob):
-                raise CheckpointError(f"{path}: truncated checkpoint file")
-            out = blob[off:off + n]
-            off += n
-            return out
-
         if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
         (version,) = struct.unpack("<I", take(4))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<Q", take(8))
-        meta = json.loads(take(meta_len))
+        meta = json.loads(take(meta_len).decode("utf-8"))
+        missing = [k for k in _META_KEYS if k not in meta]
+        if missing:
+            raise CheckpointError(f"{path}: metadata lacks {', '.join(missing)}")
         (n_tensors,) = struct.unpack("<I", take(4))
         params: dict[str, Tensor] = {}
         for _ in range(n_tensors):
@@ -208,15 +225,34 @@ def load_checkpoint(path: str) -> Checkpoint:
             count = int(np.prod(shape)) if rank else 1
             data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
             params[name] = Tensor(data, requires_grad=True)
-    except struct.error as e:
-        raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from None
-    enc_cfg = EncoderConfig(**meta["encoder_config"])
-    return Checkpoint(encoder_config=enc_cfg, params=params,
-                      vocab=Vocabulary(meta["vocab"]),
-                      label_map=LabelMap(meta["label_map"]),
-                      label_set=LabelSet(tuple(meta["label_set"]["classes"]),
-                                         role=meta["label_set"]["role"]),
-                      embed_dim=meta["embed_dim"], version=version)
+        if off != len(blob):
+            raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the tensors")
+        enc_cfg = EncoderConfig(**meta["encoder_config"])
+        if version == 1:
+            _fuse_v1_heads(params, enc_cfg, path)
+        return Checkpoint(encoder_config=enc_cfg, params=params,
+                          vocab=Vocabulary(meta["vocab"]),
+                          label_map=LabelMap(meta["label_map"]),
+                          label_set=LabelSet(tuple(meta["label_set"]["classes"]),
+                                             role=meta["label_set"]["role"]),
+                          embed_dim=meta["embed_dim"])
+    except CheckpointError:
+        raise
+    except (struct.error, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({type(e).__name__}: {e})") from None
+
+
+def _fuse_v1_heads(params: dict[str, Tensor], config: EncoderConfig, path: str) -> None:
+    """Replace v1 per-head q/k/v tensors by their column-concatenated v2 form."""
+    for i in range(config.n_layers):
+        for kind in "qkv":
+            for part, axis in (("w", 1), ("bias", 0)):
+                names = [f"layer{i}.attn.{kind}{h}.{part}" for h in range(config.n_heads)]
+                missing = [n for n in names if n not in params]
+                if missing:
+                    raise CheckpointError(f"{path}: v1 checkpoint lacks {', '.join(missing)}")
+                fused = np.concatenate([params.pop(n).data for n in names], axis=axis)
+                params[f"layer{i}.attn.{kind}.{part}"] = Tensor(fused, requires_grad=True)
 
 
 # -- training loops ----------------------------------------------------------

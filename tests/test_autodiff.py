@@ -86,6 +86,26 @@ def test_shape_error_names_op_and_shapes():
     assert "(2, 3)" in str(exc.value)
 
 
+def test_matmul_rejects_mismatched_batch_axes():
+    with pytest.raises(ad.ShapeError):
+        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ad.ShapeError):
+        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
+
+
+def test_batched_matmul_and_transpose_act_per_batch_entry():
+    rng = np.random.default_rng(1)
+    a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+    out = ad.matmul(Tensor(a), ad.transpose(ad.transpose(Tensor(b))))
+    for i in range(3):
+        np.testing.assert_allclose(out.data[i], a[i] @ b[i], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(ad.transpose(Tensor(a)).data[1], a[1].T)
+
+
+def test_numeric_error_message_is_verbatim():
+    assert str(ad.NumericError("x")) == "x"
+
+
 def test_add_broadcast_leading_axes_only():
     out = ad.add(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
     assert out.shape == (3, 2)
@@ -114,6 +134,11 @@ def _rand_shape(rng, ndim=2, max_dim=4):
     return tuple(int(rng.integers(1, max_dim + 1)) for _ in range(ndim))
 
 
+def _weighted_sum(t):
+    # distinct weight per entry, so a gradient routed to the wrong entry shows
+    return ad.tsum(ad.mul(t, Tensor(np.linspace(0.5, 1.5, t.size).reshape(t.shape))))
+
+
 PRIMITIVE_CASES = {
     "exp": lambda x: ad.tsum(ad.exp(x)),
     "log": lambda x: ad.tsum(ad.log(ad.add(ad.square(x), Tensor(np.ones(()) * 0.5)))),
@@ -127,6 +152,8 @@ PRIMITIVE_CASES = {
     "layer_norm": lambda x: ad.tsum(ad.square(ad.layer_norm(x))),
     "transpose": lambda x: ad.tsum(ad.square(ad.transpose(x))),
     "matmul": lambda x: ad.tsum(ad.matmul(x, ad.transpose(x))),
+    "matmul_batched": lambda x: _weighted_sum(ad.matmul(x, ad.transpose(x))),
+    "transpose_batched": lambda x: _weighted_sum(ad.transpose(x)),
     "row_gather": lambda x: ad.tsum(ad.square(ad.row_gather(x, [0, 0, x.shape[0] - 1]))),
     "concat": lambda x: ad.tsum(ad.square(ad.concat([x, x], axis=0))),
     "masked_lse": lambda x: ad.tsum(ad.masked_row_logsumexp(
@@ -140,16 +167,9 @@ PRIMITIVE_CASES = {
 def test_primitive_gradients_match_finite_differences(name, fn):
     rng = np.random.default_rng(hash(name) % 2**32)
     for _ in range(100):
-        shape = _rand_shape(rng)
+        shape = _rand_shape(rng, ndim=3 if name.endswith("_batched") else 2)
         point = rng.normal(size=shape)
         assert ad.finite_diff_check(fn, point, step=1e-5) <= 1e-4
-
-
-def test_forward_primitive_dispatch():
-    out = ad.forward_primitive("add", Tensor([1.0]), Tensor([2.0]))
-    assert out.data[0] == 3.0
-    with pytest.raises(ValueError):
-        ad.forward_primitive("conv2d", Tensor([1.0]))
 
 
 def test_forward_bit_identical_across_runs():

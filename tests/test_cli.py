@@ -60,6 +60,22 @@ class TestTrain:
         code, _ = run_train(workspace, "bad2", extra=["--set", "learnig_rate=0.1"])
         assert code == 2
 
+    def test_snapshot_replay_reproduces_checkpoint(self, workspace):
+        tmp_path = workspace[0]
+        _, out = run_train(workspace)
+        snap = str(out / "resolved_config.json")
+        replay = tmp_path / "replay"
+        assert main(["--config", snap, "--out", str(replay), "train"]) == 0
+        assert (replay / "checkpoint.ckpt").read_bytes() == \
+               (out / "checkpoint.ckpt").read_bytes()
+
+    def test_snapshot_of_other_subcommand_rejected(self, workspace):
+        tmp_path = workspace[0]
+        _, out = run_train(workspace)
+        code = main(["--config", str(out / "resolved_config.json"),
+                     "--out", str(tmp_path / "gc"), "gradcheck"])
+        assert code == 2
+
     def test_same_seed_gives_bit_identical_checkpoints(self, workspace):
         _, out1 = run_train(workspace, "r1")
         _, out2 = run_train(workspace, "r2")

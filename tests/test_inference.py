@@ -181,7 +181,7 @@ class TestEvaluateEpisodes:
         bad = Episode(support=corpus[:4], query=corpus[4:5], n_way=2, k_shot=2)
         # corrupt a parameter so the episode fails mid-evaluation
         ckpt2 = ckpt.clone()
-        ckpt2.params["emb.token"].data[0, 0] = np.nan
+        ckpt2.params["emb.pos"].data[0, 0] = np.nan
         with pytest.raises(Exception, match="episode 0"):
             evaluate_episodes(ckpt2, [bad], config)
 

@@ -42,9 +42,10 @@ def fixture():
 def test_assemble_layout_arithmetic():
     sent, prompt, vocab = fixture()
     seq = assemble_input(sent, prompt, vocab, max_len=16)
-    assert seq.token_ids.shape == (16,)
-    # [CLS] a w h [SEP] prompt(6) [SEP] = 12 occupied, 4 pad
-    assert np.sum(seq.token_ids != vocab.id("[PAD]")) == 12
+    # [CLS] a w h [SEP] prompt(6) [SEP] = 12 occupied; no padding to max_len
+    assert seq.token_ids.shape == seq.context_mask.shape == (12,)
+    assert seq.n_occupied == 12 and seq.max_len == 16
+    assert vocab.id("[PAD]") not in seq.token_ids
     assert seq.n_context == 3
     np.testing.assert_array_equal(seq.context_positions(), [1, 2, 3])
     assert seq.gold_tags == ("I-person", "O", "O")

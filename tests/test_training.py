@@ -100,7 +100,7 @@ class TestTrainSource:
         label_set, label_map = label_setup(("A", "B"))
         ckpt, _ = train_source(corpus, label_set, label_map, make_config(epochs=1),
                                SMALL_ENC)
-        ckpt.params["emb.token"].data[0, 0] = np.nan
+        ckpt.params["emb.pos"].data[0, 0] = np.nan
         with pytest.raises(NumericError):
             finetune(ckpt, corpus, label_set, label_map, make_config())
 
