@@ -249,10 +249,12 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
                           strict_k: bool = False) -> SupportSample:
     """Greedy N-way K-shot support sampling over a seed-shuffled corpus.
 
-    Entity mentions (maximal I-runs) are counted per class.  A sentence is
-    taken only when some contained class still needs shots and no contained
-    class would exceed the bound (2K, or K with strict_k).  If the corpus
-    cannot satisfy the bound, minimal overshoot is allowed and reported.
+    Entity mentions (maximal I-runs) are counted per class against a bound
+    of 2K (K with strict_k).  While a sampled class has fewer than K
+    mentions, the sampler takes the untaken sentence that helps such a class
+    with the smallest total overshoot past the bound (0 when it fits), the
+    earliest in the shuffled order on ties.  Classes pushed past the bound
+    are reported in `overshoot`; DataError when no sentence can help.
     """
     rng = make_rng(seed, "support_sampler")
     if len(label_set) < n_way:
@@ -267,53 +269,31 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
     bound = k_shot if strict_k else 2 * k_shot
     counts: Counter = Counter({c: 0 for c in classes})
     selected: list[Sentence] = []
-    taken = [False] * len(order)
     overshoot: dict[str, int] = {}
+    untaken = list(range(len(order)))
+    spans: dict[int, Counter] = {}  # filled on first look, most samples stop early
 
-    def deficient():
-        return [c for c in classes if counts[c] < k_shot]
-
-    while deficient():
-        progress = False
-        for i, sent in enumerate(order):
-            if taken[i]:
+    while any(counts[c] < k_shot for c in classes):
+        best = None  # (overshoot, position in untaken)
+        for j, i in enumerate(untaken):
+            if i not in spans:
+                spans[i] = order[i].entity_span_counts()
+            if not any(counts[c] < k_shot for c in spans[i]):
                 continue
-            spans = sent.entity_span_counts()
-            if not any(counts[c] < k_shot for c in spans):
-                continue
-            if any(counts[c] + n > bound for c, n in spans.items()):
-                continue
-            taken[i] = True
-            selected.append(sent)
-            counts.update(spans)
-            progress = True
-            if not deficient():
-                break
-        if not deficient():
-            break
-        if not progress:
-            # relaxation pass: take the sentence helping a deficient class
-            # with the smallest total overshoot past the bound
-            best = None
-            for i, sent in enumerate(order):
-                if taken[i]:
-                    continue
-                spans = sent.entity_span_counts()
-                if not any(counts[c] < k_shot for c in spans):
-                    continue
-                over = sum(max(0, counts[c] + n - bound) for c, n in spans.items())
-                if best is None or over < best[0]:
-                    best = (over, i, sent, spans)
-            if best is None:
-                missing = ", ".join(sorted(deficient()))
-                raise DataError(f"cannot reach K={k_shot} shots for class(es): {missing}")
-            _, i, sent, spans = best
-            taken[i] = True
-            selected.append(sent)
-            counts.update(spans)
-            for c, n in spans.items():
-                if counts[c] > bound:
-                    overshoot[c] = counts[c] - bound
+            over = sum(max(0, counts[c] + n - bound) for c, n in spans[i].items())
+            if best is None or over < best[0]:
+                best = (over, j)
+                if over == 0:
+                    break
+        if best is None:
+            missing = ", ".join(sorted(c for c in classes if counts[c] < k_shot))
+            raise DataError(f"cannot reach K={k_shot} shots for class(es): {missing}")
+        i = untaken.pop(best[1])
+        selected.append(order[i])
+        counts.update(spans[i])
+        for c in spans[i]:
+            if counts[c] > bound:
+                overshoot[c] = counts[c] - bound
 
     return SupportSample(sentences=selected, counts=dict(counts), overshoot=overshoot)
 

@@ -52,6 +52,7 @@ class EvalReport:
     fp: int
     fn: int
     per_run: list[float] = field(default_factory=list)
+    skipped_seeds: list[int] = field(default_factory=list)  # runs whose sampling failed
 
     @property
     def precision(self) -> float:
@@ -80,13 +81,17 @@ class EvalReport:
                "precision": self.precision, "recall": self.recall, "f1": self.f1}
         if self.per_run:
             out.update({"per_run": self.per_run, "mean": self.mean, "std": self.std})
+        if self.skipped_seeds:
+            out["skipped_seeds"] = self.skipped_seeds
         return out
 
 
 def _context_hidden(ckpt: Checkpoint, sentence: Sentence,
                     max_len: int) -> tuple[np.ndarray, tuple[str, ...]]:
     prompt = build_label_prompt(ckpt.label_set, ckpt.label_map)
-    seq = assemble_input(sentence, prompt, ckpt.vocab, max_len=max_len)
+    # positions past the checkpoint's positional table are truncated away
+    seq = assemble_input(sentence, prompt, ckpt.vocab,
+                         max_len=min(max_len, ckpt.encoder_config.max_len))
     h = encode(ckpt.params, ckpt.encoder_config, seq, train_mode=False)
     return h.data[seq.context_positions()], seq.gold_tags
 
@@ -165,6 +170,17 @@ def micro_f1(gold: list[list[Span]], pred: list[list[Span]]) -> EvalReport:
     return EvalReport(tp=tp, fp=fp, fn=fn)
 
 
+def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: LabelSet,
+                   config: TrainConfig, queries: list[Sentence]) -> tuple[int, int, int]:
+    """Fine-tune on the support, decode the queries against it; span tp, fp, fn."""
+    tuned, _ = finetune(checkpoint, support, label_set, checkpoint.label_map, config)
+    bank = build_support_bank(tuned, support, max_len=config.max_len)
+    gold = [extract_spans(s.tags) for s in queries]
+    pred = [extract_spans(decode_sentence(tuned, s, bank, max_len=config.max_len))
+            for s in queries]
+    return span_counts(gold, pred)
+
+
 def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                       config: TrainConfig) -> EvalReport:
     """Per episode: re-start from the source checkpoint, fine-tune on the
@@ -175,14 +191,9 @@ def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
     tp = fp = fn = 0
     for idx, ep in enumerate(episodes):
         try:
-            label_set = LabelSet(tuple(ep.classes), role="target")
-            tuned, _ = finetune(checkpoint, ep.support, label_set,
-                                checkpoint.label_map, config)
-            bank = build_support_bank(tuned, ep.support, max_len=config.max_len)
-            gold = [extract_spans(s.tags) for s in ep.query]
-            pred = [extract_spans(decode_sentence(tuned, s, bank, max_len=config.max_len))
-                    for s in ep.query]
-            a, b, c = span_counts(gold, pred)
+            a, b, c = _fit_and_score(checkpoint, ep.support,
+                                     LabelSet(tuple(ep.classes), role="target"),
+                                     config, ep.query)
         except Exception as e:
             raise type(e)(f"episode {idx}: {e}") from e
         tp, fp, fn = tp + a, fp + b, fn + c
@@ -197,32 +208,32 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
     """T sampled supports; fine-tune on each and score the full test corpus.
 
     Reports per-run F1 plus mean and sample standard deviation.  A sampling
-    failure aborts unless skip_failed_runs is set, in which case the run is
-    recorded as excluded.
+    failure aborts unless skip_failed_runs is set, in which case the run's
+    seed is recorded in `skipped_seeds`; DataError when no run remains.
     """
     if not seeds:
         raise DataError("low-resource evaluation needs at least one seed")
     per_run: list[float] = []
-    pooled = [0, 0, 0]
+    skipped: list[int] = []
+    pooled = (0, 0, 0)
     for seed in seeds:
         try:
             sample = greedy_sample_support(support_corpus, target_label_set,
                                            n_way, k_shot, seed=seed, strict_k=strict_k)
         except DataError:
-            if skip_failed_runs:
-                continue
-            raise
+            if not skip_failed_runs:
+                raise
+            skipped.append(seed)
+            continue
         run_config = TrainConfig(**{**config.__dict__, "seed": seed})
-        tuned, _ = finetune(checkpoint, sample.sentences, target_label_set,
-                            checkpoint.label_map, run_config)
-        bank = build_support_bank(tuned, sample.sentences, max_len=config.max_len)
-        gold = [extract_spans(s.tags) for s in test_corpus]
-        pred = [extract_spans(decode_sentence(tuned, s, bank, max_len=config.max_len))
-                for s in test_corpus]
-        report = micro_f1(gold, pred)
-        per_run.append(report.f1)
-        pooled = [pooled[0] + report.tp, pooled[1] + report.fp, pooled[2] + report.fn]
-    return EvalReport(tp=pooled[0], fp=pooled[1], fn=pooled[2], per_run=per_run)
+        counts = _fit_and_score(checkpoint, sample.sentences, target_label_set,
+                                run_config, test_corpus)
+        per_run.append(EvalReport(*counts).f1)
+        pooled = tuple(a + b for a, b in zip(pooled, counts))
+    if not per_run:
+        raise DataError(f"every low-resource run failed to sample a support "
+                        f"(seeds {skipped})")
+    return EvalReport(*pooled, per_run=per_run, skipped_seeds=skipped)
 
 
 def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str,

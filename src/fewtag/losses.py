@@ -133,31 +133,42 @@ def _masks(tags: tuple[str, ...]):
     return same & offdiag, offdiag
 
 
+def _anchor_terms(batch: BatchView, anchors, pos: np.ndarray, offdiag: np.ndarray,
+                  variant: str, metric: str) -> Tensor:
+    """Context-context term of each anchor row; every anchor needs a positive.
+
+    OCL: -log(mean positive weight / all weights).  ICL: the mean over the
+    positives of -log(positive weight / all weights).
+    """
+    d_rows = ad.row_gather(_pairwise(batch.embeddings, batch.embeddings, metric), anchors)
+    neg_rows = ad.scale(d_rows, -1.0)
+    lse_all = ad.masked_row_logsumexp(neg_rows, offdiag[anchors])
+    n_pos = pos[anchors].sum(axis=1).astype(float)
+    if variant == VARIANT_ICL:
+        mean_pos_d = ad.mul(ad.tsum(ad.mul(d_rows, Tensor(pos[anchors].astype(float))), axis=1),
+                            Tensor(1.0 / n_pos))
+        return mean_pos_d + lse_all
+    lse_pos = ad.masked_row_logsumexp(neg_rows, pos[anchors])
+    return lse_all - lse_pos + Tensor(np.log(n_pos))
+
+
 def anchor_loss_in(p: int, batch: BatchView, config: LossConfig) -> Optional[Tensor]:
-    """Original contrastive form: -log(mean positive weight / all weights).
+    """Original contrastive form (OCL) for anchor p, whatever config's variant.
 
     Returns None when the anchor has no positives (skipped, not an error).
     """
     pos, offdiag = _masks(batch.tags)
-    n_pos = int(pos[p].sum())
-    if n_pos == 0:
+    if not pos[p].any():
         return None
-    d_row = ad.row_gather(_pairwise(batch.embeddings, batch.embeddings, config.metric), [p])
-    lse_all = ad.masked_row_logsumexp(ad.scale(d_row, -1.0), offdiag[p][None, :])
-    lse_pos = ad.masked_row_logsumexp(ad.scale(d_row, -1.0), pos[p][None, :])
-    return ad.reshape(lse_all - lse_pos + Tensor(np.log(n_pos)), ())
+    return ad.reshape(_anchor_terms(batch, [p], pos, offdiag, VARIANT_OCL, config.metric), ())
 
 
 def anchor_loss_out(p: int, batch: BatchView, config: LossConfig) -> Optional[Tensor]:
-    """Improved variant: average the per-positive log-softmax terms."""
+    """Improved form (ICL) for anchor p: average the per-positive log-softmax terms."""
     pos, offdiag = _masks(batch.tags)
-    n_pos = int(pos[p].sum())
-    if n_pos == 0:
+    if not pos[p].any():
         return None
-    d_row = ad.row_gather(_pairwise(batch.embeddings, batch.embeddings, config.metric), [p])
-    lse_all = ad.masked_row_logsumexp(ad.scale(d_row, -1.0), offdiag[p][None, :])
-    mean_pos_d = ad.scale(ad.tsum(ad.mul(d_row, Tensor(pos[p].astype(float)))), 1.0 / n_pos)
-    return ad.reshape(mean_pos_d + lse_all, ())
+    return ad.reshape(_anchor_terms(batch, [p], pos, offdiag, VARIANT_ICL, config.metric), ())
 
 
 @dataclass
@@ -178,18 +189,7 @@ def context_context_loss(batch: BatchView, config: LossConfig) -> LossValue:
     if usable.size == 0:
         return LossValue(Tensor(0.0), warned=True)
 
-    d = _pairwise(batch.embeddings, batch.embeddings, config.metric)
-    d_rows = ad.row_gather(d, usable)
-    neg_rows = ad.scale(d_rows, -1.0)
-    lse_all = ad.masked_row_logsumexp(neg_rows, offdiag[usable])
-    if config.loss_variant == VARIANT_ICL:
-        n_pos = pos[usable].sum(axis=1).astype(float)
-        mean_pos_d = ad.mul(ad.tsum(ad.mul(d_rows, Tensor(pos[usable].astype(float))), axis=1),
-                            Tensor(1.0 / n_pos))
-        per_anchor = mean_pos_d + lse_all
-    else:
-        lse_pos = ad.masked_row_logsumexp(neg_rows, pos[usable])
-        per_anchor = lse_all - lse_pos + Tensor(np.log(pos[usable].sum(axis=1).astype(float)))
+    per_anchor = _anchor_terms(batch, usable, pos, offdiag, config.loss_variant, config.metric)
     return LossValue(ad.tmean(per_anchor), n_anchors=usable.size)
 
 

@@ -22,7 +22,7 @@ from .autodiff import NumericError, Tensor
 from .data import DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_vocab
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .gaussian import init_projection_params
-from .losses import LossConfig, build_batch_view, mixed_loss
+from .losses import LossConfig, MixedLoss, build_batch_view, mixed_loss
 from .prompt import assemble_input, build_label_prompt
 from .rngutil import make_rng
 
@@ -272,15 +272,38 @@ class LogEntry:
 
 
 def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, loss_config,
-                train_mode: bool, dropout_rng, subsample_rng,
-                max_len: int):
+                dropout_rng, subsample_rng, max_len: int) -> MixedLoss:
+    # positions past the checkpoint's positional table are truncated away
+    max_len = min(max_len, ckpt.encoder_config.max_len)
     seqs = [assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences]
-    hiddens = [encode(ckpt.params, ckpt.encoder_config, s, train_mode=train_mode,
+    hiddens = [encode(ckpt.params, ckpt.encoder_config, s, train_mode=True,
                       rng=dropout_rng) for s in seqs]
     batch = build_batch_view(hiddens, seqs, ckpt.params,
                              o_keep_fraction=loss_config.o_keep_fraction,
                              rng=subsample_rng)
     return mixed_loss(batch, loss_config)
+
+
+def _step(ckpt: Checkpoint, out: MixedLoss, opt: OptimizerState, step: int,
+          nonfinite: str) -> LogEntry:
+    """Backpropagate a batch loss and take one AdamW step on every parameter.
+
+    A non-finite loss raises NumericError with `nonfinite`, formatted with
+    `step` and `loss`, before any parameter changes.
+    """
+    loss = out.item()
+    if not math.isfinite(loss):
+        raise NumericError(nonfinite.format(step=step, loss=loss))
+    for p in ckpt.params.values():
+        p.zero_grad()
+    out.total.backward(leaves=list(ckpt.params.values()))
+    adamw_step(ckpt.params, opt)
+    return LogEntry(
+        step=step, loss=loss,
+        context_context=None if out.context_context is None
+        else out.context_context.value.item(),
+        context_label=None if out.context_label is None
+        else out.context_label.value.item())
 
 
 def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: LabelMap,
@@ -321,28 +344,14 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
     subsample_rng = make_rng(config.seed, "o_subsample")
 
     log: list[LogEntry] = []
-    step = 0
     for _epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(sentences))
         for lo in range(0, len(order), config.batch_size):
             batch_sents = [sentences[i] for i in order[lo:lo + config.batch_size]]
-            out = _batch_loss(ckpt, batch_sents, prompt, loss_config,
-                              train_mode=True, dropout_rng=dropout_rng,
-                              subsample_rng=subsample_rng, max_len=config.max_len)
-            loss = out.item()
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite training loss at step {step}: {loss}")
-            for p in ckpt.params.values():
-                p.zero_grad()
-            out.total.backward(leaves=list(ckpt.params.values()))
-            adamw_step(ckpt.params, opt)
-            log.append(LogEntry(
-                step=step, loss=loss,
-                context_context=None if out.context_context is None
-                else out.context_context.value.item(),
-                context_label=None if out.context_label is None
-                else out.context_label.value.item()))
-            step += 1
+            out = _batch_loss(ckpt, batch_sents, prompt, loss_config, dropout_rng,
+                              subsample_rng, config.max_len)
+            log.append(_step(ckpt, out, opt, len(log),
+                             "non-finite training loss at step {step}: {loss}"))
     return ckpt, log
 
 
@@ -385,45 +394,27 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
     dropout_rng = make_rng(config.seed, "finetune_dropout")
     subsample_rng = make_rng(config.seed, "finetune_o_subsample")
 
-    loss_prev = math.inf
-    loss = loss_prev - 1  # vacuous first comparison, by construction
     trace: list[float] = []
     log: list[LogEntry] = []
     best: Optional[dict[str, np.ndarray]] = None
-    best_loss = math.inf
-    iters = 0
     hit_cap = False
     while True:
-        loss_prev = loss
-        out = _batch_loss(ckpt, support, prompt, loss_config, train_mode=True,
-                          dropout_rng=dropout_rng, subsample_rng=subsample_rng,
-                          max_len=config.max_len)
-        loss = out.item()
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite fine-tuning loss at iteration {iters}")
-        if config.keep_best and loss < best_loss:
-            best_loss = loss
+        out = _batch_loss(ckpt, support, prompt, loss_config, dropout_rng,
+                          subsample_rng, config.max_len)
+        # the parameters the loss was computed at, before this step updates them
+        if config.keep_best and out.item() < min(trace, default=math.inf):
             best = {k: p.data.copy() for k, p in ckpt.params.items()}
-        for p in ckpt.params.values():
-            p.zero_grad()
-        out.total.backward(leaves=list(ckpt.params.values()))
-        adamw_step(ckpt.params, opt)
-        trace.append(loss)
-        log.append(LogEntry(
-            step=iters, loss=loss,
-            context_context=None if out.context_context is None
-            else out.context_context.value.item(),
-            context_label=None if out.context_label is None
-            else out.context_label.value.item()))
-        iters += 1
-        if loss > loss_prev:
+        log.append(_step(ckpt, out, opt, len(log),
+                         "non-finite fine-tuning loss at iteration {step}"))
+        trace.append(log[-1].loss)
+        if len(trace) > 1 and trace[-1] > trace[-2]:
             break
-        if iters >= config.max_finetune_iters:
+        if len(trace) >= config.max_finetune_iters:
             hit_cap = True
             break
-    if config.keep_best and best is not None:
+    if best is not None:
         for k, p in ckpt.params.items():
             p.data = best[k]
-    return ckpt, FinetuneResult(loss_trace=trace, iterations=iters, hit_cap=hit_cap,
+    return ckpt, FinetuneResult(loss_trace=trace, iterations=len(trace), hit_cap=hit_cap,
                                 used_context_context=loss_config.use_context_context,
                                 metric=loss_config.metric, log=log)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fewtag.cli import main
-from fewtag.data import read_conll, write_conll
+from fewtag.data import Sentence, read_conll, write_conll
 
 from synthdata import label_setup, separable_corpus
 
@@ -111,6 +111,21 @@ class TestPipeline:
         assert code == 0
         header = (dump_out / "embeddings.tsv").read_text().splitlines()[0]
         assert header.split("\t")[:2] == ["token", "tag"]
+
+    def test_predict_past_checkpoint_positions(self, workspace):
+        # the default max_len (128) exceeds the checkpoint's table (24)
+        tmp_path, _, support_path, _ = workspace
+        _, out = run_train(workspace)
+        long_path = tmp_path / "long.conll"
+        write_conll([Sentence(tuple(f"filler{i % 8}" for i in range(40)), ("O",) * 40)],
+                    str(long_path))
+        pred_out = tmp_path / "pred"
+        code = main(["--out", str(pred_out), "predict",
+                     "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--support", str(support_path), "--input", str(long_path)])
+        assert code == 0
+        (tagged,) = read_conll(str(pred_out / "predictions.conll"))
+        assert len(tagged.tags) == 40
 
     def test_missing_checkpoint_is_data_error(self, workspace):
         tmp_path, _, support_path, _ = workspace

@@ -1,6 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewtag import data as d
 from fewtag.data import (DataError, LabelMap, LabelSet, Sentence, build_vocab,
@@ -141,6 +144,59 @@ class TestSampler:
         corpus = toy_corpus()
         out = greedy_sample_support(corpus, LabelSet(("A", "B")), 2, 3, seed=1, strict_k=True)
         assert out.counts == {"A": 3, "B": 3}
+
+
+CLASSES = ("A", "B", "C", "D")
+
+
+@st.composite
+def sampler_cases(draw):
+    """A label set, a corpus that may also mention a class outside it, K,
+    strict_k and a seed.  Tokens are unique per sentence, so equal
+    sentences are the same corpus entry."""
+    n_cls = draw(st.integers(1, 3))
+    tags = st.sampled_from(["O"] + [f"I-{c}" for c in CLASSES[:n_cls + 1]])
+    corpus = []
+    for i, sent_tags in enumerate(draw(st.lists(st.lists(tags, min_size=1, max_size=6),
+                                                max_size=12))):
+        corpus.append(Sentence(tuple(f"s{i}w{j}" for j in range(len(sent_tags))),
+                               tuple(sent_tags)))
+    return (LabelSet(CLASSES[:n_cls]), corpus, draw(st.integers(1, 3)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler_cases())
+def test_sampler_properties(case):
+    label_set, corpus, k, strict, seed = case
+    classes = set(label_set.classes)
+    available: Counter = Counter()
+    for s in corpus:
+        if s.entity_classes() and s.entity_classes() <= classes:
+            available.update(s.entity_span_counts())
+    if any(available[c] < k for c in classes):
+        with pytest.raises(DataError):
+            greedy_sample_support(corpus, label_set, len(classes), k, seed=seed, strict_k=strict)
+        return
+
+    out = greedy_sample_support(corpus, label_set, len(classes), k, seed=seed, strict_k=strict)
+    bound = k if strict else 2 * k
+    mentions: Counter = Counter()
+    for s in out.sentences:
+        assert s in corpus
+        assert s.entity_classes() and s.entity_classes() <= classes
+        mentions.update(s.entity_span_counts())
+    assert len(set(out.sentences)) == len(out.sentences)
+    assert out.counts == {c: mentions[c] for c in classes}
+    for c, n in out.counts.items():
+        assert n >= k
+        if n > bound:
+            assert out.overshoot[c] == n - bound
+        else:
+            assert c not in out.overshoot
+    again = greedy_sample_support(corpus, label_set, len(classes), k, seed=seed, strict_k=strict)
+    assert (again.sentences, again.counts, again.overshoot) == \
+        (out.sentences, out.counts, out.overshoot)
 
 
 class TestVocab:

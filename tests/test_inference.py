@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fewtag.data import DataError, Episode, LabelSet, Sentence
+from fewtag.data import DataError, Episode, LabelSet, Sentence, greedy_sample_support
 from fewtag.inference import (EvalReport, Span, SupportBank, build_support_bank,
                               decode_sentence, dump_embeddings, evaluate_episodes,
                               extract_spans, low_resource_eval, micro_f1, nn_decode,
                               span_counts)
-from fewtag.training import train_source
+from fewtag.prompt import assemble_input, build_label_prompt
+from fewtag.training import finetune, train_source
 
 from synthdata import label_setup, separable_corpus
 from test_training import SMALL_ENC, make_config
@@ -158,6 +161,22 @@ class TestDecoding:
         with pytest.raises(DataError):
             build_support_bank(ckpt, [], max_len=config.max_len)
 
+    def test_max_len_past_checkpoint_table_truncates(self, trained):
+        ckpt, config, corpus, label_set = trained
+        wide = dataclasses.replace(config, max_len=128)
+        assert ckpt.encoder_config.max_len < 40 < wide.max_len
+        long_sent = Sentence(("filler0", "aent0") + ("filler1",) * 38,
+                             ("O", "I-A") + ("O",) * 38)
+        support = corpus[:4] + [long_sent]
+        tuned, _ = finetune(ckpt, support, label_set, ckpt.label_map, wide)
+        bank = build_support_bank(tuned, support, max_len=wide.max_len)
+        pred = decode_sentence(tuned, long_sent, bank, max_len=wide.max_len)
+        n_ctx = len(assemble_input(long_sent, build_label_prompt(label_set, ckpt.label_map),
+                                   ckpt.vocab, max_len=ckpt.encoder_config.max_len).gold_tags)
+        assert n_ctx < 40
+        assert len(pred) == 40
+        assert pred[n_ctx:] == ["O"] * (40 - n_ctx)
+
 
 class TestEvaluateEpisodes:
     def test_pooled_counts_over_episodes(self, trained):
@@ -203,14 +222,35 @@ class TestLowResourceEval:
 
     def test_sampling_failure_skipped_when_requested(self, trained):
         ckpt, config, corpus, label_set = trained
-        # k_shot too large for the corpus: every run fails to sample
-        rep = low_resource_eval(ckpt, label_set, corpus[:2], corpus[:2],
-                                n_way=2, k_shot=50, seeds=[0, 1], config=config,
-                                skip_failed_runs=True)
-        assert rep.per_run == []
+        # k_shot too large for the corpus: every run fails to sample, so no
+        # run remains to report
+        with pytest.raises(DataError, match=r"seeds \[0, 1\]"):
+            low_resource_eval(ckpt, label_set, corpus[:2], corpus[:2],
+                              n_way=2, k_shot=50, seeds=[0, 1], config=config,
+                              skip_failed_runs=True)
         with pytest.raises(DataError):
             low_resource_eval(ckpt, label_set, corpus[:2], corpus[:2],
                               n_way=2, k_shot=50, seeds=[0], config=config)
+
+    def test_skipped_runs_recorded(self, trained):
+        ckpt, config, corpus, _ = trained
+        # a third class no corpus sentence has: the seeds that sample it fail
+        label_set, label_map = label_setup(("A", "B", "C"))
+        ckpt = dataclasses.replace(ckpt, label_map=label_map)
+        seeds = list(range(6))
+        failing = []
+        for seed in seeds:
+            try:
+                greedy_sample_support(corpus, label_set, 2, 1, seed=seed)
+            except DataError:
+                failing.append(seed)
+        assert 0 < len(failing) < len(seeds)
+        rep = low_resource_eval(ckpt, label_set, corpus, corpus[:2], n_way=2, k_shot=1,
+                                seeds=seeds, config=config, skip_failed_runs=True)
+        assert rep.skipped_seeds == failing
+        assert len(rep.per_run) == len(seeds) - len(failing)
+        assert rep.summary()["skipped_seeds"] == failing
+        assert "skipped_seeds" not in EvalReport(tp=1, fp=0, fn=0, per_run=[1.0]).summary()
 
 
 class TestDumpEmbeddings:

@@ -238,9 +238,10 @@ def test_o_subsampling_drops_only_o_tokens():
     assert batch.n_tokens == 3
 
 
-def test_mixed_loss_gradients_through_encoder_match_finite_differences():
+@pytest.mark.parametrize("variant", ["icl", "ocl"])
+def test_mixed_loss_gradients_through_encoder_match_finite_differences(variant):
     seqs, config, enc_params, proj_params = encoded_fixture()
-    loss_config = LossConfig(alpha=0.5)
+    loss_config = LossConfig(alpha=0.5, loss_variant=variant)
 
     def loss(x):
         trial = dict(enc_params)
