@@ -41,7 +41,10 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._prev = _prev
-        self._backward: Callable[[], None] = lambda: None
+        # maps this node's gradient to its inputs' .grad; it holds the inputs
+        # but not the node itself, so dropped graphs are freed without the
+        # cycle collector
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._op = _op
         self._backward_ran = False
 
@@ -61,8 +64,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: g may be another node's buffer, and later calls add in place
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self, leaves: Optional[Sequence["Tensor"]] = None) -> None:
         """Populate .grad on every requires_grad ancestor of this scalar root.
@@ -90,7 +95,8 @@ class Tensor:
         build(self)
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
-            t._backward()
+            if t._backward is not None:
+                t._backward(t.grad)
         if leaves is not None:
             for t in leaves:
                 if t.grad is None:
@@ -170,11 +176,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("add", a.shape, b.shape)
     out = _make(a.data + b.data, (a, b), "add")
     if out.requires_grad:
-        def _bw():
+        def _bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.shape))
+                a._accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.shape))
+                b._accumulate(_unbroadcast(g, b.shape))
         out._backward = _bw
     return out
 
@@ -184,11 +190,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("mul", a.shape, b.shape)
     out = _make(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
-        def _bw():
+        def _bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.shape))
         out._backward = _bw
     return out
 
@@ -196,8 +202,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     out = _make(a.data * c, (a,), "scale")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * c)
+        def _bw(g):
+            a._accumulate(g * c)
         out._backward = _bw
     return out
 
@@ -209,20 +215,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape)
     out = _make(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        def _bw():
+        def _bw(g):
             if a.requires_grad:
-                a._accumulate(out.grad @ b.data.swapaxes(-1, -2))
+                a._accumulate(g @ b.data.swapaxes(-1, -2))
             if b.requires_grad:
-                b._accumulate(a.data.swapaxes(-1, -2) @ out.grad)
+                b._accumulate(a.data.swapaxes(-1, -2) @ g)
         out._backward = _bw
     return out
 
 
 def exp(a: Tensor) -> Tensor:
-    out = _make(np.exp(a.data), (a,), "exp")
+    e = np.exp(a.data)
+    out = _make(e, (a,), "exp")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * out.data)
+        def _bw(g):
+            a._accumulate(g * e)
         out._backward = _bw
     return out
 
@@ -230,27 +237,31 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     out = _make(np.log(a.data), (a,), "log")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad / a.data)
+        def _bw(g):
+            a._accumulate(g / a.data)
         out._backward = _bw
     return out
 
 
 def softplus(a: Tensor) -> Tensor:
-    out = _make(np.logaddexp(0.0, a.data), (a,), "softplus")
+    """log(1 + e^a), as max(a, 0) + log1p(e^-|a|), which cannot overflow."""
+    e = np.exp(-np.abs(a.data))
+    out = _make(np.maximum(a.data, 0.0) + np.log1p(e), (a,), "softplus")
     if out.requires_grad:
-        def _bw():
-            sig = 1.0 / (1.0 + np.exp(-a.data))
-            a._accumulate(out.grad * sig)
+        def _bw(g):
+            # the sigmoid of a, from the same e^-|a|
+            sig = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
+            a._accumulate(g * sig)
         out._backward = _bw
     return out
 
 
 def reciprocal(a: Tensor) -> Tensor:
-    out = _make(1.0 / a.data, (a,), "reciprocal")
+    r = 1.0 / a.data
+    out = _make(r, (a,), "reciprocal")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(-out.grad * out.data * out.data)
+        def _bw(g):
+            a._accumulate(-g * r * r)
         out._backward = _bw
     return out
 
@@ -258,8 +269,8 @@ def reciprocal(a: Tensor) -> Tensor:
 def square(a: Tensor) -> Tensor:
     out = _make(a.data * a.data, (a,), "square")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * 2.0 * a.data)
+        def _bw(g):
+            a._accumulate(g * 2.0 * a.data)
         out._backward = _bw
     return out
 
@@ -267,12 +278,9 @@ def square(a: Tensor) -> Tensor:
 def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     out = _make(a.data.sum(axis=axis), (a,), "sum")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
-            if axis is None:
-                a._accumulate(np.full_like(a.data, g))
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+        def _bw(g):
+            a._accumulate(np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                          a.shape))
         out._backward = _bw
     return out
 
@@ -282,18 +290,26 @@ def tmean(a: Tensor, axis: Optional[int] = None) -> Tensor:
     return scale(tsum(a, axis=axis), 1.0 / n)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a last-axis softmax with output s and output gradient g."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
 def row_softmax(a: Tensor) -> Tensor:
     if a.data.ndim < 1:
         raise ShapeError("row_softmax", a.shape)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax(a.data)
     out = _make(s, (a,), "row_softmax")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            a._accumulate(s * (g - dot))
+        def _bw(g):
+            a._accumulate(_softmax_grad(s, g))
         out._backward = _bw
     return out
 
@@ -304,10 +320,17 @@ def row_gather(a: Tensor, indices) -> Tensor:
         raise ShapeError("row_gather", a.shape, (int(idx.min(initial=0)), int(idx.max(initial=0))))
     out = _make(a.data[idx], (a,), "row_gather")
     if out.requires_grad:
-        def _bw():
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            a._accumulate(g)
+        # strictly increasing rows are distinct, so assignment scatters them
+        # exactly as np.add.at would, and much faster
+        distinct = idx.ndim == 1 and bool(np.all(idx[1:] > idx[:-1]))
+
+        def _bw(g):
+            full = np.zeros_like(a.data)
+            if distinct:
+                full[idx] = g
+            else:
+                np.add.at(full, idx, g)
+            a._accumulate(full)
         out._backward = _bw
     return out
 
@@ -320,12 +343,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         sizes = [p.shape[axis] for p in parts]
         offsets = np.cumsum([0] + sizes)
 
-        def _bw():
+        def _bw(g):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 if p.requires_grad:
-                    sl = [slice(None)] * out.grad.ndim
+                    sl = [slice(None)] * g.ndim
                     sl[axis] = slice(lo, hi)
-                    p._accumulate(out.grad[tuple(sl)])
+                    p._accumulate(g[tuple(sl)])
         out._backward = _bw
     return out
 
@@ -333,8 +356,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = _make(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad.reshape(a.shape))
+        def _bw(g):
+            a._accumulate(g.reshape(a.shape))
         out._backward = _bw
     return out
 
@@ -345,25 +368,93 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError("transpose", a.shape)
     out = _make(a.data.swapaxes(-1, -2).copy(), (a,), "transpose")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad.swapaxes(-1, -2))
+        def _bw(g):
+            a._accumulate(g.swapaxes(-1, -2))
         out._backward = _bw
     return out
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean, unit variance (no affine)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
-    out = _make(y, (a,), "layer_norm")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x (n, d_in), w (d_in, d_out) and b (d_out,), as one node."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    out = _make(x.data @ w.data + b.data, (x, w, b), "linear")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (g - gm - y * gym))
+        def _bw(g):
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+        out._backward = _bw
+    return out
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis to zero mean and unit variance, then
+    scale by `gain` and shift by `bias` (both of the last axis's length)."""
+    if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
+        raise ShapeError("layer_norm", a.shape, gain.shape, bias.shape)
+    # sums divided by n: np.mean and np.var's results, without their Python overhead
+    n = a.shape[-1]
+    centred = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    var = np.square(centred).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    y = centred * inv
+    out = _make(y * gain.data + bias.data, (a, gain, bias), "layer_norm")
+    if out.requires_grad:
+        def _bw(g):
+            lead = tuple(range(g.ndim - 1))
+            if gain.requires_grad:
+                gain._accumulate((g * y).sum(axis=lead))
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=lead))
+            if a.requires_grad:
+                gy = g * gain.data
+                gm = gy.sum(axis=-1, keepdims=True) / n
+                gym = (gy * y).sum(axis=-1, keepdims=True) / n
+                a._accumulate(inv * (gy - gm - y * gym))
+        out._backward = _bw
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled-dot-product self-attention, as one node.
+
+    q, k and v are (L, d) projections; column block h of width d/heads is
+    head h.  Each head's output is softmax(q_h k_h^T / sqrt(d/heads)) v_h,
+    and the heads are concatenated back into (L, d).
+    """
+    if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape
+            or heads < 1 or q.shape[1] % heads):
+        raise ShapeError("attention", q.shape, k.shape, v.shape, heads)
+    L, d = q.shape
+    dh = d // heads
+
+    def split(m: np.ndarray) -> np.ndarray:  # (L, d) -> (heads, L, dh)
+        return m.reshape(L, heads, dh).swapaxes(0, 1)
+
+    def merge(m: np.ndarray) -> np.ndarray:  # (heads, L, dh) -> (L, d)
+        return m.swapaxes(0, 1).reshape(L, d)
+
+    c = 1.0 / np.sqrt(dh)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= c
+    p = _softmax(scores)  # (heads, L, L)
+    out = _make(merge(p @ vh), (q, k, v), "attention")
+    if out.requires_grad:
+        def _bw(g):
+            gh = split(g)
+            ds = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
+            if q.requires_grad:
+                q._accumulate(merge(ds @ kh))
+            if k.requires_grad:
+                k._accumulate(merge(ds.swapaxes(-1, -2) @ qh))
+            if v.requires_grad:
+                v._accumulate(merge(p.swapaxes(-1, -2) @ gh))
         out._backward = _bw
     return out
 
@@ -377,8 +468,8 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
     factor = keep / (1.0 - rate)
     out = _make(a.data * factor, (a,), "dropout")
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * factor)
+        def _bw(g):
+            a._accumulate(g * factor)
         out._backward = _bw
     return out
 
@@ -402,8 +493,8 @@ def masked_row_logsumexp(a: Tensor, mask) -> Tensor:
     if out.requires_grad:
         p = e / e.sum(axis=-1, keepdims=True)
 
-        def _bw():
-            a._accumulate(out.grad[:, None] * p)
+        def _bw(g):
+            a._accumulate(g[:, None] * p)
         out._backward = _bw
     return out
 

@@ -90,25 +90,15 @@ def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
     return params
 
 
-def _apply_norm(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    y = ad.layer_norm(x)
-    return ad.add(ad.mul(y, params[f"{prefix}.norm_gain"]), params[f"{prefix}.norm_bias"])
-
-
-def _heads(params: dict[str, Tensor], name: str, x: Tensor, config: EncoderConfig) -> Tensor:
-    """Projection `name` of x (L, d), viewed as (heads, head_dim, L)."""
-    proj = ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.bias"])
-    return ad.reshape(ad.transpose(proj), (config.n_heads, config.head_dim, x.shape[0]))
-
-
 def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
            train_mode: bool = False,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Hidden states of the occupied positions, shape (n_occupied, d).
 
-    All heads of a layer attend at once: each q/k/v projection is viewed as
-    (heads, head_dim, positions) and scored with one batched matmul and one
-    softmax.  Dropout is active only in train mode and draws from `rng`.
+    Each layer is one fused multi-head attention over its q/k/v projections
+    and a softplus feed-forward, each followed by a residual add and an
+    affine layer norm.  Dropout is active only in train mode and draws from
+    `rng`.
     """
     ids = seq.token_ids
     if ids.max() >= config.vocab_size or ids.min() < 0:
@@ -119,24 +109,23 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
     def drop(x: Tensor) -> Tensor:
         return ad.dropout(x, config.dropout, rng, train=train_mode)
 
-    L, d = len(ids), config.d
-    inv_sqrt_dh = 1.0 / np.sqrt(config.head_dim)
+    def attn_proj(x: Tensor, name: str) -> Tensor:
+        return ad.linear(x, params[f"{name}.w"], params[f"{name}.bias"])
+
+    def norm(x: Tensor, prefix: str) -> Tensor:
+        return ad.layer_norm(x, params[f"{prefix}.norm_gain"], params[f"{prefix}.norm_bias"])
 
     x = ad.add(ad.row_gather(params["emb.token"], ids),
-               ad.row_gather(params["emb.pos"], np.arange(L)))
-    x = drop(_apply_norm(params, "emb", x))
+               ad.row_gather(params["emb.pos"], np.arange(len(ids))))
+    x = drop(norm(x, "emb"))
 
     for i in range(config.n_layers):
         p = f"layer{i}"
-        q, k, v = (_heads(params, f"{p}.attn.{kind}", x, config) for kind in "qkv")
-        scores = ad.scale(ad.matmul(ad.transpose(q), k), inv_sqrt_dh)  # (H, L, L)
-        mixed = ad.matmul(v, ad.transpose(ad.row_softmax(scores)))     # (H, dh, L)
-        attn = ad.add(ad.matmul(ad.transpose(ad.reshape(mixed, (d, L))),
-                                params[f"{p}.attn.out.w"]),
-                      params[f"{p}.attn.out.bias"])
-        x = _apply_norm(params, f"{p}.attn", ad.add(x, drop(attn)))
+        q, k, v = (attn_proj(x, f"{p}.attn.{kind}") for kind in "qkv")
+        attn = attn_proj(ad.attention(q, k, v, config.n_heads), f"{p}.attn.out")
+        x = norm(ad.add(x, drop(attn)), f"{p}.attn")
 
-        hid = ad.softplus(ad.add(ad.matmul(x, params[f"{p}.ff.w1"]), params[f"{p}.ff.bias1"]))
-        ffn = ad.add(ad.matmul(hid, params[f"{p}.ff.w2"]), params[f"{p}.ff.bias2"])
-        x = _apply_norm(params, f"{p}.ff", ad.add(x, drop(ffn)))
+        hid = ad.softplus(ad.linear(x, params[f"{p}.ff.w1"], params[f"{p}.ff.bias1"]))
+        ffn = ad.linear(hid, params[f"{p}.ff.w2"], params[f"{p}.ff.bias2"])
+        x = norm(ad.add(x, drop(ffn)), f"{p}.ff")
     return x

@@ -60,8 +60,8 @@ def init_projection_params(d: int, l: int = DEFAULT_EMBED_DIM, hidden: int | Non
 
 
 def _head(params: dict[str, Tensor], head: str, h: Tensor) -> Tensor:
-    hid = ad.softplus(ad.add(ad.matmul(h, params[f"proj.{head}.w1"]), params[f"proj.{head}.b1"]))
-    return ad.add(ad.matmul(hid, params[f"proj.{head}.w2"]), params[f"proj.{head}.b2"])
+    hid = ad.softplus(ad.linear(h, params[f"proj.{head}.w1"], params[f"proj.{head}.b1"]))
+    return ad.linear(hid, params[f"proj.{head}.w2"], params[f"proj.{head}.b2"])
 
 
 def project(params: dict[str, Tensor], h: Tensor) -> GaussianEmbedding:

@@ -22,6 +22,11 @@ from .prompt import assemble_input, build_label_prompt
 from .training import Checkpoint, TrainConfig, finetune
 
 
+# Upper bound on the (queries, bank rows, d) difference block nn_decode
+# builds at once: 2 MB of float64, which stays in cache.
+NN_CHUNK_ELEMENTS = 1 << 18
+
+
 @dataclass
 class SupportBank:
     vectors: np.ndarray                       # (n, d) support token representations
@@ -120,10 +125,14 @@ def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
     if query_hidden.shape[1] != bank.vectors.shape[1]:
         raise DataError(
             f"query dim {query_hidden.shape[1]} != bank dim {bank.vectors.shape[1]}")
+    n, d = bank.vectors.shape
+    rows = max(1, NN_CHUNK_ELEMENTS // (n * d))
     out = []
-    for q in query_hidden:
-        dists = ((bank.vectors - q) ** 2).sum(axis=1)
-        out.append(bank.tags[int(np.argmin(dists))])  # argmin takes the first minimum
+    for lo in range(0, len(query_hidden), rows):
+        diff = query_hidden[lo:lo + rows, None, :] - bank.vectors  # (rows, n, d)
+        np.square(diff, out=diff)
+        # argmin takes the first minimum, so the lowest bank row wins ties
+        out.extend(bank.tags[j] for j in diff.sum(axis=-1).argmin(axis=1))
     return out
 
 
@@ -181,6 +190,28 @@ def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: L
     return span_counts(gold, pred)
 
 
+def _prefixed(e: Exception, prefix: str) -> Exception:
+    """A copy of `e` whose message is `prefix` + str(e).
+
+    The copy is an instance of a subclass of type(e) that only overrides
+    __str__, so every handler of e's class (and the CLI's exit code for it)
+    still applies, and it keeps e's args and attributes.  Calling type(e)
+    with the new message would not do: constructors differ (UnicodeDecodeError
+    takes five arguments) and some classes format their message themselves
+    (KeyError quotes it).
+    """
+    message = prefix + str(e)
+    cls = type(type(e).__name__, (type(e),),
+               {"__str__": lambda self: message, "__module__": type(e).__module__})
+    copy = cls.__new__(cls, *e.args)
+    try:
+        copy.__init__(*e.args)  # fills fields such as UnicodeDecodeError.reason
+    except TypeError:
+        pass  # a constructor that takes other arguments than its args; args still kept
+    copy.__dict__.update(vars(e))
+    return copy
+
+
 def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                       config: TrainConfig) -> EvalReport:
     """Per episode: re-start from the source checkpoint, fine-tune on the
@@ -195,7 +226,7 @@ def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                                      LabelSet(tuple(ep.classes), role="target"),
                                      config, ep.query)
         except Exception as e:
-            raise type(e)(f"episode {idx}: {e}") from e
+            raise _prefixed(e, f"episode {idx}: ") from e
         tp, fp, fn = tp + a, fp + b, fn + c
     return EvalReport(tp=tp, fp=fp, fn=fn)
 

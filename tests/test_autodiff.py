@@ -19,6 +19,33 @@ def test_softplus_at_zero():
     assert out.data[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [800.0, -800.0, 40.0, -40.0, 0.0])
+def test_softplus_stable_at_extremes(x):
+    out = ad.softplus(Tensor([x]))
+    assert np.isfinite(out.data).all()
+    np.testing.assert_allclose(out.data, np.logaddexp(0.0, [x]), rtol=1e-15, atol=0)
+
+
+def test_softplus_matches_logaddexp_and_sigmoid():
+    x = Tensor(np.linspace(-50.0, 50.0, 2001), requires_grad=True)
+    out = ad.softplus(x)
+    np.testing.assert_allclose(out.data, np.logaddexp(0.0, x.data), rtol=1e-15, atol=0)
+    ad.tsum(out).backward()
+    np.testing.assert_allclose(x.grad, 1.0 / (1.0 + np.exp(-x.data)), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("indices", [[0, 2, 3], [1], [], [3, 0, 3, 1, 1], [2, 1]],
+                         ids=["increasing", "single", "empty", "duplicates", "decreasing"])
+def test_row_gather_gradient_equals_scatter_add(indices):
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    weights = rng.normal(size=(len(indices), 3))
+    ad.tsum(ad.mul(ad.row_gather(a, indices), Tensor(weights))).backward(leaves=[a])
+    want = np.zeros((4, 3))
+    np.add.at(want, np.asarray(indices, dtype=np.intp), weights)
+    np.testing.assert_array_equal(a.grad, want)
+
+
 def test_row_softmax_uniform():
     out = ad.row_softmax(Tensor([[0.0, 0.0]]))
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
@@ -141,6 +168,16 @@ def _weighted_sum(t):
     return ad.tsum(ad.mul(t, Tensor(np.linspace(0.5, 1.5, t.size).reshape(t.shape))))
 
 
+def _fixed(shape, salt=0):
+    # a constant operand determined by its shape and salt
+    return Tensor(np.random.default_rng(zlib.crc32(repr((shape, salt)).encode())).normal(
+        size=shape))
+
+
+def _heads(d):
+    return 2 if d % 2 == 0 else 1
+
+
 PRIMITIVE_CASES = {
     "exp": lambda x: ad.tsum(ad.exp(x)),
     "log": lambda x: ad.tsum(ad.log(ad.add(ad.square(x), Tensor(np.ones(()) * 0.5)))),
@@ -151,7 +188,23 @@ PRIMITIVE_CASES = {
     "mean_axis": lambda x: ad.tsum(ad.tmean(x, axis=0)),
     "sum_axis": lambda x: ad.tsum(ad.square(ad.tsum(x, axis=1))),
     "row_softmax": lambda x: ad.tsum(ad.square(ad.row_softmax(x))),
-    "layer_norm": lambda x: ad.tsum(ad.square(ad.layer_norm(x))),
+    "layer_norm": lambda x: _weighted_sum(ad.layer_norm(
+        x, _fixed(x.shape[-1:], 1), _fixed(x.shape[-1:], 2))),
+    "layer_norm_gain": lambda x: _weighted_sum(ad.layer_norm(
+        _fixed((3, x.size)), ad.reshape(x, (-1,)), _fixed((x.size,)))),
+    "layer_norm_bias": lambda x: _weighted_sum(ad.layer_norm(
+        _fixed((3, x.size)), _fixed((x.size,)), ad.reshape(x, (-1,)))),
+    "linear": lambda x: _weighted_sum(ad.linear(x, _fixed((x.shape[1], 3)), _fixed((3,)))),
+    "linear_w": lambda x: _weighted_sum(ad.linear(_fixed((2, x.shape[0])), x,
+                                                  _fixed(x.shape[1:]))),
+    "linear_b": lambda x: _weighted_sum(ad.linear(_fixed((2, 3)), _fixed((3, x.size)),
+                                                  ad.reshape(x, (-1,)))),
+    "attention_q": lambda x: _weighted_sum(ad.attention(
+        x, _fixed(x.shape, 1), _fixed(x.shape, 2), _heads(x.shape[1]))),
+    "attention_k": lambda x: _weighted_sum(ad.attention(
+        _fixed(x.shape, 1), x, _fixed(x.shape, 2), _heads(x.shape[1]))),
+    "attention_v": lambda x: _weighted_sum(ad.attention(
+        _fixed(x.shape, 1), _fixed(x.shape, 2), x, _heads(x.shape[1]))),
     "transpose": lambda x: ad.tsum(ad.square(ad.transpose(x))),
     "matmul": lambda x: ad.tsum(ad.matmul(x, ad.transpose(x))),
     "matmul_batched": lambda x: _weighted_sum(ad.matmul(x, ad.transpose(x))),

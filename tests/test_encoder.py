@@ -126,3 +126,87 @@ def test_full_stack_gradient_matches_finite_differences():
 
     err = ad.finite_diff_check(loss, params["layer0.ff.w1"].data.copy(), step=1e-5)
     assert err <= 1e-4
+
+
+def _reference_norm(x, gain, bias, eps=1e-5):
+    # x @ avg holds each row's mean in every column
+    d = x.shape[-1]
+    avg = Tensor(np.full((d, d), 1.0 / d))
+    centred = ad.add(x, ad.scale(ad.matmul(x, avg), -1.0))
+    var = ad.matmul(ad.square(centred), avg)
+    inv_std = ad.exp(ad.scale(ad.log(ad.add(var, Tensor(np.full((), eps)))), -0.5))
+    return ad.add(ad.mul(ad.mul(centred, inv_std), gain), bias)
+
+
+def _reference_encode(params, config, seq, train_mode=False, rng=None):
+    """`encode` built from unfused primitives: one graph node per matmul,
+    bias add, transpose, reshape and softmax, heads viewed as (H, dh, L)."""
+    def drop(x):
+        return ad.dropout(x, config.dropout, rng, train=train_mode)
+
+    def dense(x, w, b):
+        return ad.add(ad.matmul(x, params[w]), params[b])
+
+    def norm(x, prefix):
+        return _reference_norm(x, params[f"{prefix}.norm_gain"], params[f"{prefix}.norm_bias"])
+
+    ids = seq.token_ids
+    L, d, H, dh = len(ids), config.d, config.n_heads, config.head_dim
+    x = ad.add(ad.row_gather(params["emb.token"], ids),
+               ad.row_gather(params["emb.pos"], np.arange(L)))
+    x = drop(norm(x, "emb"))
+    for i in range(config.n_layers):
+        p = f"layer{i}"
+        q, k, v = (ad.reshape(ad.transpose(dense(x, f"{p}.attn.{kind}.w",
+                                                 f"{p}.attn.{kind}.bias")), (H, dh, L))
+                   for kind in "qkv")
+        scores = ad.scale(ad.matmul(ad.transpose(q), k), 1.0 / np.sqrt(dh))
+        mixed = ad.matmul(v, ad.transpose(ad.row_softmax(scores)))
+        attn = ad.add(ad.matmul(ad.transpose(ad.reshape(mixed, (d, L))),
+                                params[f"{p}.attn.out.w"]), params[f"{p}.attn.out.bias"])
+        x = norm(ad.add(x, drop(attn)), f"{p}.attn")
+        hid = ad.softplus(dense(x, f"{p}.ff.w1", f"{p}.ff.bias1"))
+        x = norm(ad.add(x, drop(dense(hid, f"{p}.ff.w2", f"{p}.ff.bias2"))), f"{p}.ff")
+    return x
+
+
+def _perturbed_params(config):
+    # non-trivial norms and biases, so every fused backward term is exercised
+    rng = np.random.default_rng(5)
+    return {name: Tensor(t.data + 0.1 * rng.normal(size=t.shape), requires_grad=True)
+            for name, t in enc.init_encoder_params(config).items()}
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_fused_encode_matches_unfused_reference(train_mode):
+    seq, config, _ = small_setup(d=8, n_layers=2, n_heads=2, dropout=0.1)
+    results = []
+    for fn in (enc.encode, _reference_encode):
+        params = _perturbed_params(config)
+        h = fn(params, config, seq, train_mode=train_mode, rng=make_rng(3, "drop"))
+        weights = Tensor(np.linspace(-1.0, 1.0, h.size).reshape(h.shape))
+        ad.tsum(ad.mul(h, weights)).backward(leaves=list(params.values()))
+        results.append((h.data, {name: t.grad for name, t in params.items()}))
+    (h, grads), (h_ref, grads_ref) = results
+    np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+    scale = max(np.abs(g).max() for g in grads_ref.values())
+    for name in grads:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12 * scale,
+                                   err_msg=name)
+
+
+def test_eval_encode_builds_one_node_per_fused_block(monkeypatch):
+    seq, config, _ = small_setup(n_layers=2)
+    params = enc.init_encoder_params(config)
+    made = []
+    original = ad._make
+
+    def counting(data, prev, op):
+        made.append(op)
+        return original(data, prev, op)
+
+    monkeypatch.setattr(ad, "_make", counting)
+    enc.encode(params, config, seq)
+    # 2 gathers, 1 add and 1 norm, then per layer 5 linears, 1 attention,
+    # 1 softplus, 2 residual adds and 2 norms
+    assert len(made) == 4 + 12 * config.n_layers

@@ -2,7 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fewtag import inference
+from fewtag.autodiff import ShapeError
 from fewtag.data import DataError, Episode, LabelSet, Sentence, greedy_sample_support
 from fewtag.inference import (EvalReport, Span, SupportBank, build_support_bank,
                               decode_sentence, dump_embeddings, evaluate_episodes,
@@ -43,6 +47,43 @@ class TestNNDecode:
         bank = bank_from([[1.0, 0.0], [-1.0, 0.0]], ("I-A", "I-B"))
         assert nn_decode(np.array([[0.0, 0.0]]), bank) == ["I-A"]
 
+    @staticmethod
+    def loop_decode(queries, bank):
+        # one query at a time, the same exact-difference distances
+        return [bank.tags[int(np.argmin(((bank.vectors - q) ** 2).sum(axis=1)))]
+                for q in queries]
+
+    @pytest.mark.parametrize("chunk_elements", [1, 64, inference.NN_CHUNK_ELEMENTS])
+    def test_chunks_match_per_query_loop(self, monkeypatch, chunk_elements):
+        monkeypatch.setattr(inference, "NN_CHUNK_ELEMENTS", chunk_elements)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            n, m, d = int(rng.integers(1, 40)), int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            bank = bank_from(rng.normal(size=(n, d)), [f"I-C{i}" for i in range(n)])
+            # half the queries sit exactly on a bank row
+            queries = np.concatenate([rng.normal(size=(m, d)),
+                                      bank.vectors[rng.integers(0, n, size=m)]])
+            assert nn_decode(queries, bank) == self.loop_decode(queries, bank)
+
+    @pytest.mark.parametrize("chunk_elements", [1, inference.NN_CHUNK_ELEMENTS])
+    def test_planted_ties_go_to_lowest_row(self, monkeypatch, chunk_elements):
+        monkeypatch.setattr(inference, "NN_CHUNK_ELEMENTS", chunk_elements)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            d = int(rng.integers(1, 6))
+            centre = rng.integers(-3, 4, size=d).astype(float)
+            offsets = np.eye(d)[rng.integers(0, d, size=6)] * rng.choice([-1.0, 1.0], size=(6, 1))
+            # every row is at squared distance 1 from the centre, some duplicated
+            vectors = np.concatenate([centre + offsets, centre + offsets[:2],
+                                      centre + 5.0 + rng.normal(size=(3, d))])
+            order = rng.permutation(len(vectors))
+            bank = bank_from(vectors[order], [f"I-C{i}" for i in range(len(vectors))])
+            queries = np.stack([centre] * 4)
+            got = nn_decode(queries, bank)
+            assert got == self.loop_decode(queries, bank)
+            first_tied = min(np.nonzero(order < 8)[0])
+            assert got == [bank.tags[first_tied]] * 4
+
     def test_dimension_mismatch_rejected(self):
         bank = bank_from([[0.0, 0.0]], ("O",))
         with pytest.raises(DataError):
@@ -75,6 +116,47 @@ class TestSpans:
             Span(2, 1, "A")
         with pytest.raises(DataError):
             Span(0, 0, "O")
+
+
+IO_TAGS = st.sampled_from(["O", "I-A", "I-B", "I-C"])
+
+
+def oracle_spans(tags):
+    """Every (start, end, class) whose tags are one class and cannot grow."""
+    out = set()
+    for i in range(len(tags)):
+        for j in range(i, len(tags)):
+            run = set(tags[i:j + 1])
+            if (len(run) == 1 and tags[i] != "O"
+                    and (i == 0 or tags[i - 1] != tags[i])
+                    and (j == len(tags) - 1 or tags[j + 1] != tags[j])):
+                out.add((i, j, tags[i][2:]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(IO_TAGS, max_size=20))
+def test_extract_spans_matches_oracle(tags):
+    spans = extract_spans(tags)
+    assert [s.start for s in spans] == sorted(s.start for s in spans)
+    assert {(s.start, s.end, s.cls) for s in spans} == oracle_spans(tags)
+    assert len(spans) == len(oracle_spans(tags))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.lists(IO_TAGS, min_size=n, max_size=n),
+                        st.lists(IO_TAGS, min_size=n, max_size=n))), max_size=5))
+def test_span_counts_match_oracle(pairs):
+    gold = [extract_spans(g) for g, _ in pairs]
+    pred = [extract_spans(p) for _, p in pairs]
+    want = [0, 0, 0]
+    for g, p in pairs:
+        g_spans, p_spans = oracle_spans(g), oracle_spans(p)
+        want[0] += sum(1 for s in p_spans if s in g_spans)
+        want[1] += sum(1 for s in p_spans if s not in g_spans)
+        want[2] += sum(1 for s in g_spans if s not in p_spans)
+    assert span_counts(gold, pred) == tuple(want)
 
 
 class TestMicroF1:
@@ -203,6 +285,30 @@ class TestEvaluateEpisodes:
         ckpt2.params["emb.pos"].data[0, 0] = np.nan
         with pytest.raises(Exception, match="episode 0"):
             evaluate_episodes(ckpt2, [bad], config)
+
+    @pytest.mark.parametrize("error", [
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        KeyError("PER"),
+        ShapeError("add", (3, 2), (3,)),
+        DataError("support has no entity"),
+    ], ids=lambda e: type(e).__name__)
+    def test_episode_errors_keep_class_cause_and_message(self, trained, monkeypatch, error):
+        ckpt, config, corpus, _ = trained
+        episodes = [Episode(support=corpus[:4], query=corpus[4:5], n_way=2, k_shot=2)] * 2
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return finetune(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "finetune", fail_second)
+        with pytest.raises(type(error)) as info:
+            evaluate_episodes(ckpt, episodes, config)
+        assert str(info.value) == f"episode 1: {error}"
+        assert info.value.__cause__ is error
+        assert info.value.args == error.args
 
 
 class TestLowResourceEval:
