@@ -474,6 +474,18 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
     return out
 
 
+def _masked_logsumexp(a: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log-sum-exp of the (n, m) array `a` over the entries where the
+    boolean `mask` is true, and the masked row softmax, which is its gradient."""
+    if not mask.any(axis=-1).all():
+        raise ValueError("masked_row_logsumexp: some row selects no entries")
+    neg = np.where(mask, a, -np.inf)
+    shift = neg.max(axis=-1, keepdims=True)
+    e = np.exp(neg - shift)
+    total = e.sum(axis=-1, keepdims=True)
+    return (shift + np.log(total))[:, 0], e / total
+
+
 def masked_row_logsumexp(a: Tensor, mask) -> Tensor:
     """Per-row log-sum-exp over the entries where `mask` is true.
 
@@ -483,16 +495,9 @@ def masked_row_logsumexp(a: Tensor, mask) -> Tensor:
     m = np.asarray(mask, dtype=bool)
     if a.data.ndim != 2 or m.shape != a.shape:
         raise ShapeError("masked_row_logsumexp", a.shape, m.shape)
-    if not m.any(axis=-1).all():
-        raise ValueError("masked_row_logsumexp: some row selects no entries")
-    neg = np.where(m, a.data, -np.inf)
-    shift = neg.max(axis=-1, keepdims=True)
-    e = np.exp(neg - shift)
-    lse = (shift + np.log(e.sum(axis=-1, keepdims=True)))[:, 0]
+    lse, p = _masked_logsumexp(a.data, m)
     out = _make(lse, (a,), "masked_row_logsumexp")
     if out.requires_grad:
-        p = e / e.sum(axis=-1, keepdims=True)
-
         def _bw(g):
             a._accumulate(g[:, None] * p)
         out._backward = _bw

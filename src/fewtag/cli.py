@@ -25,6 +25,7 @@ from dataclasses import fields
 from .autodiff import NumericError
 from .data import (DataError, LabelSet, Sentence, greedy_sample_support,
                    load_label_map, read_conll, read_fewnerd_episodes, write_conll)
+from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
 from .inference import (build_support_bank, decode_sentence, dump_embeddings,
                         evaluate_episodes, low_resource_eval)
@@ -60,8 +61,65 @@ _DEFAULTS = {
 }
 
 
+# encoder overrides a config may set; vocab_size, max_len and seed come
+# from the corpus and the top-level keys
+_ENCODER_TYPES = {"d": int, "n_layers": int, "n_heads": int, "ff_dim": int, "dropout": float}
+# top-level keys outside TrainConfig that hold counts, and those that hold
+# paths (a number there would be opened as a file descriptor)
+_COUNT_KEYS = ("n_way", "k_shot", "n_runs", "gradcheck_batches")
+_PATH_KEYS = ("train_corpus", "support", "test_corpus", "episodes", "input", "label_map",
+              "checkpoint", "out")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               tuple: "a list of numbers"}
+
+
 class UsageError(ValueError):
     pass
+
+
+def _has_type(value, kind) -> bool:
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, float) for v in value)
+    if isinstance(value, bool):  # a JSON true is not a number
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_type(key: str, value, kind) -> None:
+    if not _has_type(value, kind):
+        raise UsageError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _check_settings(config: dict) -> None:
+    """Build every setting a subcommand uses, so that a bad value is a usage
+    error naming its key before any work starts."""
+    for key in sorted(_TRAIN_FIELDS):
+        _check_type(key, config[key], type(_DEFAULTS[key]))
+    for key in _COUNT_KEYS:
+        _check_type(key, config[key], int)
+        if config[key] <= 0:
+            raise UsageError(f"{key} must be positive, got {config[key]}")
+    for key in _PATH_KEYS:
+        if config[key] is not None:
+            _check_type(key, config[key], str)
+    _check_type("strict_k", config["strict_k"], bool)
+    encoder = config["encoder"] if config["encoder"] is not None else {}
+    if not isinstance(encoder, dict):
+        raise UsageError(f"encoder must be an object of overrides, got {encoder!r}")
+    unknown = set(encoder) - set(_ENCODER_TYPES)
+    if unknown:
+        raise UsageError(f"unknown encoder keys: {', '.join(sorted(unknown))} "
+                         f"(allowed: {', '.join(_ENCODER_TYPES)})")
+    for key, value in encoder.items():
+        if not (key == "ff_dim" and value is None):
+            _check_type(f"encoder.{key}", value, _ENCODER_TYPES[key])
+    try:
+        EncoderConfig(vocab_size=1, max_len=config["max_len"], seed=config["seed"], **encoder)
+    except ValueError as e:
+        raise UsageError(f"encoder: {e}")
+    train_config_from(config)
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -120,8 +178,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if config["protocol"] not in ("episode", "low-resource"):
         raise UsageError(f"unknown protocol {config['protocol']!r}")
-    if "alpha" in config and not 0.0 <= config["alpha"] <= 1.0:
-        raise UsageError(f"alpha must be in [0, 1], got {config['alpha']}")
+    _check_settings(config)
     return config
 
 

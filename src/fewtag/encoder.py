@@ -30,10 +30,14 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "n_layers", "n_heads", "ff_dim"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.d % self.n_heads != 0:
-            raise ValueError(f"hidden dim {self.d} not divisible by {self.n_heads} heads")
+            raise ValueError(f"d={self.d} is not divisible by n_heads={self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def ff(self) -> int:

@@ -121,44 +121,68 @@ def sq_euclidean(a, b):
     return float(np.sum((a - b) ** 2))
 
 
-def _col_broadcast_add(m: Tensor, v: Tensor) -> Tensor:
-    # add a length-nA vector down the columns of an (nA, nB) matrix
-    return ad.transpose(ad.add(ad.transpose(m), v))
-
-
 def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
-    """(nA, nB) matrix of symmetrized KL divergences between two batches.
+    """(nA, nB) matrix of symmetrized KL divergences between two batches, as one node.
 
-    Expanded so everything reduces to matrix products:
-      d(p,q) = 0.25 * sum_d [ s2p/s2q + s2q/s2p
-                              + (mup-muq)^2 * (1/s2p + 1/s2q) ] - l/2
+    Per pair, d(p,q) = 0.25 * sum_d [ s2p/s2q + s2q/s2p
+                                      + (mup-muq)^2 * (1/s2p + 1/s2q) ] - l/2,
+    which expands into one stacked product over 4l columns:
+      D = 0.25 * ( [s2a + mua^2, 1/s2a, mua, mua/s2a]
+                   @ [1/s2b, s2b + mub^2, -2 mub/s2b, -2 mub]^T
+                   + c_a + c_b^T ) - l/2,   c = sum_d mu^2/s2.
+    The backward pass is two products of the same shapes; `a` and `b` may be
+    the same embedding, whose tensors then receive both gradients.
     """
     _check_valid(a)
     _check_valid(b)
     if a.dim != b.dim:
         raise ShapeError("pairwise_symkl", a.mu.shape, b.mu.shape)
     l = a.dim
-    ra, rb = ad.reciprocal(a.sigma2), ad.reciprocal(b.sigma2)
-    m2a, m2b = ad.square(a.mu), ad.square(b.mu)
-
-    var_terms = ad.matmul(a.sigma2, ad.transpose(rb)) + ad.matmul(ra, ad.transpose(b.sigma2))
-    # sum_d (mup-muq)^2 / s2q
-    cross_b = (ad.matmul(m2a, ad.transpose(rb))
-               - ad.scale(ad.matmul(a.mu, ad.transpose(ad.mul(b.mu, rb))), 2.0)
-               + ad.tsum(ad.mul(m2b, rb), axis=1))
-    # sum_d (mup-muq)^2 / s2p
-    cross_a = (ad.matmul(ra, ad.transpose(m2b))
-               - ad.scale(ad.matmul(ad.mul(a.mu, ra), ad.transpose(b.mu)), 2.0))
-    cross_a = _col_broadcast_add(cross_a, ad.tsum(ad.mul(m2a, ra), axis=1))
-
-    total = ad.scale(var_terms + cross_a + cross_b, 0.25)
-    return ad.add(total, Tensor(np.full((), -l / 2.0)))
+    mua, s2a, mub, s2b = a.mu.data, a.sigma2.data, b.mu.data, b.sigma2.data
+    ra, rb = 1.0 / s2a, 1.0 / s2b
+    mra, mrb = mua * ra, mub * rb
+    left = np.concatenate([s2a + mua * mua, ra, mua, mra], axis=1)
+    right = np.concatenate([rb, s2b + mub * mub, -2.0 * mrb, -2.0 * mub], axis=1)
+    ca, cb = (mua * mra).sum(axis=1), (mub * mrb).sum(axis=1)
+    total = left @ right.T
+    total += ca[:, None]
+    total += cb
+    out = ad._make(0.25 * total - l / 2.0, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl")
+    if out.requires_grad:
+        def _bw(g):
+            g = 0.25 * g
+            if a.mu.requires_grad or a.sigma2.requires_grad:
+                gl1, gl2, gl3, gl4 = np.split(g @ right, 4, axis=1)
+                gca = g.sum(axis=1)[:, None]
+                if a.mu.requires_grad:
+                    a.mu._accumulate(2.0 * mua * gl1 + gl3 + ra * gl4 + 2.0 * mra * gca)
+                if a.sigma2.requires_grad:
+                    a.sigma2._accumulate(gl1 - ra * (ra * gl2 + mra * gl4) - mra * mra * gca)
+            if b.mu.requires_grad or b.sigma2.requires_grad:
+                gr1, gr2, gr3, gr4 = np.split(g.T @ left, 4, axis=1)
+                gcb = g.sum(axis=0)[:, None]
+                if b.mu.requires_grad:
+                    b.mu._accumulate(2.0 * mub * gr2 - 2.0 * rb * gr3 - 2.0 * gr4
+                                     + 2.0 * mrb * gcb)
+                if b.sigma2.requires_grad:
+                    b.sigma2._accumulate(gr2 - rb * (rb * gr1 - 2.0 * mrb * gr3)
+                                         - mrb * mrb * gcb)
+        out._backward = _bw
+    return out
 
 
 def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """(nA, nB) matrix of squared Euclidean distances between row vectors."""
-    if a.shape[-1] != b.shape[-1]:
+    """(nA, nB) matrix of squared Euclidean distances between row vectors, as one node."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[-1]:
         raise ShapeError("pairwise_sq_euclidean", a.shape, b.shape)
-    cross = ad.scale(ad.matmul(a, ad.transpose(b)), -2.0)
-    with_b = ad.add(cross, ad.tsum(ad.square(b), axis=1))
-    return _col_broadcast_add(with_b, ad.tsum(ad.square(a), axis=1))
+    x, y = a.data, b.data
+    out = ad._make(-2.0 * (x @ y.T) + np.square(y).sum(axis=1) + np.square(x).sum(axis=1)[:, None],
+                   (a, b), "pairwise_sq_euclidean")
+    if out.requires_grad:
+        def _bw(g):
+            if a.requires_grad:
+                a._accumulate(2.0 * (x * g.sum(axis=1)[:, None] - g @ y))
+            if b.requires_grad:
+                b._accumulate(2.0 * (y * g.sum(axis=0)[:, None] - g.T @ x))
+        out._backward = _bw
+    return out

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
-from .gaussian import init_projection_params, project
+from .gaussian import GaussianEmbedding, init_projection_params, project
 from .losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_out,
                      context_context_loss, context_label_loss, mixed_loss)
 from .rngutil import make_rng
@@ -69,12 +68,17 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
         hidden, tags, rep_hidden = _random_case(rng, d, classes)
         proj = init_projection_params(d=d, l=l, seed=seed + b)
         n = hidden.shape[0]
+        reps = None  # this batch's representatives, once the first check needs them
 
         def view(x: Tensor) -> BatchView:
-            reps = project(proj, Tensor(rep_hidden))
+            nonlocal reps
+            if reps is None:  # independent of x: projected once, as constants with no graph
+                g = project(proj, Tensor(rep_hidden))
+                reps = GaussianEmbedding(Tensor(g.mu.data), Tensor(g.sigma2.data))
             return BatchView(embeddings=project(proj, x), tags=tags,
-                             sentence_index=np.zeros(n, dtype=int),
-                             label_reps=[(reps, class_order)])
+                             sentence_index=np.zeros(n, dtype=int), label_reps=reps,
+                             rep_sentence=np.zeros(len(class_order), dtype=int),
+                             rep_class=class_order)
 
         checks = {
             "anchor_original": lambda x: anchor_loss_in(0, view(x), ocl),

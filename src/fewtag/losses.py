@@ -55,26 +55,34 @@ class LossConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.loss_variant not in (VARIANT_OCL, VARIANT_ICL):
-            raise ValueError(f"unknown loss variant {self.loss_variant!r}")
+            raise ValueError(f"loss_variant must be {VARIANT_OCL!r} or {VARIANT_ICL!r}, "
+                             f"got {self.loss_variant!r}")
         if self.metric not in (METRIC_SYMKL, METRIC_SQEUCLID):
-            raise ValueError(f"unknown metric {self.metric!r}")
+            raise ValueError(f"metric must be {METRIC_SYMKL!r} or {METRIC_SQEUCLID!r}, "
+                             f"got {self.metric!r}")
         if not (self.use_context_context or self.use_context_label):
-            raise ValueError("at least one loss must be enabled")
+            raise ValueError("use_context_context and use_context_label cannot both be false")
         if not 0.0 < self.o_keep_fraction <= 1.0:
-            raise ValueError("o_keep_fraction must be in (0, 1]")
+            raise ValueError(f"o_keep_fraction must be in (0, 1], got {self.o_keep_fraction}")
 
 
 @dataclass
 class BatchView:
-    """Projected embeddings of all valid context tokens across a batch."""
+    """Projected embeddings of all valid context tokens across a batch.
+
+    The label representatives of every sentence's prompt are stacked into
+    one (m, l) embedding, with each row's sentence and class alongside.
+    """
 
     embeddings: GaussianEmbedding          # (n, l)
     tags: tuple[str, ...]                  # per token, IO form
     sentence_index: np.ndarray             # (n,) which sentence each token came from
-    # per sentence: (representatives as (k, l) embeddings, class order)
-    label_reps: list[tuple[GaussianEmbedding, tuple[str, ...]]] = field(default_factory=list)
+    label_reps: Optional[GaussianEmbedding] = None  # (m, l)
+    # (m,) which sentence's prompt each representative came from, and its class
+    rep_sentence: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    rep_class: tuple[str, ...] = ()
 
     @property
     def n_tokens(self) -> int:
@@ -88,7 +96,7 @@ def build_batch_view(hiddens: list[Tensor], seqs: list[InputSequence],
                      proj_params: dict[str, Tensor],
                      o_keep_fraction: float = 1.0,
                      rng: Optional[np.random.Generator] = None) -> BatchView:
-    """Gather valid context tokens and label representatives, then project."""
+    """Gather valid context tokens and label representatives, then project each set."""
     if len(hiddens) != len(seqs) or not hiddens:
         raise ValueError("need one hidden-state matrix per input sequence")
     if o_keep_fraction < 1.0 and rng is None:
@@ -97,7 +105,9 @@ def build_batch_view(hiddens: list[Tensor], seqs: list[InputSequence],
     token_rows: list[Tensor] = []
     tags: list[str] = []
     sent_idx: list[int] = []
-    label_reps = []
+    rep_rows: list[Tensor] = []
+    rep_sentence: list[int] = []
+    rep_class: list[str] = []
     for si, (h, seq) in enumerate(zip(hiddens, seqs)):
         positions = seq.context_positions()
         kept = []
@@ -110,14 +120,16 @@ def build_batch_view(hiddens: list[Tensor], seqs: list[InputSequence],
             sent_idx.append(si)
         if kept:
             token_rows.append(ad.row_gather(h, kept))
-        rep_positions = [seq.label_rep_index[c] for c in seq.class_order]
-        reps = project(proj_params, ad.row_gather(h, rep_positions))
-        label_reps.append((reps, seq.class_order))
+        rep_rows.append(ad.row_gather(h, [seq.label_rep_index[c] for c in seq.class_order]))
+        rep_sentence += [si] * len(seq.class_order)
+        rep_class += seq.class_order
     if not token_rows:
         raise ValueError("batch has no valid context tokens")
     embeddings = project(proj_params, ad.concat(token_rows, axis=0))
     return BatchView(embeddings=embeddings, tags=tuple(tags),
-                     sentence_index=np.asarray(sent_idx), label_reps=label_reps)
+                     sentence_index=np.asarray(sent_idx),
+                     label_reps=project(proj_params, ad.concat(rep_rows, axis=0)),
+                     rep_sentence=np.asarray(rep_sentence), rep_class=tuple(rep_class))
 
 
 def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str) -> Tensor:
@@ -133,23 +145,44 @@ def _masks(tags: tuple[str, ...]):
     return same & offdiag, offdiag
 
 
-def _anchor_terms(batch: BatchView, anchors, pos: np.ndarray, offdiag: np.ndarray,
-                  variant: str, metric: str) -> Tensor:
-    """Context-context term of each anchor row; every anchor needs a positive.
+def _anchor_terms(d: Tensor, anchors, pos: np.ndarray, candidates: np.ndarray,
+                  variant: str) -> Tensor:
+    """Contrastive term of each anchor row of the distance matrix d, as one node.
 
-    OCL: -log(mean positive weight / all weights).  ICL: the mean over the
-    positives of -log(positive weight / all weights).
+    `anchors` are distinct row indices; `pos` and `candidates` are boolean
+    masks of d's shape, and every anchor needs a positive.  With weights
+    e^-d over an anchor's candidates, OCL is -log(mean positive weight / all
+    weights) and ICL is the mean over the positives of -log(positive weight
+    / all weights).
     """
-    d_rows = ad.row_gather(_pairwise(batch.embeddings, batch.embeddings, metric), anchors)
-    neg_rows = ad.scale(d_rows, -1.0)
-    lse_all = ad.masked_row_logsumexp(neg_rows, offdiag[anchors])
-    n_pos = pos[anchors].sum(axis=1).astype(float)
+    rows = d.data[anchors]
+    pos = pos[anchors]
+    lse_all, p_all = ad._masked_logsumexp(-rows, candidates[anchors])
+    n_pos = pos.sum(axis=1).astype(float)
     if variant == VARIANT_ICL:
-        mean_pos_d = ad.mul(ad.tsum(ad.mul(d_rows, Tensor(pos[anchors].astype(float))), axis=1),
-                            Tensor(1.0 / n_pos))
-        return mean_pos_d + lse_all
-    lse_pos = ad.masked_row_logsumexp(neg_rows, pos[anchors])
-    return lse_all - lse_pos + Tensor(np.log(n_pos))
+        posf = pos.astype(float)
+        terms = (rows * posf).sum(axis=1) * (1.0 / n_pos) + lse_all
+        row_grad = posf / n_pos[:, None] - p_all
+    else:
+        lse_pos, p_pos = ad._masked_logsumexp(-rows, pos)
+        terms = lse_all - lse_pos + np.log(n_pos)
+        row_grad = p_pos - p_all
+    out = ad._make(terms, (d,), "anchor_terms")
+    if out.requires_grad:
+        def _bw(g):
+            full = np.zeros_like(d.data)
+            full[anchors] = g[:, None] * row_grad
+            d._accumulate(full)
+        out._backward = _bw
+    return out
+
+
+def _one_anchor(p: int, batch: BatchView, variant: str, metric: str) -> Optional[Tensor]:
+    pos, offdiag = _masks(batch.tags)
+    if not pos[p].any():
+        return None
+    d = _pairwise(batch.embeddings, batch.embeddings, metric)
+    return ad.reshape(_anchor_terms(d, [p], pos, offdiag, variant), ())
 
 
 def anchor_loss_in(p: int, batch: BatchView, config: LossConfig) -> Optional[Tensor]:
@@ -157,18 +190,12 @@ def anchor_loss_in(p: int, batch: BatchView, config: LossConfig) -> Optional[Ten
 
     Returns None when the anchor has no positives (skipped, not an error).
     """
-    pos, offdiag = _masks(batch.tags)
-    if not pos[p].any():
-        return None
-    return ad.reshape(_anchor_terms(batch, [p], pos, offdiag, VARIANT_OCL, config.metric), ())
+    return _one_anchor(p, batch, VARIANT_OCL, config.metric)
 
 
 def anchor_loss_out(p: int, batch: BatchView, config: LossConfig) -> Optional[Tensor]:
     """Improved form (ICL) for anchor p: average the per-positive log-softmax terms."""
-    pos, offdiag = _masks(batch.tags)
-    if not pos[p].any():
-        return None
-    return ad.reshape(_anchor_terms(batch, [p], pos, offdiag, VARIANT_ICL, config.metric), ())
+    return _one_anchor(p, batch, VARIANT_ICL, config.metric)
 
 
 @dataclass
@@ -189,7 +216,8 @@ def context_context_loss(batch: BatchView, config: LossConfig) -> LossValue:
     if usable.size == 0:
         return LossValue(Tensor(0.0), warned=True)
 
-    per_anchor = _anchor_terms(batch, usable, pos, offdiag, config.loss_variant, config.metric)
+    d = _pairwise(batch.embeddings, batch.embeddings, config.metric)
+    per_anchor = _anchor_terms(d, usable, pos, offdiag, config.loss_variant)
     return LossValue(ad.tmean(per_anchor), n_anchors=usable.size)
 
 
@@ -197,34 +225,24 @@ def context_label_loss(batch: BatchView, config: LossConfig) -> LossValue:
     """Softmax-contrastive pull toward each token's gold class representative.
 
     The denominator ranges over all classes (O included) of the token's own
-    sentence's prompt.
+    sentence's prompt.  One distance matrix covers every token against every
+    representative; each token is an ICL anchor whose only positive is its
+    gold representative and whose candidates are its own sentence's.
     """
     call_counts["context_label"] += 1
     if batch.n_tokens == 0:
         return LossValue(Tensor(0.0), warned=True)
-    inv_tau = 1.0 / config.tau
-    total = None
-    for si, (reps, class_order) in enumerate(batch.label_reps):
-        token_idx = np.nonzero(batch.sentence_index == si)[0]
-        if token_idx.size == 0:
-            continue
-        tokens = GaussianEmbedding(ad.row_gather(batch.embeddings.mu, token_idx),
-                                   ad.row_gather(batch.embeddings.sigma2, token_idx))
-        d = _pairwise(tokens, reps, config.metric)  # (n_s, k)
-        col = {c: j for j, c in enumerate(class_order)}
-        gold = np.zeros((token_idx.size, len(class_order)))
-        for row, ti in enumerate(token_idx):
-            tag = batch.tags[ti]
-            cls = tag if tag == "O" else tag[2:]
-            if cls not in col:
-                raise ValueError(f"gold class {cls!r} has no label representative")
-            gold[row, col[cls]] = 1.0
-        gold_d = ad.scale(ad.tsum(ad.mul(d, Tensor(gold)), axis=1), inv_tau)
-        lse = ad.masked_row_logsumexp(ad.scale(d, -inv_tau),
-                                      np.ones(d.shape, dtype=bool))
-        contrib = ad.tsum(gold_d + lse)
-        total = contrib if total is None else total + contrib
-    return LossValue(ad.scale(total, 1.0 / batch.n_tokens), n_anchors=batch.n_tokens)
+    if batch.label_reps is None:
+        raise ValueError("batch has no label representatives")
+    own = batch.sentence_index[:, None] == batch.rep_sentence[None, :]
+    token_class = np.asarray([t if t == "O" else t[2:] for t in batch.tags], dtype=object)
+    gold = own & (token_class[:, None] == np.asarray(batch.rep_class, dtype=object)[None, :])
+    missing = np.nonzero(~gold.any(axis=1))[0]
+    if missing.size:
+        raise ValueError(f"gold class {token_class[missing[0]]!r} has no label representative")
+    d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric), 1.0 / config.tau)
+    terms = _anchor_terms(d, np.arange(batch.n_tokens), gold, own, VARIANT_ICL)
+    return LossValue(ad.tmean(terms), n_anchors=batch.n_tokens)
 
 
 @dataclass

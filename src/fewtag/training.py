@@ -60,11 +60,16 @@ class TrainConfig:
         for name in ("lr", "batch_size", "epochs", "max_len", "embed_dim", "tau",
                      "max_finetune_iters"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.shot_mode not in (SHOT_MODE_K, SHOT_MODE_1):
-            raise ValueError(f"unknown shot_mode {self.shot_mode!r}")
+            raise ValueError(f"shot_mode must be {SHOT_MODE_K!r} or {SHOT_MODE_1!r}, "
+                             f"got {self.shot_mode!r}")
+        # the loss settings as given, whichever the shot mode, so a bad one
+        # fails here and not when training starts
+        LossConfig(alpha=self.alpha, tau=self.tau, loss_variant=self.loss_variant,
+                   metric=self.metric, use_context_context=self.use_context_context,
+                   use_context_label=self.use_context_label,
+                   o_keep_fraction=self.o_keep_fraction)
 
     def loss_config(self) -> LossConfig:
         if self.shot_mode == SHOT_MODE_1:

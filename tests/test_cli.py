@@ -60,6 +60,28 @@ class TestTrain:
         code, _ = run_train(workspace, "bad2", extra=["--set", "learnig_rate=0.1"])
         assert code == 2
 
+    @pytest.mark.parametrize("setting, key", [
+        ("encoder.d=15", "d=15"),
+        ("encoder.bogus=1", "bogus"),
+        ("encoder.dropout=1.5", "dropout"),
+        ("encoder.n_heads=0", "n_heads"),
+        ("encoder=[16]", "encoder"),
+        ("o_keep_fraction=0", "o_keep_fraction"),
+        ("metric=cosine", "metric"),
+        ("loss_variant=xyz", "loss_variant"),
+        ("embed_dim=abc", "embed_dim"),
+        ("lr=true", "lr"),
+        ("n_runs=0", "n_runs"),
+        ("support=7", "support"),
+        ("strict_k=1", "strict_k"),
+    ])
+    def test_bad_setting_is_usage_error_naming_its_key(self, workspace, caplog, setting, key):
+        # after SMALL, so the bad value overrides SMALL's encoder settings
+        code, out = run_train(workspace, "bad3", extra=["--set", setting])
+        assert code == 2
+        assert not out.exists()
+        assert key in caplog.text
+
     def test_snapshot_replay_reproduces_checkpoint(self, workspace):
         tmp_path = workspace[0]
         _, out = run_train(workspace)

@@ -170,3 +170,143 @@ def test_project_gradients_match_finite_differences():
         return ad.tsum(ad.square(g.mu)) + ad.tsum(ad.log(g.sigma2))
 
     assert ad.finite_diff_check(loss, point, step=1e-5) <= 1e-4
+
+
+# -- fused pairwise kernels -----------------------------------------------------
+
+
+def unfused_symkl(a, b):
+    """The per-term expansion of the symmetrized KL, one autodiff node per op."""
+    l = a.dim
+    ra, rb = ad.reciprocal(a.sigma2), ad.reciprocal(b.sigma2)
+    m2a, m2b = ad.square(a.mu), ad.square(b.mu)
+    var_terms = ad.matmul(a.sigma2, ad.transpose(rb)) + ad.matmul(ra, ad.transpose(b.sigma2))
+    cross_b = (ad.matmul(m2a, ad.transpose(rb))
+               - ad.scale(ad.matmul(a.mu, ad.transpose(ad.mul(b.mu, rb))), 2.0)
+               + ad.tsum(ad.mul(m2b, rb), axis=1))
+    cross_a = (ad.matmul(ra, ad.transpose(m2b))
+               - ad.scale(ad.matmul(ad.mul(a.mu, ra), ad.transpose(b.mu)), 2.0))
+    cross_a = ad.transpose(ad.add(ad.transpose(cross_a), ad.tsum(ad.mul(m2a, ra), axis=1)))
+    return ad.scale(var_terms + cross_a + cross_b, 0.25) - Tensor(np.full((), l / 2.0))
+
+
+def unfused_sq_euclidean(a, b):
+    with_b = ad.add(ad.scale(ad.matmul(a, ad.transpose(b)), -2.0), ad.tsum(ad.square(b), axis=1))
+    return ad.transpose(ad.add(ad.transpose(with_b), ad.tsum(ad.square(a), axis=1)))
+
+
+def random_parts(seed, n_a=4, n_b=5, l=3):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(n_a, l)), rng.uniform(0.2, 3.0, size=(n_a, l)),
+            rng.normal(size=(n_b, l)), rng.uniform(0.2, 3.0, size=(n_b, l))]
+
+
+def weighted_symkl(parts, which, weights):
+    """sum(weights * D) as a function of one of a.mu, a.sigma2, b.mu, b.sigma2."""
+    def fn(x):
+        t = [Tensor(p) for p in parts]
+        t[which] = x
+        return ad.tsum(ad.mul(gs.pairwise_symkl(GaussianEmbedding(t[0], t[1]),
+                                                GaussianEmbedding(t[2], t[3])),
+                              Tensor(weights)))
+    return fn
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["mu_a", "sigma2_a", "mu_b", "sigma2_b"])
+def test_pairwise_symkl_gradients_match_finite_differences(which):
+    parts = random_parts(9)
+    weights = np.random.default_rng(10).normal(size=(4, 5))
+    assert ad.finite_diff_check(weighted_symkl(parts, which, weights), parts[which]) <= 1e-6
+
+
+@pytest.mark.parametrize("which", ["mu", "sigma2"])
+def test_pairwise_symkl_of_an_embedding_with_itself_matches_finite_differences(which):
+    rng = np.random.default_rng(11)
+    mu, s2 = rng.normal(size=(4, 3)), rng.uniform(0.2, 3.0, size=(4, 3))
+    weights = rng.normal(size=(4, 4))
+
+    def fn(x):
+        g = GaussianEmbedding(x, Tensor(s2)) if which == "mu" else GaussianEmbedding(Tensor(mu), x)
+        return ad.tsum(ad.mul(gs.pairwise_symkl(g, g), Tensor(weights)))
+
+    assert ad.finite_diff_check(fn, mu if which == "mu" else s2) <= 1e-6
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_pairwise_sq_euclidean_gradients_match_finite_differences(which):
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+    weights = rng.normal(size=(4, 5) if which < 2 else (4, 4))
+
+    def fn(x):
+        if which == 0:
+            d = gs.pairwise_sq_euclidean(x, Tensor(b))
+        elif which == 1:
+            d = gs.pairwise_sq_euclidean(Tensor(a), x)
+        else:
+            d = gs.pairwise_sq_euclidean(x, x)
+        return ad.tsum(ad.mul(d, Tensor(weights)))
+
+    assert ad.finite_diff_check(fn, b if which == 1 else a) <= 1e-6
+
+
+def values_and_grads(pairwise, inputs, weights):
+    leaves = [Tensor(x, requires_grad=True) for x in inputs]
+    d = pairwise(leaves)
+    ad.tsum(ad.mul(d, Tensor(weights))).backward(leaves=leaves)
+    return d.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("self_pairs", [False, True])
+def test_pairwise_symkl_agrees_with_unfused_expansion(self_pairs):
+    parts = random_parts(13, n_a=6, n_b=7, l=5)
+    inputs = parts[:2] if self_pairs else parts
+
+    def embed(t):
+        a = GaussianEmbedding(t[0], t[1])
+        return (a, a) if self_pairs else (a, GaussianEmbedding(t[2], t[3]))
+
+    weights = np.random.default_rng(14).normal(size=(6, 6 if self_pairs else 7))
+    d, grads = values_and_grads(lambda t: gs.pairwise_symkl(*embed(t)), inputs, weights)
+    d_ref, grads_ref = values_and_grads(lambda t: unfused_symkl(*embed(t)), inputs, weights)
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-12 * np.abs(d_ref).max())
+    for g, g_ref in zip(grads, grads_ref):
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
+
+
+def test_pairwise_sq_euclidean_agrees_with_unfused_expansion():
+    rng = np.random.default_rng(15)
+    inputs = [rng.normal(size=(6, 5)), rng.normal(size=(7, 5))]
+    weights = rng.normal(size=(6, 7))
+    d, grads = values_and_grads(lambda t: gs.pairwise_sq_euclidean(*t), inputs, weights)
+    d_ref, grads_ref = values_and_grads(lambda t: unfused_sq_euclidean(*t), inputs, weights)
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-12 * np.abs(d_ref).max())
+    for g, g_ref in zip(grads, grads_ref):
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * np.abs(g_ref).max())
+
+
+def test_pairwise_kernels_are_one_node_each(monkeypatch):
+    made = []
+    original = ad._make
+
+    def counting(data, prev, op):
+        made.append(op)
+        return original(data, prev, op)
+
+    parts = [Tensor(p, requires_grad=True) for p in random_parts(16)]
+    a, b = GaussianEmbedding(parts[0], parts[1]), GaussianEmbedding(parts[2], parts[3])
+    monkeypatch.setattr(ad, "_make", counting)
+    gs.pairwise_symkl(a, b)
+    gs.pairwise_symkl(a, a)
+    gs.pairwise_sq_euclidean(a.mu, b.mu)
+    assert made == ["pairwise_symkl", "pairwise_symkl", "pairwise_sq_euclidean"]
+
+
+def test_pairwise_symkl_rejects_invalid_inputs():
+    good = emb([[0.0, 1.0]], [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="non-positive"):
+        gs.pairwise_symkl(good, emb([[0.0, 1.0]], [[1.0, 0.0]]))
+    with pytest.raises(ad.NumericError):
+        gs.pairwise_symkl(emb([[np.nan, 1.0]], [[1.0, 1.0]]), good)
+    with pytest.raises(ad.ShapeError):
+        gs.pairwise_symkl(good, emb([[0.0]], [[1.0]]))

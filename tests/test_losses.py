@@ -20,15 +20,16 @@ def make_batch(mu, sigma2=None, tags=(), reps_mu=None, reps_sigma2=None,
     mu = np.asarray(mu, dtype=float)
     sigma2 = np.ones_like(mu) if sigma2 is None else np.asarray(sigma2, dtype=float)
     emb = GaussianEmbedding(Tensor(mu), Tensor(sigma2))
-    label_reps = []
+    batch = BatchView(embeddings=emb, tags=tuple(tags),
+                      sentence_index=np.zeros(len(tags), dtype=int))
     if reps_mu is not None:
         reps_mu = np.asarray(reps_mu, dtype=float)
         reps_s2 = (np.ones_like(reps_mu) if reps_sigma2 is None
                    else np.asarray(reps_sigma2, dtype=float))
-        label_reps = [(GaussianEmbedding(Tensor(reps_mu), Tensor(reps_s2)), rep_classes)]
-    return BatchView(embeddings=emb, tags=tuple(tags),
-                     sentence_index=np.zeros(len(tags), dtype=int),
-                     label_reps=label_reps)
+        batch.label_reps = GaussianEmbedding(Tensor(reps_mu), Tensor(reps_s2))
+        batch.rep_sentence = np.zeros(len(rep_classes), dtype=int)
+        batch.rep_class = tuple(rep_classes)
+    return batch
 
 
 EUCLID = LossConfig(metric="sqeuclid")
@@ -217,7 +218,10 @@ def test_batch_view_excludes_prompt_and_padding():
     assert batch.n_tokens == 5
     assert batch.tags == ("I-A", "O", "I-B", "I-A", "O")
     assert batch.embeddings.mu.shape == (5, 4)
-    assert len(batch.label_reps) == 2
+    # both sentences' prompts: classes A, B and O each
+    assert batch.label_reps.mu.shape == (6, 4)
+    assert batch.rep_sentence.tolist() == [0, 0, 0, 1, 1, 1]
+    assert batch.rep_class == seqs[0].class_order * 2
 
 
 def test_positive_sets_match_definition():
@@ -270,3 +274,70 @@ def test_losses_finite_and_nonnegative_random():
             assert np.isfinite(out.item())
             assert out.item() >= 0.0
             assert out.context_label.value.item() >= 0.0
+
+
+def two_sentence_batch(seed):
+    """Tokens of two sentences whose prompts hold different representatives."""
+    rng = np.random.default_rng(seed)
+
+    def embedding(n):
+        return GaussianEmbedding(Tensor(rng.normal(size=(n, 3))),
+                                 Tensor(rng.uniform(0.3, 2.0, size=(n, 3))))
+
+    return BatchView(embeddings=embedding(5), tags=("I-A", "O", "I-B", "O", "I-A"),
+                     sentence_index=np.array([0, 0, 0, 1, 1]), label_reps=embedding(5),
+                     rep_sentence=np.array([0, 0, 0, 1, 1]),
+                     rep_class=("A", "B", "O", "A", "O"))
+
+
+@pytest.mark.parametrize("metric", ["symkl", "sqeuclid"])
+def test_context_label_uses_only_own_sentence_representatives(metric):
+    batch = two_sentence_batch(6)
+    config = LossConfig(metric=metric, tau=0.7)
+    got = context_label_loss(batch, config).value.item()
+    # oracle: each token against its own sentence's representatives only
+    expected = []
+    for ti, tag in enumerate(batch.tags):
+        cls = tag if tag == "O" else tag[2:]
+        token = GaussianEmbedding(ad.row_gather(batch.embeddings.mu, [ti]),
+                                  ad.row_gather(batch.embeddings.sigma2, [ti]))
+        own = np.nonzero(batch.rep_sentence == batch.sentence_index[ti])[0]
+        reps = GaussianEmbedding(ad.row_gather(batch.label_reps.mu, own),
+                                 ad.row_gather(batch.label_reps.sigma2, own))
+        d = ls._pairwise(token, reps, metric).data[0] / config.tau
+        gold = [batch.rep_class[r] for r in own].index(cls)
+        expected.append(d[gold] + math.log(np.exp(-d).sum()))
+    assert got == pytest.approx(np.mean(expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["icl", "ocl"])
+def test_two_sentence_mixed_loss_gradients_match_finite_differences(variant):
+    batch = two_sentence_batch(7)
+    config = LossConfig(loss_variant=variant, tau=0.7)
+
+    def loss(x):
+        return mixed_loss(BatchView(GaussianEmbedding(x, batch.embeddings.sigma2), batch.tags,
+                                    batch.sentence_index, batch.label_reps,
+                                    batch.rep_sentence, batch.rep_class), config).total
+
+    assert ad.finite_diff_check(loss, batch.embeddings.mu.data) <= 1e-6
+
+
+def test_each_loss_builds_one_distance_matrix_and_one_kernel_node(monkeypatch):
+    batch = two_sentence_batch(8)
+    made = []
+    original = ad._make
+
+    def counting(data, prev, op):
+        made.append(op)
+        return original(data, prev, op)
+
+    monkeypatch.setattr(ad, "_make", counting)
+    context_context_loss(batch, LossConfig())
+    assert made == ["pairwise_symkl", "anchor_terms", "sum", "scale"]
+    made.clear()
+    context_label_loss(batch, LossConfig())
+    assert made == ["pairwise_symkl", "scale", "anchor_terms", "sum", "scale"]
+    made.clear()
+    anchor_loss_in(0, batch, LossConfig())
+    assert made == ["pairwise_symkl", "anchor_terms", "reshape"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewtag.data import DataError, LabelMap, LabelSet, Sentence, build_vocab
 from fewtag.prompt import assemble_input, build_label_prompt
@@ -89,3 +91,56 @@ def test_assembly_pure():
     np.testing.assert_array_equal(a.token_ids, b.token_ids)
     np.testing.assert_array_equal(a.context_mask, b.context_mask)
     assert a.label_rep_index == b.label_rep_index
+
+
+# -- properties of assemble_input --------------------------------------------
+
+WORDS = ("alice", "went", "home", "person", "other", "the", "work")
+CLASSES = ("person", "location", "creative-work")
+
+
+@st.composite
+def assembly_cases(draw):
+    classes = CLASSES[:draw(st.integers(1, len(CLASSES)))]
+    phrase = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    label_map = LabelMap({c: draw(phrase) for c in classes + ("O",)})
+    n = draw(st.integers(1, 20))
+    tokens = draw(st.lists(st.sampled_from(WORDS + ("unseen",)), min_size=n, max_size=n))
+    tags = draw(st.lists(st.sampled_from(("O",) + tuple(f"I-{c}" for c in classes)),
+                         min_size=n, max_size=n))
+    # words outside the vocabulary map to [UNK]
+    known = ("the",) + tuple(draw(st.lists(st.sampled_from(WORDS), max_size=4)))
+    vocab = build_vocab([Sentence(known, ("O",) * len(known))], label_map=label_map)
+    return (Sentence(tuple(tokens), tuple(tags)), label_map,
+            build_label_prompt(LabelSet(classes), label_map), vocab, draw(st.integers(1, 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(assembly_cases())
+def test_assemble_input_properties(case):
+    sent, label_map, prompt, vocab, max_len = case
+    budget = max_len - len(prompt) - 3
+    if budget < 1:
+        with pytest.raises(DataError):
+            assemble_input(sent, prompt, vocab, max_len=max_len)
+        return
+    seq = assemble_input(sent, prompt, vocab, max_len=max_len)
+    n_ctx = min(len(sent.tokens), budget)
+
+    def ids(words):
+        return [vocab.id(w) for w in words]
+
+    # [CLS] ctx [SEP] prompt [SEP], with only the context cut, from the right
+    assert seq.token_ids.tolist() == ids(("[CLS]",) + sent.tokens[:n_ctx] + ("[SEP]",)
+                                         + prompt.tokens + ("[SEP]",))
+    assert seq.n_occupied <= max_len and seq.max_len == max_len
+    assert seq.context_positions().tolist() == list(range(1, 1 + n_ctx))
+    assert seq.gold_tags == sent.tags[:n_ctx]
+    assert len(seq.gold_tags) == seq.n_context
+    assert tuple(seq.label_rep_index) == seq.class_order == prompt.class_order
+    for cls, pos in seq.label_rep_index.items():
+        phrase = ids(label_map.phrase(cls).split())
+        assert seq.token_ids[pos] == vocab.id("[CLS]")
+        assert seq.token_ids[pos + 1:pos + 1 + len(phrase)].tolist() == phrase
+        # the phrase ends where the next class's [CLS] or the final [SEP] starts
+        assert seq.token_ids[pos + 1 + len(phrase)] in ids(("[CLS]", "[SEP]"))
