@@ -1,8 +1,15 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 Only the primitives the encoder, projection heads, and losses need are
-implemented.  Buffers are float64 by default (gradient checks require it);
-float32 can be requested per tensor for speed.
+implemented.  Buffers are float64, as gradient checks require.
+
+Every op computes its value in numpy and hands `_make` that value, its
+input tensors and a vector-Jacobian product: `vjp(g)` maps the gradient
+of the op's output to one gradient per input, in input order.  `_make` is
+the only place that attaches a VJP to a node, and `Tensor.backward` the
+only place that applies one, sending each gradient to its input unless
+that input needs none.  A VJP holds the op's inputs but not its node, so
+a dropped graph is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -10,16 +17,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-DEFAULT_DTYPE = np.float64
-
-# When enabled, every forward op asserts its output is finite.
-_debug_checks = False
-
-
-def set_debug_checks(flag: bool) -> None:
-    global _debug_checks
-    _debug_checks = bool(flag)
 
 
 class ShapeError(ValueError):
@@ -33,18 +30,16 @@ class NumericError(RuntimeError):
 class Tensor:
     """A dense array node in a dynamically built computation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_backward", "_op", "_backward_ran")
+    __slots__ = ("data", "requires_grad", "grad", "_prev", "_vjp", "_op", "_backward_ran",
+                 "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
-                 _prev: tuple = (), _op: str = "leaf"):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, _prev: tuple = (), _op: str = "leaf"):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._prev = _prev
-        # maps this node's gradient to its inputs' .grad; it holds the inputs
-        # but not the node itself, so dropped graphs are freed without the
-        # cycle collector
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        # maps this node's gradient to one gradient per input; set by _make only
+        self._vjp: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
         self._op = _op
         self._backward_ran = False
 
@@ -82,21 +77,13 @@ class Tensor:
         self._backward_ran = True
 
         topo: list[Tensor] = []
-        visited: set[int] = set()
-
-        def build(t: Tensor) -> None:
-            if id(t) in visited:
-                return
-            visited.add(id(t))
-            for p in t._prev:
-                build(p)
-            topo.append(t)
-
-        build(self)
+        _postorder(self, set(), topo)
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
-            if t._backward is not None:
-                t._backward(t.grad)
+            if t._vjp is not None:
+                for p, g in zip(t._prev, t._vjp(t.grad)):
+                    if p.requires_grad:
+                        p._accumulate(g)
         if leaves is not None:
             for t in leaves:
                 if t.grad is None:
@@ -105,16 +92,16 @@ class Tensor:
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other, self))
+        return add(self, _as_tensor(other))
 
     def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
+        return add(_as_tensor(other), self)
 
     def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self), -1.0))
+        return add(self, scale(_as_tensor(other), -1.0))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other, self), scale(self, -1.0))
+        return add(_as_tensor(other), scale(self, -1.0))
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -132,24 +119,42 @@ class Tensor:
             return scale(self, 1.0 / float(other))
         return mul(self, reciprocal(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+def _postorder(t: Tensor, visited: set[int], topo: list[Tensor]) -> None:
+    """Append t's unvisited ancestors to topo, each after all of its inputs.
+
+    A module function, not a closure in `backward`: a closure naming itself
+    is a reference cycle, which would keep `topo`, and with it the whole
+    graph, alive until the cycle collector runs.
+    """
+    if id(t) in visited:
+        return
+    visited.add(id(t))
+    for p in t._prev:
+        _postorder(p, visited, topo)
+    topo.append(t)
 
 
-def _make(data: np.ndarray, prev: tuple, op: str) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by op '{op}'")
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in prev),
-                 dtype=data.dtype, _prev=prev, _op=op)
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _make(data: np.ndarray, prev: tuple, op: str,
+          vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """The node `op` made from the tensors `prev`, with value `data`.
+
+    When any input requires a gradient, the node keeps `vjp`, which maps
+    the node's gradient to one gradient per tensor of `prev`, in order.
+    """
+    out = Tensor(data, _prev=prev, _op=op)
+    for p in prev:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._vjp = vjp
+            break
     return out
 
 
@@ -174,38 +179,19 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if not _suffix_broadcastable(a.shape, b.shape):
         raise ShapeError("add", a.shape, b.shape)
-    out = _make(a.data + b.data, (a, b), "add")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data + b.data, (a, b), "add",
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _suffix_broadcastable(a.shape, b.shape):
         raise ShapeError("mul", a.shape, b.shape)
-    out = _make(a.data * b.data, (a, b), "mul")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data * b.data, (a, b), "mul",
+                 lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = _make(a.data * c, (a,), "scale")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * c)
-        out._backward = _bw
-    return out
+    return _make(a.data * c, (a,), "scale", lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -213,76 +199,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ShapeError("matmul", a.shape, b.shape)
-    out = _make(a.data @ b.data, (a, b), "matmul")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.swapaxes(-1, -2))
-            if b.requires_grad:
-                b._accumulate(a.data.swapaxes(-1, -2) @ g)
-        out._backward = _bw
-    return out
+    return _make(a.data @ b.data, (a, b), "matmul",
+                 lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
-    out = _make(e, (a,), "exp")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * e)
-        out._backward = _bw
-    return out
+    return _make(e, (a,), "exp", lambda g: (g * e,))
 
 
 def log(a: Tensor) -> Tensor:
-    out = _make(np.log(a.data), (a,), "log")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g / a.data)
-        out._backward = _bw
-    return out
+    return _make(np.log(a.data), (a,), "log", lambda g: (g / a.data,))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^a), as max(a, 0) + log1p(e^-|a|), which cannot overflow."""
     e = np.exp(-np.abs(a.data))
-    out = _make(np.maximum(a.data, 0.0) + np.log1p(e), (a,), "softplus")
-    if out.requires_grad:
-        def _bw(g):
-            # the sigmoid of a, from the same e^-|a|
-            sig = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
-            a._accumulate(g * sig)
-        out._backward = _bw
-    return out
+    # the derivative is the sigmoid of a, from the same e^-|a|
+    return _make(np.maximum(a.data, 0.0) + np.log1p(e), (a,), "softplus",
+                 lambda g: (g * (np.where(a.data >= 0, 1.0, e) / (1.0 + e)),))
 
 
 def reciprocal(a: Tensor) -> Tensor:
     r = 1.0 / a.data
-    out = _make(r, (a,), "reciprocal")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(-g * r * r)
-        out._backward = _bw
-    return out
+    return _make(r, (a,), "reciprocal", lambda g: (-g * r * r,))
 
 
 def square(a: Tensor) -> Tensor:
-    out = _make(a.data * a.data, (a,), "square")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * 2.0 * a.data)
-        out._backward = _bw
-    return out
+    return _make(a.data * a.data, (a,), "square", lambda g: (g * 2.0 * a.data,))
 
 
 def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    out = _make(a.data.sum(axis=axis), (a,), "sum")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
-                                          a.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data.sum(axis=axis), (a,), "sum",
+                 lambda g: (np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                            a.shape),))
 
 
 def tmean(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -306,72 +256,51 @@ def row_softmax(a: Tensor) -> Tensor:
     if a.data.ndim < 1:
         raise ShapeError("row_softmax", a.shape)
     s = _softmax(a.data)
-    out = _make(s, (a,), "row_softmax")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(_softmax_grad(s, g))
-        out._backward = _bw
-    return out
+    return _make(s, (a,), "row_softmax", lambda g: (_softmax_grad(s, g),))
 
 
 def row_gather(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim < 1 or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
         raise ShapeError("row_gather", a.shape, (int(idx.min(initial=0)), int(idx.max(initial=0))))
-    out = _make(a.data[idx], (a,), "row_gather")
-    if out.requires_grad:
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
         # strictly increasing rows are distinct, so assignment scatters them
         # exactly as np.add.at would, and much faster
-        distinct = idx.ndim == 1 and bool(np.all(idx[1:] > idx[:-1]))
-
-        def _bw(g):
-            full = np.zeros_like(a.data)
-            if distinct:
-                full[idx] = g
-            else:
-                np.add.at(full, idx, g)
-            a._accumulate(full)
-        out._backward = _bw
-    return out
+        if idx.ndim == 1 and np.all(idx[1:] > idx[:-1]):
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
+        return (full,)
+    return _make(a.data[idx], (a,), "row_gather", vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat", ())
-    out = _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), "concat")
-    if out.requires_grad:
-        sizes = [p.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
 
-        def _bw(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(lo, hi)
-                    p._accumulate(g[tuple(sl)])
-        out._backward = _bw
-    return out
+    def vjp(g):
+        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+        sl = [slice(None)] * g.ndim
+        grads = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            sl[axis] = slice(lo, hi)
+            grads.append(g[tuple(sl)])
+        return grads
+    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), "concat", vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _make(a.data.reshape(shape), (a,), "reshape")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g.reshape(a.shape))
-        out._backward = _bw
-    return out
+    return _make(a.data.reshape(shape), (a,), "reshape", lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ShapeError("transpose", a.shape)
-    out = _make(a.data.swapaxes(-1, -2).copy(), (a,), "transpose")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g.swapaxes(-1, -2))
-        out._backward = _bw
-    return out
+    return _make(a.data.swapaxes(-1, -2).copy(), (a,), "transpose",
+                 lambda g: (g.swapaxes(-1, -2),))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -379,17 +308,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
-    out = _make(x.data @ w.data + b.data, (x, w, b), "linear")
-    if out.requires_grad:
-        def _bw(g):
-            if x.requires_grad:
-                x._accumulate(g @ w.data.T)
-            if w.requires_grad:
-                w._accumulate(x.data.T @ g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
-        out._backward = _bw
-    return out
+    return _make(x.data @ w.data + b.data, (x, w, b), "linear",
+                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -403,21 +323,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.square(centred).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     y = centred * inv
-    out = _make(y * gain.data + bias.data, (a, gain, bias), "layer_norm")
-    if out.requires_grad:
-        def _bw(g):
-            lead = tuple(range(g.ndim - 1))
-            if gain.requires_grad:
-                gain._accumulate((g * y).sum(axis=lead))
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=lead))
-            if a.requires_grad:
-                gy = g * gain.data
-                gm = gy.sum(axis=-1, keepdims=True) / n
-                gym = (gy * y).sum(axis=-1, keepdims=True) / n
-                a._accumulate(inv * (gy - gm - y * gym))
-        out._backward = _bw
-    return out
+
+    def vjp(g):
+        lead = tuple(range(g.ndim - 1))
+        gy = g * gain.data
+        gm = gy.sum(axis=-1, keepdims=True) / n
+        gym = (gy * y).sum(axis=-1, keepdims=True) / n
+        return inv * (gy - gm - y * gym), (g * y).sum(axis=lead), g.sum(axis=lead)
+    return _make(y * gain.data + bias.data, (a, gain, bias), "layer_norm", vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -444,19 +357,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= c
     p = _softmax(scores)  # (heads, L, L)
-    out = _make(merge(p @ vh), (q, k, v), "attention")
-    if out.requires_grad:
-        def _bw(g):
-            gh = split(g)
-            ds = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
-            if q.requires_grad:
-                q._accumulate(merge(ds @ kh))
-            if k.requires_grad:
-                k._accumulate(merge(ds.swapaxes(-1, -2) @ qh))
-            if v.requires_grad:
-                v._accumulate(merge(p.swapaxes(-1, -2) @ gh))
-        out._backward = _bw
-    return out
+
+    def vjp(g):
+        gh = split(g)
+        ds = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
+        return merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+    return _make(merge(p @ vh), (q, k, v), "attention", vjp)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
@@ -466,12 +372,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
         return a
     keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
     factor = keep / (1.0 - rate)
-    out = _make(a.data * factor, (a,), "dropout")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * factor)
-        out._backward = _bw
-    return out
+    return _make(a.data * factor, (a,), "dropout", lambda g: (g * factor,))
 
 
 def _masked_logsumexp(a: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -496,12 +397,7 @@ def masked_row_logsumexp(a: Tensor, mask) -> Tensor:
     if a.data.ndim != 2 or m.shape != a.shape:
         raise ShapeError("masked_row_logsumexp", a.shape, m.shape)
     lse, p = _masked_logsumexp(a.data, m)
-    out = _make(lse, (a,), "masked_row_logsumexp")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g[:, None] * p)
-        out._backward = _bw
-    return out
+    return _make(lse, (a,), "masked_row_logsumexp", lambda g: (g[:, None] * p,))
 
 
 # -- gradient checking -----------------------------------------------------

@@ -156,9 +156,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as f:
                 file_config = json.load(f)
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as e:
+        except OSError as e:
+            raise UsageError(f"config file {args.config} cannot be read: {e.strerror}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise UsageError(f"config file {args.config} is not valid JSON: {e}")
         if not isinstance(file_config, dict):
             raise UsageError("config file must hold a JSON object")
@@ -199,11 +199,14 @@ def _require(config: dict, command: str, *keys: str) -> None:
 
 
 def _snapshot(config: dict, command: str) -> None:
-    os.makedirs(config["out"], exist_ok=True)
     resolved = {"command": command, **config}
     path = os.path.join(config["out"], "resolved_config.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True)
+    try:
+        os.makedirs(config["out"], exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(resolved, f, indent=2, sort_keys=True)
+    except OSError as e:
+        raise UsageError(f"out {config['out']!r} is not a usable output directory ({e})")
     log.info("resolved config written to %s", path)
 
 
@@ -399,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         log.error("usage error: %s", e)
         return EXIT_USAGE
-    except (DataError, CheckpointError, FileNotFoundError) as e:
+    except (DataError, CheckpointError, OSError) as e:
         log.error("data error: %s", e)
         return EXIT_DATA
     except (NumericError, FloatingPointError) as e:

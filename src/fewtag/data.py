@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -141,28 +141,36 @@ class Vocabulary:
         return token in self.token_to_id
 
 
+def _text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file; DataError naming `path` if it is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def read_conll(path: str) -> list[Sentence]:
     """Read `token<sep>tag` lines (tab or space separated), blank line = new sentence."""
     sentences: list[Sentence] = []
     tokens: list[str] = []
     tags: list[str] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if tokens:
-                    sentences.append(Sentence(tuple(tokens), tuple(tags)))
-                    tokens, tags = [], []
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected `token<sep>tag`, got {line!r}")
-            try:
-                tag = normalize_tag(parts[1])
-            except DataError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-            tokens.append(parts[0])
-            tags.append(tag)
+    for lineno, raw in enumerate(_text_lines(path), 1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            if tokens:
+                sentences.append(Sentence(tuple(tokens), tuple(tags)))
+                tokens, tags = [], []
+            continue
+        parts = line.split("\t") if "\t" in line else line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected `token<sep>tag`, got {line!r}")
+        try:
+            tag = normalize_tag(parts[1])
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        tokens.append(parts[0])
+        tags.append(tag)
     if tokens:
         sentences.append(Sentence(tuple(tokens), tuple(tags)))
     return sentences
@@ -184,7 +192,17 @@ def _label_to_io(label: str) -> str:
     return "I-" + label  # bare class names, as in episode files
 
 
-def _record_sentences(words: list[list[str]], labels: list[list[str]]) -> list[Sentence]:
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _record_sentences(part: dict) -> list[Sentence]:
+    words, labels = part["word"], part["label"]
+    if not (isinstance(words, list) and isinstance(labels, list)
+            and all(map(_is_str_list, words + labels))):
+        raise DataError("word and label must be lists of lists of strings")
+    if len(words) != len(labels):
+        raise DataError(f"{len(words)} word lists but {len(labels)} label lists")
     return [Sentence(tuple(w), tuple(_label_to_io(t) for t in l))
             for w, l in zip(words, labels)]
 
@@ -192,44 +210,42 @@ def _record_sentences(words: list[list[str]], labels: list[list[str]]) -> list[S
 def read_fewnerd_episodes(path: str) -> list[Episode]:
     """One JSON record per line: support/query word+label arrays plus `types`."""
     episodes: list[Episode] = []
-    with open(path, encoding="utf-8") as f:
-        for idx, raw in enumerate(f):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                support = _record_sentences(rec["support"]["word"], rec["support"]["label"])
-                query = _record_sentences(rec["query"]["word"], rec["query"]["label"])
-                types = rec["types"]
-            except (KeyError, json.JSONDecodeError, TypeError) as e:
-                raise DataError(f"{path}: episode {idx}: malformed record ({e})") from None
+    for idx, raw in enumerate(_text_lines(path)):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+            types = rec["types"]
+            if not _is_str_list(types):
+                raise DataError(f"types must be a list of class names, got {types!r}")
             k = rec.get("K", 0)
-            try:
-                ep = Episode(support, query, n_way=len(types), k_shot=k)
-            except DataError as e:
-                raise DataError(f"{path}: episode {idx}: {e}") from None
-            if set(ep.classes) != set(types):
-                raise DataError(
-                    f"{path}: episode {idx}: support classes {sorted(ep.classes)} "
-                    f"do not match declared types {sorted(types)}")
-            episodes.append(ep)
+            ep = Episode(_record_sentences(rec["support"]), _record_sentences(rec["query"]),
+                         n_way=len(types), k_shot=k)
+        except (KeyError, json.JSONDecodeError, TypeError) as e:
+            raise DataError(f"{path}: episode {idx}: malformed record ({e})") from None
+        except DataError as e:
+            raise DataError(f"{path}: episode {idx}: {e}") from None
+        if set(ep.classes) != set(types):
+            raise DataError(
+                f"{path}: episode {idx}: support classes {sorted(ep.classes)} "
+                f"do not match declared types {sorted(types)}")
+        episodes.append(ep)
     return episodes
 
 
 def load_label_map(path: str, label_set: Optional[LabelSet] = None) -> LabelMap:
     """Parse `class = phrase` lines; `#` starts a comment; O defaults to "other"."""
     phrases: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected `class = phrase`, got {line!r}")
-            cls, phrase = (part.strip() for part in line.split("=", 1))
-            if not cls or not phrase:
-                raise DataError(f"{path}:{lineno}: empty class or phrase")
-            phrases[cls] = phrase
+    for lineno, raw in enumerate(_text_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected `class = phrase`, got {line!r}")
+        cls, phrase = (part.strip() for part in line.split("=", 1))
+        if not cls or not phrase:
+            raise DataError(f"{path}:{lineno}: empty class or phrase")
+        phrases[cls] = phrase
     phrases.setdefault(O_TAG, DEFAULT_O_PHRASE)
     label_map = LabelMap(phrases)
     if label_set is not None:

@@ -102,18 +102,8 @@ def js(p: GaussianEmbedding, q: GaussianEmbedding) -> Tensor:
     return ad.scale(kl(p, q) + kl(q, p), 0.5)
 
 
-def sq_euclidean(a, b):
-    """Squared Euclidean distance between two equal-length vectors.
-
-    Accepts Tensors (returns a scalar graph node) or plain arrays (returns
-    a float).
-    """
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        a = a if isinstance(a, Tensor) else Tensor(a)
-        b = b if isinstance(b, Tensor) else Tensor(b)
-        if a.shape != b.shape:
-            raise ShapeError("sq_euclidean", a.shape, b.shape)
-        return ad.tsum(ad.square(a - b))
+def sq_euclidean(a, b) -> float:
+    """Squared Euclidean distance between two equal-length plain vectors."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -130,8 +120,8 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
       D = 0.25 * ( [s2a + mua^2, 1/s2a, mua, mua/s2a]
                    @ [1/s2b, s2b + mub^2, -2 mub/s2b, -2 mub]^T
                    + c_a + c_b^T ) - l/2,   c = sum_d mu^2/s2.
-    The backward pass is two products of the same shapes; `a` and `b` may be
-    the same embedding, whose tensors then receive both gradients.
+    The vector-Jacobian product is two products of the same shapes; `a` and
+    `b` may be the same embedding, whose tensors then receive both gradients.
     """
     _check_valid(a)
     _check_valid(b)
@@ -147,28 +137,18 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
     total = left @ right.T
     total += ca[:, None]
     total += cb
-    out = ad._make(0.25 * total - l / 2.0, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl")
-    if out.requires_grad:
-        def _bw(g):
-            g = 0.25 * g
-            if a.mu.requires_grad or a.sigma2.requires_grad:
-                gl1, gl2, gl3, gl4 = np.split(g @ right, 4, axis=1)
-                gca = g.sum(axis=1)[:, None]
-                if a.mu.requires_grad:
-                    a.mu._accumulate(2.0 * mua * gl1 + gl3 + ra * gl4 + 2.0 * mra * gca)
-                if a.sigma2.requires_grad:
-                    a.sigma2._accumulate(gl1 - ra * (ra * gl2 + mra * gl4) - mra * mra * gca)
-            if b.mu.requires_grad or b.sigma2.requires_grad:
-                gr1, gr2, gr3, gr4 = np.split(g.T @ left, 4, axis=1)
-                gcb = g.sum(axis=0)[:, None]
-                if b.mu.requires_grad:
-                    b.mu._accumulate(2.0 * mub * gr2 - 2.0 * rb * gr3 - 2.0 * gr4
-                                     + 2.0 * mrb * gcb)
-                if b.sigma2.requires_grad:
-                    b.sigma2._accumulate(gr2 - rb * (rb * gr1 - 2.0 * mrb * gr3)
-                                         - mrb * mrb * gcb)
-        out._backward = _bw
-    return out
+
+    def vjp(g):
+        g = 0.25 * g
+        gl1, gl2, gl3, gl4 = np.split(g @ right, 4, axis=1)
+        gr1, gr2, gr3, gr4 = np.split(g.T @ left, 4, axis=1)
+        gca, gcb = g.sum(axis=1)[:, None], g.sum(axis=0)[:, None]
+        return (2.0 * mua * gl1 + gl3 + ra * gl4 + 2.0 * mra * gca,
+                gl1 - ra * (ra * gl2 + mra * gl4) - mra * mra * gca,
+                2.0 * mub * gr2 - 2.0 * rb * gr3 - 2.0 * gr4 + 2.0 * mrb * gcb,
+                gr2 - rb * (rb * gr1 - 2.0 * mrb * gr3) - mrb * mrb * gcb)
+    return ad._make(0.25 * total - l / 2.0, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl",
+                    vjp)
 
 
 def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
@@ -176,13 +156,7 @@ def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[-1]:
         raise ShapeError("pairwise_sq_euclidean", a.shape, b.shape)
     x, y = a.data, b.data
-    out = ad._make(-2.0 * (x @ y.T) + np.square(y).sum(axis=1) + np.square(x).sum(axis=1)[:, None],
-                   (a, b), "pairwise_sq_euclidean")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(2.0 * (x * g.sum(axis=1)[:, None] - g @ y))
-            if b.requires_grad:
-                b._accumulate(2.0 * (y * g.sum(axis=0)[:, None] - g.T @ x))
-        out._backward = _bw
-    return out
+    d = -2.0 * (x @ y.T) + np.square(y).sum(axis=1) + np.square(x).sum(axis=1)[:, None]
+    return ad._make(d, (a, b), "pairwise_sq_euclidean",
+                    lambda g: (2.0 * (x * g.sum(axis=1)[:, None] - g @ y),
+                               2.0 * (y * g.sum(axis=0)[:, None] - g.T @ x)))

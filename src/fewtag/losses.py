@@ -167,14 +167,12 @@ def _anchor_terms(d: Tensor, anchors, pos: np.ndarray, candidates: np.ndarray,
         lse_pos, p_pos = ad._masked_logsumexp(-rows, pos)
         terms = lse_all - lse_pos + np.log(n_pos)
         row_grad = p_pos - p_all
-    out = ad._make(terms, (d,), "anchor_terms")
-    if out.requires_grad:
-        def _bw(g):
-            full = np.zeros_like(d.data)
-            full[anchors] = g[:, None] * row_grad
-            d._accumulate(full)
-        out._backward = _bw
-    return out
+
+    def vjp(g):
+        full = np.zeros_like(d.data)
+        full[anchors] = g[:, None] * row_grad
+        return (full,)
+    return ad._make(terms, (d,), "anchor_terms", vjp)
 
 
 def _one_anchor(p: int, batch: BatchView, variant: str, metric: str) -> Optional[Tensor]:

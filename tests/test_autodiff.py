@@ -1,9 +1,12 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from fewtag import autodiff as ad
+from fewtag import gaussian as gs
 from fewtag.autodiff import Tensor
 
 
@@ -142,15 +145,6 @@ def test_add_broadcast_leading_axes_only():
         ad.add(Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
 
 
-def test_debug_mode_rejects_nonfinite():
-    ad.set_debug_checks(True)
-    try:
-        with pytest.raises(FloatingPointError):
-            ad.log(Tensor([-1.0]))
-    finally:
-        ad.set_debug_checks(False)
-
-
 def test_dropout_deterministic_for_fixed_seed():
     x = Tensor(np.ones((4, 4)))
     a = ad.dropout(x, 0.5, np.random.default_rng(np.random.Philox(7)))
@@ -235,3 +229,65 @@ def test_forward_bit_identical_across_runs():
         return ad.tsum(ad.square(h)).item()
 
     assert run() == run()
+
+
+def _numeric_grad(f, point, step=1e-6):
+    """Central differences of the float-valued f at the array point."""
+    grad = np.zeros_like(point)
+    for i in np.ndindex(point.shape):
+        hi, lo = point.copy(), point.copy()
+        hi[i] += step
+        lo[i] -= step
+        grad[i] = (f(hi) - f(lo)) / (2.0 * step)
+    return grad
+
+
+def _linear_case(rng):
+    weights = rng.normal(size=(4, 2))
+    return (lambda t: ad.tsum(ad.mul(ad.linear(*t), Tensor(weights))),
+            [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)],
+            [False, True, True])
+
+
+def _symkl_case(rng):
+    weights = rng.normal(size=(4, 5))
+    return (lambda t: ad.tsum(ad.mul(gs.pairwise_symkl(gs.GaussianEmbedding(t[0], t[1]),
+                                                       gs.GaussianEmbedding(t[2], t[3])),
+                                     Tensor(weights))),
+            [rng.normal(size=(4, 3)), rng.uniform(0.2, 3.0, size=(4, 3)),
+             rng.normal(size=(5, 3)), rng.uniform(0.2, 3.0, size=(5, 3))],
+            [True, True, False, False])
+
+
+@pytest.mark.parametrize("case", [_linear_case, _symkl_case],
+                         ids=["linear-constant-x", "pairwise_symkl-constant-b"])
+def test_constant_inputs_get_no_grad_and_the_rest_match_finite_differences(case):
+    fn, values, trainable = case(np.random.default_rng(21))
+    leaves = [Tensor(v, requires_grad=r) for v, r in zip(values, trainable)]
+    fn(leaves).backward()
+    for i, (leaf, r) in enumerate(zip(leaves, trainable)):
+        if not r:
+            assert leaf.grad is None
+            continue
+
+        def at(v, i=i):
+            return fn([Tensor(v if j == i else u) for j, u in enumerate(values)]).item()
+        np.testing.assert_allclose(leaf.grad, _numeric_grad(at, values[i]), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("run_backward", [False, True])
+def test_dropped_graph_is_freed_without_the_cycle_collector(run_backward):
+    rng = np.random.default_rng(22)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        h = ad.linear(Tensor(rng.normal(size=(5, 3))), w, Tensor(np.zeros(4)))
+        interior = ad.attention(h, h, ad.softplus(h), heads=2)
+        root = ad.tsum(ad.square(interior))
+        if run_backward:
+            root.backward()
+        refs = [weakref.ref(root), weakref.ref(interior)]
+        del h, interior, root
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -12,8 +12,7 @@ SMALL = ["--set", "encoder={\"d\": 16, \"n_layers\": 1, \"n_heads\": 2, \"dropou
          "--set", "max_len=24", "--set", "embed_dim=8"]
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def write_workspace(tmp_path):
     corpus = separable_corpus(n_sentences=12, seed=20)
     train_path = tmp_path / "train.conll"
     write_conll(corpus, str(train_path))
@@ -23,6 +22,22 @@ def workspace(tmp_path):
     map_path = tmp_path / "labels.map"
     map_path.write_text("".join(f"{c} = {p}\n" for c, p in label_map.phrases.items()))
     return tmp_path, train_path, support_path, map_path
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return write_workspace(tmp_path)
+
+
+def episode_record():
+    corpus = separable_corpus(n_sentences=8, seed=21)
+    return {
+        "support": {"word": [list(s.tokens) for s in corpus[:4]],
+                    "label": [list(s.tags) for s in corpus[:4]]},
+        "query": {"word": [list(s.tokens) for s in corpus[4:6]],
+                  "label": [list(s.tags) for s in corpus[4:6]]},
+        "types": ["A", "B"], "K": 2,
+    }
 
 
 def run_train(ws, out_name="run", extra=()):
@@ -177,16 +192,8 @@ class TestEvaluate:
     def test_episode_protocol(self, workspace):
         tmp_path, _, _, _ = workspace
         _, out = run_train(workspace)
-        corpus = separable_corpus(n_sentences=8, seed=21)
-        record = {
-            "support": {"word": [list(s.tokens) for s in corpus[:4]],
-                        "label": [list(s.tags) for s in corpus[:4]]},
-            "query": {"word": [list(s.tokens) for s in corpus[4:6]],
-                      "label": [list(s.tags) for s in corpus[4:6]]},
-            "types": ["A", "B"], "K": 2,
-        }
         ep_path = tmp_path / "episodes.jsonl"
-        ep_path.write_text(json.dumps(record) + "\n")
+        ep_path.write_text(json.dumps(episode_record()) + "\n")
         ev_out = tmp_path / "epi"
         code = main(SMALL + ["--seed", "0", "--out", str(ev_out), "evaluate",
                              "--checkpoint", str(out / "checkpoint.ckpt"),
@@ -221,3 +228,68 @@ class TestGradcheck:
         assert code == 0
         assert "PASS" in out
         assert "max rel err" in out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    ws = write_workspace(tmp_path_factory.mktemp("trained"))
+    code, out = run_train(ws)
+    assert code == 0
+    return ws, out / "checkpoint.ckpt"
+
+
+def _not_utf8(path):
+    path.write_bytes(b"w1\tO\n\xff\tI-A\n")
+
+
+def _episodes(edit):
+    def make(path):
+        record = episode_record()
+        edit(record)
+        path.write_text(json.dumps(record) + "\n")
+    return make
+
+
+def _drop_last_support_labels(record):
+    record["support"]["label"].pop()
+
+
+def _number_as_word(record):
+    record["query"]["word"][0][0] = 7
+
+
+def _train(corpus="{train}", label_map="{map}", out="{out}"):
+    return ["--out", out, "train", "--train-corpus", corpus, "--label-map", label_map]
+
+
+FINETUNE = ["--out", "{out}", "finetune", "--checkpoint", "{bad}", "--support", "{support}"]
+EVALUATE = ["--out", "{out}", "evaluate", "--checkpoint", "{ckpt}", "--protocol", "episode",
+            "--episodes", "{bad}"]
+
+# argv with {bad} where the malformed path goes; how to make that path; exit code
+MALFORMED = {
+    "corpus-not-utf8": (_train(corpus="{bad}"), _not_utf8, 3),
+    "label-map-not-utf8": (_train(label_map="{bad}"), _not_utf8, 3),
+    "corpus-is-directory": (_train(corpus="{bad}"), lambda p: p.mkdir(), 3),
+    "label-map-is-directory": (_train(label_map="{bad}"), lambda p: p.mkdir(), 3),
+    "checkpoint-is-directory": (FINETUNE, lambda p: p.mkdir(), 3),
+    "out-is-a-file": (_train(out="{bad}"), lambda p: p.write_text("x"), 2),
+    "episode-types-not-a-list": (EVALUATE, _episodes(lambda r: r.update(types=5)), 3),
+    "episode-unequal-word-and-label-lists": (EVALUATE, _episodes(_drop_last_support_labels), 3),
+    "episode-number-as-word": (EVALUATE, _episodes(_number_as_word), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_with_its_code_and_names_the_file(trained, tmp_path, capsys,
+                                                                caplog, case):
+    (_, train_path, support_path, map_path), ckpt = trained
+    template, make, expected = MALFORMED[case]
+    bad = tmp_path / "bad"
+    make(bad)
+    paths = {"bad": bad, "out": tmp_path / "out", "train": train_path, "map": map_path,
+             "support": support_path, "ckpt": ckpt}
+    code = main(SMALL + [arg.format(**paths) for arg in template])
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err
+    assert str(bad) in caplog.text

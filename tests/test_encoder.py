@@ -201,9 +201,9 @@ def test_eval_encode_builds_one_node_per_fused_block(monkeypatch):
     made = []
     original = ad._make
 
-    def counting(data, prev, op):
+    def counting(data, prev, op, vjp):
         made.append(op)
-        return original(data, prev, op)
+        return original(data, prev, op, vjp)
 
     monkeypatch.setattr(ad, "_make", counting)
     enc.encode(params, config, seq)

@@ -289,9 +289,9 @@ def test_pairwise_kernels_are_one_node_each(monkeypatch):
     made = []
     original = ad._make
 
-    def counting(data, prev, op):
+    def counting(data, prev, op, vjp):
         made.append(op)
-        return original(data, prev, op)
+        return original(data, prev, op, vjp)
 
     parts = [Tensor(p, requires_grad=True) for p in random_parts(16)]
     a, b = GaussianEmbedding(parts[0], parts[1]), GaussianEmbedding(parts[2], parts[3])

@@ -328,9 +328,9 @@ def test_each_loss_builds_one_distance_matrix_and_one_kernel_node(monkeypatch):
     made = []
     original = ad._make
 
-    def counting(data, prev, op):
+    def counting(data, prev, op, vjp):
         made.append(op)
-        return original(data, prev, op)
+        return original(data, prev, op, vjp)
 
     monkeypatch.setattr(ad, "_make", counting)
     context_context_loss(batch, LossConfig())

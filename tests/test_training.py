@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fewtag import losses as ls
+from fewtag import training
 from fewtag.autodiff import Tensor
 from fewtag.data import DataError, Sentence
 from fewtag.training import (Checkpoint, CheckpointError, NumericError,
@@ -160,6 +161,31 @@ class TestFinetune:
         capped = TrainConfig(**{**config.__dict__, "max_finetune_iters": 3, "lr": 1e-9})
         _, result = finetune(ckpt, support, target_set, target_map, capped)
         assert result.iterations <= 3
+
+    @pytest.mark.parametrize("keep_best", [False, True])
+    def test_keep_best_picks_the_parameters_returned(self, monkeypatch, keep_best):
+        ckpt, config = trained_fixture()
+        support = separable_corpus(n_sentences=6, seed=5)
+        target_set, target_map = label_setup(("A", "B"))
+        before, after = [], []  # parameters around each AdamW update
+        original = training.adamw_step
+
+        def recording(params, state):
+            before.append({k: p.data.copy() for k, p in params.items()})
+            original(params, state)
+            after.append({k: p.data.copy() for k, p in params.items()})
+
+        monkeypatch.setattr(training, "adamw_step", recording)
+        tuned, result = finetune(ckpt, support, target_set, target_map,
+                                 TrainConfig(**{**config.__dict__, "keep_best": keep_best}))
+        trace = result.loss_trace
+        assert not result.hit_cap and len(trace) >= 3 and trace[-1] > trace[-2]
+        assert len(before) == len(trace)
+        # update -2 raised the loss from trace[-2] to trace[-1]; the loop
+        # still takes update -1 before it stops
+        expected = before[-2] if keep_best else after[-1]
+        for k, p in tuned.params.items():
+            np.testing.assert_array_equal(p.data, expected[k])
 
     def test_source_checkpoint_not_mutated(self):
         ckpt, config = trained_fixture()
