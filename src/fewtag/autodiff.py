@@ -10,6 +10,13 @@ the only place that attaches a VJP to a node, and `Tensor.backward` the
 only place that applies one, sending each gradient to its input unless
 that input needs none.  A VJP holds the op's inputs but not its node, so
 a dropped graph is freed by reference counting alone.
+
+A VJP never writes into its argument `g`, and may hand `g` itself, or a
+view of it, to one input or to several.  An input therefore keeps its
+first gradient as given and only adds in place into a buffer of its own,
+made when a second gradient arrives.  `backward` drops each inner node's
+gradient as soon as its VJP has run, so after it returns only leaves
+(tensors made directly, not by an op) hold `.grad`.
 """
 
 from __future__ import annotations
@@ -30,13 +37,14 @@ class NumericError(RuntimeError):
 class Tensor:
     """A dense array node in a dynamically built computation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_vjp", "_op", "_backward_ran",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_owns_grad", "_prev", "_vjp", "_op",
+                 "_backward_ran", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _prev: tuple = (), _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self._owns_grad = False  # whether grad is a buffer _accumulate made and may add into
         self._prev = _prev
         # maps this node's gradient to one gradient per input; set by _make only
         self._vjp: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
@@ -58,17 +66,24 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # g may be another node's buffer or handed to several inputs, so it is
+        # kept as is and never written into; the first sum makes a buffer of
+        # this tensor's own, into which later gradients add in place
         if self.grad is None:
-            # a copy: g may be another node's buffer, and later calls add in place
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
+            self.grad = g
+            self._owns_grad = False
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad = self.grad + g
+            self._owns_grad = True
 
     def backward(self, leaves: Optional[Sequence["Tensor"]] = None) -> None:
-        """Populate .grad on every requires_grad ancestor of this scalar root.
+        """Populate .grad on every requires_grad leaf ancestor of this scalar root.
 
-        `leaves`, when given, additionally receive an exact-zero grad if they
-        do not influence the root at all.
+        Each inner node's gradient is dropped once its VJP has run.  `leaves`,
+        when given, additionally receive an exact-zero grad if they do not
+        influence the root at all.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
@@ -84,6 +99,7 @@ class Tensor:
                 for p, g in zip(t._prev, t._vjp(t.grad)):
                     if p.requires_grad:
                         p._accumulate(g)
+                t.grad = None
         if leaves is not None:
             for t in leaves:
                 if t.grad is None:
@@ -380,11 +396,13 @@ def _masked_logsumexp(a: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.n
     boolean `mask` is true, and the masked row softmax, which is its gradient."""
     if not mask.any(axis=-1).all():
         raise ValueError("masked_row_logsumexp: some row selects no entries")
-    neg = np.where(mask, a, -np.inf)
-    shift = neg.max(axis=-1, keepdims=True)
-    e = np.exp(neg - shift)
+    e = np.where(mask, a, -np.inf)
+    shift = e.max(axis=-1, keepdims=True)
+    e -= shift
+    np.exp(e, out=e)
     total = e.sum(axis=-1, keepdims=True)
-    return (shift + np.log(total))[:, 0], e / total
+    e /= total
+    return (shift + np.log(total))[:, 0], e
 
 
 def masked_row_logsumexp(a: Tensor, mask) -> Tensor:

@@ -111,44 +111,71 @@ def sq_euclidean(a, b) -> float:
     return float(np.sum((a - b) ** 2))
 
 
+def _halves(g: GaussianEmbedding):
+    """[P, Q] = [s2 + mu^2, mu, 1/s2, -2 mu/s2] and c = sum_d mu^2/s2 of each
+    row, with mu, 1/s2 and mu/s2 for the vector-Jacobian product."""
+    mu, s2 = g.mu.data, g.sigma2.data
+    r = 1.0 / s2
+    mr = mu * r
+    pq = np.concatenate([s2 + mu * mu, mu, r, -2.0 * mr], axis=1)
+    return pq, (mu * mr).sum(axis=1), mu, r, mr
+
+
+def _halves_vjp(mu, r, mr, gp, gq, gc):
+    """Gradients at mu and s2 from those at P, Q and c (see `_halves`)."""
+    l = mu.shape[1]
+    gp1, gp2, gq1, gq2, gc = gp[:, :l], gp[:, l:], gq[:, :l], gq[:, l:], gc[:, None]
+    return (2.0 * mu * gp1 + gp2 - 2.0 * r * gq2 + 2.0 * mr * gc,
+            gp1 - r * (r * gq1 - 2.0 * mr * gq2) - mr * mr * gc)
+
+
 def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
     """(nA, nB) matrix of symmetrized KL divergences between two batches, as one node.
 
     Per pair, d(p,q) = 0.25 * sum_d [ s2p/s2q + s2q/s2p
                                       + (mup-muq)^2 * (1/s2p + 1/s2q) ] - l/2,
-    which expands into one stacked product over 4l columns:
-      D = 0.25 * ( [s2a + mua^2, 1/s2a, mua, mua/s2a]
-                   @ [1/s2b, s2b + mub^2, -2 mub/s2b, -2 mub]^T
-                   + c_a + c_b^T ) - l/2,   c = sum_d mu^2/s2.
-    The vector-Jacobian product is two products of the same shapes; `a` and
-    `b` may be the same embedding, whose tensors then receive both gradients.
+    which expands over the halves P = [s2 + mu^2, mu] and Q = [1/s2, -2 mu/s2]
+    of each batch, with c = sum_d mu^2/s2, into
+      D = 0.25 * (P_a Q_b^T + Q_a P_b^T + c_a + c_b^T) - l/2.
+    Two batches take one product, [P_a, Q_a] @ [Q_b, P_b]^T.  An embedding
+    against itself (`a is b`) takes X = P Q^T + c once and D from X + X^T,
+    which is exactly symmetric; its vector-Jacobian product depends only on
+    gs = g + g^T, and hands the same half of the gradient, from gs Q and gs P,
+    to both of the node's (mu, s2) input pairs.
     """
     _check_valid(a)
-    _check_valid(b)
+    if b is not a:
+        _check_valid(b)
     if a.dim != b.dim:
         raise ShapeError("pairwise_symkl", a.mu.shape, b.mu.shape)
     l = a.dim
-    mua, s2a, mub, s2b = a.mu.data, a.sigma2.data, b.mu.data, b.sigma2.data
-    ra, rb = 1.0 / s2a, 1.0 / s2b
-    mra, mrb = mua * ra, mub * rb
-    left = np.concatenate([s2a + mua * mua, ra, mua, mra], axis=1)
-    right = np.concatenate([rb, s2b + mub * mub, -2.0 * mrb, -2.0 * mub], axis=1)
-    ca, cb = (mua * mra).sum(axis=1), (mub * mrb).sum(axis=1)
-    total = left @ right.T
-    total += ca[:, None]
-    total += cb
+    pqa, ca, mua, ra, mra = _halves(a)
+    if b is a:
+        pa, qa = pqa[:, :2 * l], pqa[:, 2 * l:]
+        x = pa @ qa.T
+        x += ca[:, None]
+        d = x + x.T
 
-    def vjp(g):
-        g = 0.25 * g
-        gl1, gl2, gl3, gl4 = np.split(g @ right, 4, axis=1)
-        gr1, gr2, gr3, gr4 = np.split(g.T @ left, 4, axis=1)
-        gca, gcb = g.sum(axis=1)[:, None], g.sum(axis=0)[:, None]
-        return (2.0 * mua * gl1 + gl3 + ra * gl4 + 2.0 * mra * gca,
-                gl1 - ra * (ra * gl2 + mra * gl4) - mra * mra * gca,
-                2.0 * mub * gr2 - 2.0 * rb * gr3 - 2.0 * gr4 + 2.0 * mrb * gcb,
-                gr2 - rb * (rb * gr1 - 2.0 * mrb * gr3) - mrb * mrb * gcb)
-    return ad._make(0.25 * total - l / 2.0, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl",
-                    vjp)
+        def vjp(g):
+            gs = g + g.T
+            gs *= 0.125  # 0.25 from D, halved between the two input pairs
+            grads = _halves_vjp(mua, ra, mra, gs @ qa, gs @ pa, gs.sum(axis=1))
+            return grads + grads
+    else:
+        pqb, cb, mub, rb, mrb = _halves(b)
+        qpb = np.concatenate([pqb[:, 2 * l:], pqb[:, :2 * l]], axis=1)
+        d = pqa @ qpb.T
+        d += ca[:, None]
+        d += cb
+
+        def vjp(g):
+            g = 0.25 * g
+            ga, gb = g @ qpb, g.T @ pqa  # at [P_a, Q_a] and at [Q_b, P_b]
+            return (_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], g.sum(axis=1))
+                    + _halves_vjp(mub, rb, mrb, gb[:, 2 * l:], gb[:, :2 * l], g.sum(axis=0)))
+    d *= 0.25
+    d -= l / 2.0
+    return ad._make(d, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl", vjp)
 
 
 def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:

@@ -138,37 +138,49 @@ def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str) -> Tensor
     return pairwise_sq_euclidean(a.mu, b.mu)
 
 
+def _codes(items, codes: dict) -> np.ndarray:
+    """Each item's integer code in `codes`, adding unseen items with the next code."""
+    return np.array([codes.setdefault(x, len(codes)) for x in items], dtype=np.intp)
+
+
 def _masks(tags: tuple[str, ...]):
-    t = np.asarray(tags, dtype=object)
-    same = t[:, None] == t[None, :]
+    """(same tag and not the diagonal, not the diagonal) masks over token pairs."""
+    t = _codes(tags, {})
     offdiag = ~np.eye(len(tags), dtype=bool)
-    return same & offdiag, offdiag
+    pos = t[:, None] == t
+    pos &= offdiag
+    return pos, offdiag
 
 
-def _anchor_terms(d: Tensor, anchors, pos: np.ndarray, candidates: np.ndarray,
-                  variant: str) -> Tensor:
+def _anchor_terms(d: Tensor, anchors: Optional[np.ndarray], pos: np.ndarray,
+                  candidates: np.ndarray, variant: str) -> Tensor:
     """Contrastive term of each anchor row of the distance matrix d, as one node.
 
-    `anchors` are distinct row indices; `pos` and `candidates` are boolean
-    masks of d's shape, and every anchor needs a positive.  With weights
-    e^-d over an anchor's candidates, OCL is -log(mean positive weight / all
-    weights) and ICL is the mean over the positives of -log(positive weight
-    / all weights).
+    `anchors` are distinct row indices, or None for every row in order;
+    `pos` and `candidates` are boolean masks of d's shape, and every anchor
+    needs a positive.  With weights e^-d over an anchor's candidates, OCL is
+    -log(mean positive weight / all weights) and ICL is the mean over the
+    positives of -log(positive weight / all weights).
     """
-    rows = d.data[anchors]
-    pos = pos[anchors]
-    lse_all, p_all = ad._masked_logsumexp(-rows, candidates[anchors])
+    if anchors is None:
+        neg = -d.data
+    else:
+        neg, pos, candidates = -d.data[anchors], pos[anchors], candidates[anchors]
+    lse_all, p_all = ad._masked_logsumexp(neg, candidates)
     n_pos = pos.sum(axis=1).astype(float)
     if variant == VARIANT_ICL:
-        posf = pos.astype(float)
-        terms = (rows * posf).sum(axis=1) * (1.0 / n_pos) + lse_all
-        row_grad = posf / n_pos[:, None] - p_all
+        row_grad = pos.astype(float)
+        terms = (row_grad * neg).sum(axis=1) * (-1.0 / n_pos) + lse_all
+        row_grad /= n_pos[:, None]
+        row_grad -= p_all
     else:
-        lse_pos, p_pos = ad._masked_logsumexp(-rows, pos)
+        lse_pos, row_grad = ad._masked_logsumexp(neg, pos)
         terms = lse_all - lse_pos + np.log(n_pos)
-        row_grad = p_pos - p_all
+        row_grad -= p_all
 
     def vjp(g):
+        if anchors is None:
+            return (g[:, None] * row_grad,)
         full = np.zeros_like(d.data)
         full[anchors] = g[:, None] * row_grad
         return (full,)
@@ -215,7 +227,8 @@ def context_context_loss(batch: BatchView, config: LossConfig) -> LossValue:
         return LossValue(Tensor(0.0), warned=True)
 
     d = _pairwise(batch.embeddings, batch.embeddings, config.metric)
-    per_anchor = _anchor_terms(d, usable, pos, offdiag, config.loss_variant)
+    per_anchor = _anchor_terms(d, None if usable.size == n else usable, pos, offdiag,
+                               config.loss_variant)
     return LossValue(ad.tmean(per_anchor), n_anchors=usable.size)
 
 
@@ -232,14 +245,16 @@ def context_label_loss(batch: BatchView, config: LossConfig) -> LossValue:
         return LossValue(Tensor(0.0), warned=True)
     if batch.label_reps is None:
         raise ValueError("batch has no label representatives")
-    own = batch.sentence_index[:, None] == batch.rep_sentence[None, :]
-    token_class = np.asarray([t if t == "O" else t[2:] for t in batch.tags], dtype=object)
-    gold = own & (token_class[:, None] == np.asarray(batch.rep_class, dtype=object)[None, :])
+    own = batch.sentence_index[:, None] == batch.rep_sentence
+    codes: dict[str, int] = {}
+    rep_code = _codes(batch.rep_class, codes)
+    token_class = [t if t == "O" else t[2:] for t in batch.tags]
+    gold = own & (_codes(token_class, codes)[:, None] == rep_code)
     missing = np.nonzero(~gold.any(axis=1))[0]
     if missing.size:
         raise ValueError(f"gold class {token_class[missing[0]]!r} has no label representative")
     d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric), 1.0 / config.tau)
-    terms = _anchor_terms(d, np.arange(batch.n_tokens), gold, own, VARIANT_ICL)
+    terms = _anchor_terms(d, None, gold, own, VARIANT_ICL)
     return LossValue(ad.tmean(terms), n_anchors=batch.n_tokens)
 
 

@@ -114,18 +114,28 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        # in place, in the operation order of
+        #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        #   update = lr (m / bc1) / (sqrt(v / bc2) + eps) [+ lr wd p]
+        update, tmp = np.empty_like(p.data), np.empty_like(p.data)
+        m *= state.beta1
+        m += np.multiply(g, 1 - state.beta1, out=tmp)
+        v *= state.beta2
+        np.multiply(g, 1 - state.beta2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        tmp += state.eps
+        np.divide(m, bc1, out=update)
+        update *= state.lr
+        update /= tmp
         if state.weight_decay and not state.excluded(name):
-            update = update + state.lr * state.weight_decay * p.data
+            update += np.multiply(p.data, state.lr * state.weight_decay, out=tmp)
         p.data = p.data - update
 
 
@@ -289,26 +299,26 @@ def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, loss_config
     return mixed_loss(batch, loss_config)
 
 
-def _step(ckpt: Checkpoint, out: MixedLoss, opt: OptimizerState, step: int,
-          nonfinite: str) -> LogEntry:
-    """Backpropagate a batch loss and take one AdamW step on every parameter.
-
-    A non-finite loss raises NumericError with `nonfinite`, formatted with
-    `step` and `loss`, before any parameter changes.
-    """
+def _log_entry(out: MixedLoss, step: int, nonfinite: str) -> LogEntry:
+    """The log entry of a batch loss; a non-finite loss raises NumericError
+    with `nonfinite`, formatted with `step` and `loss`."""
     loss = out.item()
     if not math.isfinite(loss):
         raise NumericError(nonfinite.format(step=step, loss=loss))
-    for p in ckpt.params.values():
-        p.zero_grad()
-    out.total.backward(leaves=list(ckpt.params.values()))
-    adamw_step(ckpt.params, opt)
     return LogEntry(
         step=step, loss=loss,
         context_context=None if out.context_context is None
         else out.context_context.value.item(),
         context_label=None if out.context_label is None
         else out.context_label.value.item())
+
+
+def _update(ckpt: Checkpoint, out: MixedLoss, opt: OptimizerState) -> None:
+    """Backpropagate a batch loss and take one AdamW step on every parameter."""
+    for p in ckpt.params.values():
+        p.zero_grad()
+    out.total.backward(leaves=list(ckpt.params.values()))
+    adamw_step(ckpt.params, opt)
 
 
 def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: LabelMap,
@@ -355,8 +365,10 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
             batch_sents = [sentences[i] for i in order[lo:lo + config.batch_size]]
             out = _batch_loss(ckpt, batch_sents, prompt, loss_config, dropout_rng,
                               subsample_rng, config.max_len)
-            log.append(_step(ckpt, out, opt, len(log),
-                             "non-finite training loss at step {step}: {loss}"))
+            log.append(_log_entry(out, len(log),
+                                  "non-finite training loss at step {step}: {loss}"))
+            _update(ckpt, out, opt)
+            del out  # the spent graph, which would otherwise live beside the next one
     return ckpt, log
 
 
@@ -385,10 +397,11 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
              config: TrainConfig) -> tuple[Checkpoint, FinetuneResult]:
     """Adapt a source checkpoint to a target label set on one support batch.
 
-    The loop runs whole-support gradient steps and stops as soon as the loss
-    exceeds the previous iteration's value, or at the iteration cap.  As
-    written the post-increase parameters are returned; `keep_best` returns
-    the snapshot from just before the triggering update instead.
+    Each iteration evaluates the loss on the whole support batch.  The loop
+    stops, without updating, at the first loss above the previous one; any
+    other iteration takes one gradient step, up to the iteration cap.  The
+    parameters the risen loss was computed at are returned; `keep_best`
+    returns the snapshot from just before the update that raised it instead.
     """
     if not support:
         raise DataError("support set is empty")
@@ -406,14 +419,15 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
     while True:
         out = _batch_loss(ckpt, support, prompt, loss_config, dropout_rng,
                           subsample_rng, config.max_len)
-        # the parameters the loss was computed at, before this step updates them
-        if config.keep_best and out.item() < min(trace, default=math.inf):
-            best = {k: p.data.copy() for k, p in ckpt.params.items()}
-        log.append(_step(ckpt, out, opt, len(log),
-                         "non-finite fine-tuning loss at iteration {step}"))
+        log.append(_log_entry(out, len(log), "non-finite fine-tuning loss at iteration {step}"))
         trace.append(log[-1].loss)
         if len(trace) > 1 and trace[-1] > trace[-2]:
             break
+        # the parameters the loss was computed at, before this step updates them
+        if config.keep_best and trace[-1] < min(trace[:-1], default=math.inf):
+            best = {k: p.data.copy() for k, p in ckpt.params.items()}
+        _update(ckpt, out, opt)
+        del out  # the spent graph, which would otherwise live beside the next one
         if len(trace) >= config.max_finetune_iters:
             hit_cap = True
             break

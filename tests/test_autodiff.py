@@ -291,3 +291,19 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(run_backward):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_a_gradient_handed_to_two_inputs_is_not_written_into():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=3), requires_grad=True)
+    y = Tensor(rng.normal(size=3), requires_grad=True)
+    w = rng.normal(size=3)
+    # add's VJP hands one buffer to x and y, and runs before square's, so
+    # that buffer is x's first gradient when square's arrives
+    s = ad.add(x, y)
+    sq = ad.square(x)
+    root = ad.tsum(ad.mul(ad.add(sq, s), Tensor(w)))
+    root.backward()
+    np.testing.assert_array_equal(y.grad, w)
+    np.testing.assert_allclose(x.grad, w + 2.0 * x.data * w, rtol=1e-15)
+    assert [t.grad for t in (s, sq, root)] == [None, None, None]

@@ -310,3 +310,22 @@ def test_pairwise_symkl_rejects_invalid_inputs():
         gs.pairwise_symkl(emb([[np.nan, 1.0]], [[1.0, 1.0]]), good)
     with pytest.raises(ad.ShapeError):
         gs.pairwise_symkl(good, emb([[0.0]], [[1.0]]))
+
+
+def test_pairwise_symkl_of_an_embedding_with_itself_is_symmetric_and_matches_two_copies():
+    mu, s2 = random_parts(17, n_a=7, l=6)[:2]
+    weights = np.random.default_rng(18).normal(size=(7, 7))
+    leaves = [Tensor(mu, requires_grad=True), Tensor(s2, requires_grad=True)]
+    a = GaussianEmbedding(*leaves)
+    d = gs.pairwise_symkl(a, a)
+    ad.tsum(ad.mul(d, Tensor(weights))).backward()
+    np.testing.assert_array_equal(d.data, d.data.T)
+
+    # the general path, on distinct tensors holding the same values
+    copies = [Tensor(x.copy(), requires_grad=True) for x in (mu, s2, mu, s2)]
+    d_ref = gs.pairwise_symkl(GaussianEmbedding(*copies[:2]), GaussianEmbedding(*copies[2:]))
+    ad.tsum(ad.mul(d_ref, Tensor(weights))).backward()
+    np.testing.assert_allclose(d.data, d_ref.data, rtol=0, atol=1e-12 * np.abs(d_ref.data).max())
+    for leaf, ref_a, ref_b in zip(leaves, copies[:2], copies[2:]):
+        want = ref_a.grad + ref_b.grad
+        np.testing.assert_allclose(leaf.grad, want, rtol=0, atol=1e-12 * np.abs(want).max())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fewtag import autodiff as ad
 from fewtag import losses as ls
@@ -341,3 +343,33 @@ def test_each_loss_builds_one_distance_matrix_and_one_kernel_node(monkeypatch):
     made.clear()
     anchor_loss_in(0, batch, LossConfig())
     assert made == ["pairwise_symkl", "anchor_terms", "reshape"]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(["O", "I-A", "I-B", "I-C"]), min_size=1, max_size=12))
+@example(["I-A"])
+@example(["O", "O", "O", "O"])
+def test_integer_coded_masks_equal_the_string_comparison(tags):
+    pos, offdiag = ls._masks(tuple(tags))
+    t = np.asarray(tags, dtype=object)
+    want_offdiag = ~np.eye(len(tags), dtype=bool)
+    np.testing.assert_array_equal(offdiag, want_offdiag)
+    np.testing.assert_array_equal(pos, (t[:, None] == t[None, :]) & want_offdiag)
+
+
+@pytest.mark.parametrize("variant", [ls.VARIANT_OCL, ls.VARIANT_ICL])
+def test_all_rows_anchor_terms_equal_the_explicit_rows_bitwise(variant):
+    rng = np.random.default_rng(31)
+    values = rng.uniform(0.0, 4.0, size=(6, 6))
+    pos, offdiag = ls._masks(("O", "I-A", "O", "I-A", "O", "I-B"))
+    pos[5, 2] = True  # every anchor needs a positive
+    weights = rng.normal(size=6)
+
+    def run(anchors):
+        d = Tensor(values, requires_grad=True)
+        terms = ls._anchor_terms(d, anchors, pos, offdiag, variant)
+        ad.tsum(ad.mul(terms, Tensor(weights))).backward()
+        return terms.data, d.grad
+
+    for got, want in zip(run(None), run(np.arange(6))):
+        np.testing.assert_array_equal(got, want)

@@ -180,10 +180,11 @@ class TestFinetune:
                                  TrainConfig(**{**config.__dict__, "keep_best": keep_best}))
         trace = result.loss_trace
         assert not result.hit_cap and len(trace) >= 3 and trace[-1] > trace[-2]
-        assert len(before) == len(trace)
-        # update -2 raised the loss from trace[-2] to trace[-1]; the loop
-        # still takes update -1 before it stops
-        expected = before[-2] if keep_best else after[-1]
+        assert result.iterations == len(trace) == len(result.log)
+        # the last update raised the loss from trace[-2] to trace[-1], and the
+        # loop stops on that evaluation without updating again
+        assert len(before) == len(after) == len(trace) - 1
+        expected = before[-1] if keep_best else after[-1]
         for k, p in tuned.params.items():
             np.testing.assert_array_equal(p.data, expected[k])
 
