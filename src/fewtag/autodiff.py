@@ -421,33 +421,52 @@ def masked_row_logsumexp(a: Tensor, mask) -> Tensor:
 # -- gradient checking -----------------------------------------------------
 
 
-def finite_diff_check(fn: Callable[[Tensor], Tensor], point: np.ndarray,
-                      step: float = 1e-5) -> float:
+def finite_diff_check(fn: Callable[[Tensor], Tensor | tuple[Tensor, ...]],
+                      point: np.ndarray, step: float = 1e-5) -> float | tuple[float, ...]:
     """Max relative error between autodiff and central finite differences.
 
-    `fn` must map a Tensor to a scalar Tensor deterministically.  Relative
-    error per coordinate is |analytic - numeric| / max(1, |numeric|).
+    `fn` must map a Tensor deterministically to a scalar Tensor or to a
+    tuple of scalar Tensors.  Relative error per coordinate is
+    |analytic - numeric| / max(1, |numeric|); the result is its max over
+    coordinates, one float per output (a tuple for a tuple `fn`).  Each
+    perturbed point is evaluated once for every output; each output's
+    gradient comes from a fresh graph of `fn`.  Raises FloatingPointError
+    when an output, an autodiff gradient or a finite difference is not finite.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     point = np.asarray(point, dtype=np.float64)
 
-    x = Tensor(point.copy(), requires_grad=True)
-    out = fn(x)
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("fn produced non-finite output")
-    out.backward(leaves=[x])
-    analytic = x.grad.ravel()
+    def gradient(k: int):
+        x = Tensor(point.copy(), requires_grad=True)
+        outs = fn(x)
+        out = outs[k] if isinstance(outs, tuple) else outs
+        if not np.all(np.isfinite(out.data)):
+            raise FloatingPointError("fn produced non-finite output")
+        out.backward(leaves=[x])
+        if not np.all(np.isfinite(x.grad)):
+            raise FloatingPointError("autodiff produced a non-finite gradient")
+        return x.grad.ravel(), outs
+
+    grad, outs = gradient(0)
+    single = not isinstance(outs, tuple)
+    n_out = 1 if single else len(outs)
+    analytic = [grad] + [gradient(k)[0] for k in range(1, n_out)]
+
+    def values(flat_point: np.ndarray) -> np.ndarray:
+        outs = fn(Tensor(flat_point.reshape(point.shape)))
+        return np.array([o.item() for o in ((outs,) if single else outs)])
 
     flat = point.ravel()
-    numeric = np.empty_like(flat)
+    numeric = np.empty((n_out, flat.size))
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + step
-        hi = fn(Tensor(bumped.reshape(point.shape))).item()
+        hi = values(bumped)
         bumped[i] = flat[i] - step
-        lo = fn(Tensor(bumped.reshape(point.shape))).item()
-        numeric[i] = (hi - lo) / (2.0 * step)
+        numeric[:, i] = (hi - values(bumped)) / (2.0 * step)
     if not np.all(np.isfinite(numeric)):
         raise FloatingPointError("finite differences produced non-finite values")
-    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
+    errors = tuple(float(np.max(np.abs(a - num) / np.maximum(1.0, np.abs(num))))
+                   for a, num in zip(analytic, numeric))
+    return errors[0] if single else errors

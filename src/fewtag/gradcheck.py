@@ -2,7 +2,10 @@
 
 Builds small random batches, routes them through the projection heads and
 each loss, and compares autodiff gradients with central finite differences
-taken with respect to the token hidden states.  Used by the command-line
+taken with respect to the token hidden states.  One `finite_diff_check`
+call per batch checks all five loss forms: each perturbed point is
+projected once, and one `mixed_loss` gives the context-context and
+context-label losses as well as their mixture.  Used by the command-line
 `gradcheck` subcommand and by the test suite.
 """
 
@@ -14,7 +17,9 @@ import numpy as np
 
 from .autodiff import Tensor, finite_diff_check
 from .gaussian import GaussianEmbedding, init_projection_params, project
-from .losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_out,
+# context_context_loss and context_label_loss are not called here, but stay
+# module globals: bench/tracer.py patches them in this module's namespace.
+from .losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_out,  # noqa: F401
                      context_context_loss, context_label_loss, mixed_loss)
 from .rngutil import make_rng
 
@@ -57,6 +62,10 @@ def _random_case(rng, d, classes):
 
 def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
                   tolerance: float = 1e-4, step: float = 1e-5) -> GradcheckReport:
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be at least 1, got {n_batches}")
+    if tolerance <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     classes = ("A", "B", "C")
     class_order = classes + ("O",)
     ocl = LossConfig(loss_variant="ocl")
@@ -68,27 +77,23 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
         hidden, tags, rep_hidden = _random_case(rng, d, classes)
         proj = init_projection_params(d=d, l=l, seed=seed + b)
         n = hidden.shape[0]
-        reps = None  # this batch's representatives, once the first check needs them
+        reps = None  # this batch's representatives, once the first evaluation needs them
 
-        def view(x: Tensor) -> BatchView:
+        def losses(x: Tensor) -> tuple[Tensor, ...]:  # in CHECK_NAMES order
             nonlocal reps
             if reps is None:  # independent of x: projected once, as constants with no graph
                 g = project(proj, Tensor(rep_hidden))
                 reps = GaussianEmbedding(Tensor(g.mu.data), Tensor(g.sigma2.data))
-            return BatchView(embeddings=project(proj, x), tags=tags,
-                             sentence_index=np.zeros(n, dtype=int), label_reps=reps,
-                             rep_sentence=np.zeros(len(class_order), dtype=int),
-                             rep_class=class_order)
+            v = BatchView(embeddings=project(proj, x), tags=tags,
+                          sentence_index=np.zeros(n, dtype=int), label_reps=reps,
+                          rep_sentence=np.zeros(len(class_order), dtype=int),
+                          rep_class=class_order)
+            m = mixed_loss(v, icl)
+            return (anchor_loss_in(0, v, ocl), anchor_loss_out(0, v, icl),
+                    m.context_context.value, m.context_label.value, m.total)
 
-        checks = {
-            "anchor_original": lambda x: anchor_loss_in(0, view(x), ocl),
-            "anchor_improved": lambda x: anchor_loss_out(0, view(x), icl),
-            "context_context": lambda x: context_context_loss(view(x), icl).value,
-            "context_label": lambda x: context_label_loss(view(x), icl).value,
-            "mixed": lambda x: mixed_loss(view(x), icl).total,
-        }
-        for name, fn in checks.items():
-            err = finite_diff_check(fn, hidden, step=step)
+        errors = finite_diff_check(losses, hidden, step=step)
+        for name, err in zip(CHECK_NAMES, errors):
             max_errors[name] = max(max_errors[name], err)
 
     return GradcheckReport(max_errors=max_errors, tolerance=tolerance,

@@ -111,6 +111,48 @@ def test_finite_diff_quadratic():
     assert err <= 1e-8
 
 
+def test_finite_diff_single_output_gives_a_float():
+    err = ad.finite_diff_check(lambda x: ad.tsum(ad.square(x)), np.array([1.0, 2.0]))
+    assert type(err) is float
+
+
+def test_finite_diff_tuple_outputs_give_the_errors_of_one_call_each():
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(5, 4))
+    x0 = rng.normal(size=(3, 5))
+    fns = (lambda x: ad.tsum(ad.softplus(ad.matmul(x, Tensor(w)))),
+           lambda x: ad.tsum(ad.square(ad.row_softmax(x))),
+           lambda x: ad.tsum(ad.exp(x)))
+    shared = ad.finite_diff_check(lambda x: tuple(f(x) for f in fns), x0)
+    separate = tuple(ad.finite_diff_check(f, x0) for f in fns)
+    assert shared == separate
+    assert all(err > 0.0 for err in shared)  # the comparison is not vacuous
+
+
+def _sum_with_vjp(x: Tensor, vjp_value: float) -> Tensor:
+    """sum(x) as a node whose VJP gives every input `vjp_value` * g."""
+    return ad._make(np.asarray(x.data.sum()), (x,), "sum_with_vjp",
+                    lambda g: (np.full(x.shape, vjp_value * g),))
+
+
+def test_finite_diff_a_wrong_gradient_shows_on_its_own_output_only():
+    x0 = np.array([0.5, -1.0, 2.0])
+    right, wrong = ad.finite_diff_check(
+        lambda x: (ad.tsum(ad.square(x)), _sum_with_vjp(x, 2.0)), x0)
+    assert right <= 1e-8
+    assert wrong == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_finite_diff_rejects_a_non_finite_autodiff_gradient(multi):
+    def fn(x):
+        nan_grad = _sum_with_vjp(x, np.nan)
+        return (ad.tsum(ad.square(x)), nan_grad) if multi else nan_grad
+
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        ad.finite_diff_check(fn, np.array([1.0, 2.0]))
+
+
 def test_shape_error_names_op_and_shapes():
     with pytest.raises(ad.ShapeError) as exc:
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
