@@ -292,19 +292,13 @@ def row_gather(a: Tensor, indices) -> Tensor:
     return _make(a.data[idx], (a,), "row_gather", vjp)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """The parts stacked along their first axis."""
     if not parts:
         raise ShapeError("concat", ())
-
-    def vjp(g):
-        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            sl[axis] = slice(lo, hi)
-            grads.append(g[tuple(sl)])
-        return grads
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), "concat", vjp)
+    offsets = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _make(np.concatenate([p.data for p in parts]), tuple(parts), "concat",
+                 lambda g: np.split(g, offsets))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -314,21 +314,16 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
     return SupportSample(sentences=selected, counts=dict(counts), overshoot=overshoot)
 
 
-def build_vocab(sentences: Iterable[Sentence], min_count: int = 1,
+def build_vocab(sentences: Iterable[Sentence],
                 label_map: Optional[LabelMap] = None) -> Vocabulary:
-    """Frequency-thresholded vocabulary; label phrase words are always kept."""
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    freq: Counter = Counter()
-    for sent in sentences:
-        freq.update(sent.tokens)
+    """Reserved tokens, then label phrase words, then corpus tokens in sorted order."""
     token_to_id = {tok: i for i, tok in enumerate(RESERVED)}
     if label_map is not None:
         for phrase in label_map.phrases.values():
             for word in phrase.split():
                 if word not in token_to_id:
                     token_to_id[word] = len(token_to_id)
-    for tok, n in sorted(freq.items()):
-        if n >= min_count and tok not in token_to_id:
+    for tok in sorted({tok for sent in sentences for tok in sent.tokens}):
+        if tok not in token_to_id:
             token_to_id[tok] = len(token_to_id)
     return Vocabulary(token_to_id)

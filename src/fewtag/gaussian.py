@@ -24,12 +24,10 @@ from .rngutil import make_rng
 # Added to the softplus output so variances stay strictly positive.
 SIGMA_FLOOR = 1e-6
 
-DEFAULT_EMBED_DIM = 128
-
 
 @dataclass
 class GaussianEmbedding:
-    """mu and diagonal variance; 1-d for a single token, 2-d for a batch."""
+    """mu and diagonal variance, (l,) for one token or (n, l) for a batch."""
 
     mu: Tensor
     sigma2: Tensor
@@ -43,18 +41,15 @@ class GaussianEmbedding:
         return self.mu.shape[-1]
 
 
-def init_projection_params(d: int, l: int = DEFAULT_EMBED_DIM, hidden: int | None = None,
-                           seed: int = 0) -> dict[str, Tensor]:
-    """One hidden layer per head; weights scaled-uniform, biases zero."""
-    hidden = hidden if hidden is not None else d
+def init_projection_params(d: int, l: int, seed: int = 0) -> dict[str, Tensor]:
+    """One hidden layer of width d per head; weights scaled-uniform, biases zero."""
     rng = make_rng(seed, "projection_init")
     params: dict[str, Tensor] = {}
     for head in ("mu", "sigma"):
-        for name, shape in ((f"proj.{head}.w1", (d, hidden)),
-                            (f"proj.{head}.w2", (hidden, l))):
+        for name, shape in ((f"proj.{head}.w1", (d, d)), (f"proj.{head}.w2", (d, l))):
             bound = 1.0 / np.sqrt(shape[0])
             params[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-        params[f"proj.{head}.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
+        params[f"proj.{head}.b1"] = Tensor(np.zeros(d), requires_grad=True)
         params[f"proj.{head}.b2"] = Tensor(np.zeros(l), requires_grad=True)
     return params
 
@@ -66,8 +61,6 @@ def _head(params: dict[str, Tensor], head: str, h: Tensor) -> Tensor:
 
 def project(params: dict[str, Tensor], h: Tensor) -> GaussianEmbedding:
     """Map hidden states (n, d) to Gaussian embeddings (n, l)."""
-    if h.data.ndim == 1:
-        h = ad.reshape(h, (1, -1))
     mu = _head(params, "mu", h)
     raw = _head(params, "sigma", h)
     sigma2 = ad.add(ad.softplus(raw), Tensor(np.full((), SIGMA_FLOOR)))
@@ -100,15 +93,6 @@ def kl(p: GaussianEmbedding, q: GaussianEmbedding) -> Tensor:
 def js(p: GaussianEmbedding, q: GaussianEmbedding) -> Tensor:
     """Symmetrized KL: 0.5 * (KL(p||q) + KL(q||p))."""
     return ad.scale(kl(p, q) + kl(q, p), 0.5)
-
-
-def sq_euclidean(a, b) -> float:
-    """Squared Euclidean distance between two equal-length plain vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError("sq_euclidean", a.shape, b.shape)
-    return float(np.sum((a - b) ** 2))
 
 
 def _halves(g: GaussianEmbedding):

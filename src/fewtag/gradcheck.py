@@ -23,6 +23,9 @@ from .losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_out,  # 
                      context_context_loss, context_label_loss, mixed_loss)
 from .rngutil import make_rng
 
+# central-difference step
+STEP = 1e-5
+
 CHECK_NAMES = ("anchor_original", "anchor_improved", "context_context",
                "context_label", "mixed")
 
@@ -61,7 +64,7 @@ def _random_case(rng, d, classes):
 
 
 def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
-                  tolerance: float = 1e-4, step: float = 1e-5) -> GradcheckReport:
+                  tolerance: float = 1e-4) -> GradcheckReport:
     if n_batches < 1:
         raise ValueError(f"n_batches must be at least 1, got {n_batches}")
     if tolerance <= 0:
@@ -92,7 +95,7 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
             return (anchor_loss_in(0, v, ocl), anchor_loss_out(0, v, icl),
                     m.context_context.value, m.context_label.value, m.total)
 
-        errors = finite_diff_check(losses, hidden, step=step)
+        errors = finite_diff_check(losses, hidden, step=STEP)
         for name, err in zip(CHECK_NAMES, errors):
             max_errors[name] = max(max_errors[name], err)
 

@@ -17,12 +17,14 @@ squared Euclidean distance on the mu projections is used in 1-shot mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import DataError
 from .gaussian import (GaussianEmbedding, pairwise_sq_euclidean, pairwise_symkl,
                        project)
 from .prompt import InputSequence
@@ -47,9 +49,6 @@ class LossConfig:
     tau: float = 1.0
     loss_variant: str = VARIANT_ICL
     metric: str = METRIC_SYMKL
-    use_context_context: bool = True
-    use_context_label: bool = True
-    o_keep_fraction: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -62,10 +61,6 @@ class LossConfig:
         if self.metric not in (METRIC_SYMKL, METRIC_SQEUCLID):
             raise ValueError(f"metric must be {METRIC_SYMKL!r} or {METRIC_SQEUCLID!r}, "
                              f"got {self.metric!r}")
-        if not (self.use_context_context or self.use_context_label):
-            raise ValueError("use_context_context and use_context_label cannot both be false")
-        if not 0.0 < self.o_keep_fraction <= 1.0:
-            raise ValueError(f"o_keep_fraction must be in (0, 1], got {self.o_keep_fraction}")
 
 
 @dataclass
@@ -74,6 +69,8 @@ class BatchView:
 
     The label representatives of every sentence's prompt are stacked into
     one (m, l) embedding, with each row's sentence and class alongside.
+    The tag masks and, per metric, the tokens' distances to each other are
+    computed once per batch and shared by every loss that reads them.
     """
 
     embeddings: GaussianEmbedding          # (n, l)
@@ -83,10 +80,22 @@ class BatchView:
     # (m,) which sentence's prompt each representative came from, and its class
     rep_sentence: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     rep_class: tuple[str, ...] = ()
+    _self_distances: dict[str, Tensor] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_tokens(self) -> int:
         return len(self.tags)
+
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_masks` of the batch's tags."""
+        return _masks(self.tags)
+
+    def self_distance(self, metric: str) -> Tensor:
+        """(n, n) distances between the batch's tokens under `metric`."""
+        if metric not in self._self_distances:
+            self._self_distances[metric] = _pairwise(self.embeddings, self.embeddings, metric)
+        return self._self_distances[metric]
 
     def positive_set(self, p: int) -> list[int]:
         return [q for q, t in enumerate(self.tags) if q != p and t == self.tags[p]]
@@ -123,12 +132,13 @@ def build_batch_view(hiddens: list[Tensor], seqs: list[InputSequence],
         rep_rows.append(ad.row_gather(h, [seq.label_rep_index[c] for c in seq.class_order]))
         rep_sentence += [si] * len(seq.class_order)
         rep_class += seq.class_order
-    if not token_rows:
-        raise ValueError("batch has no valid context tokens")
-    embeddings = project(proj_params, ad.concat(token_rows, axis=0))
+    if not token_rows:  # every sentence has a context token, so O subsampling took them all
+        raise DataError(f"o_keep_fraction={o_keep_fraction} dropped every context token "
+                        f"of a batch of {len(seqs)} sentence(s)")
+    embeddings = project(proj_params, ad.concat(token_rows))
     return BatchView(embeddings=embeddings, tags=tuple(tags),
                      sentence_index=np.asarray(sent_idx),
-                     label_reps=project(proj_params, ad.concat(rep_rows, axis=0)),
+                     label_reps=project(proj_params, ad.concat(rep_rows)),
                      rep_sentence=np.asarray(rep_sentence), rep_class=tuple(rep_class))
 
 
@@ -188,10 +198,10 @@ def _anchor_terms(d: Tensor, anchors: Optional[np.ndarray], pos: np.ndarray,
 
 
 def _one_anchor(p: int, batch: BatchView, variant: str, metric: str) -> Optional[Tensor]:
-    pos, offdiag = _masks(batch.tags)
+    pos, offdiag = batch.masks
     if not pos[p].any():
         return None
-    d = _pairwise(batch.embeddings, batch.embeddings, metric)
+    d = batch.self_distance(metric)
     return ad.reshape(_anchor_terms(d, [p], pos, offdiag, variant), ())
 
 
@@ -221,12 +231,12 @@ def context_context_loss(batch: BatchView, config: LossConfig) -> LossValue:
     n = batch.n_tokens
     if n < 2:
         return LossValue(Tensor(0.0), warned=True)
-    pos, offdiag = _masks(batch.tags)
+    pos, offdiag = batch.masks
     usable = np.nonzero(pos.any(axis=1))[0]
     if usable.size == 0:
         return LossValue(Tensor(0.0), warned=True)
 
-    d = _pairwise(batch.embeddings, batch.embeddings, config.metric)
+    d = batch.self_distance(config.metric)
     per_anchor = _anchor_terms(d, None if usable.size == n else usable, pos, offdiag,
                                config.loss_variant)
     return LossValue(ad.tmean(per_anchor), n_anchors=usable.size)
@@ -271,11 +281,11 @@ class MixedLoss:
 def mixed_loss(batch: BatchView, config: LossConfig) -> MixedLoss:
     """alpha * context-context + (1 - alpha) * context-label.
 
-    Disabled components contribute exactly zero; the weights are not
-    renormalized.
+    A term of weight zero is not computed: alpha = 1 is context-context
+    alone and alpha = 0 context-label alone.
     """
-    cc = context_context_loss(batch, config) if config.use_context_context else None
-    cl = context_label_loss(batch, config) if config.use_context_label else None
+    cc = context_context_loss(batch, config) if config.alpha > 0.0 else None
+    cl = context_label_loss(batch, config) if config.alpha < 1.0 else None
     total = Tensor(0.0)
     if cc is not None:
         total = total + ad.scale(cc.value, config.alpha)

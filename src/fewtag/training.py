@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .autodiff import NumericError, Tensor
 from .data import DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_vocab
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .gaussian import init_projection_params
-from .losses import LossConfig, MixedLoss, build_batch_view, mixed_loss
+from .losses import METRIC_SQEUCLID, LossConfig, MixedLoss, build_batch_view, mixed_loss
 from .prompt import assemble_input, build_label_prompt
 from .rngutil import make_rng
 
@@ -53,63 +53,52 @@ class TrainConfig:
     shot_mode: str = SHOT_MODE_K
     max_finetune_iters: int = 200
     keep_best: bool = False
-    use_context_context: bool = True
-    use_context_label: bool = True
 
     def __post_init__(self):
         for name in ("lr", "batch_size", "epochs", "max_len", "embed_dim", "tau",
                      "max_finetune_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 < self.o_keep_fraction <= 1.0:
+            raise ValueError(f"o_keep_fraction must be in (0, 1], got {self.o_keep_fraction}")
         if self.shot_mode not in (SHOT_MODE_K, SHOT_MODE_1):
             raise ValueError(f"shot_mode must be {SHOT_MODE_K!r} or {SHOT_MODE_1!r}, "
                              f"got {self.shot_mode!r}")
         # the loss settings as given, whichever the shot mode, so a bad one
         # fails here and not when training starts
-        LossConfig(alpha=self.alpha, tau=self.tau, loss_variant=self.loss_variant,
-                   metric=self.metric, use_context_context=self.use_context_context,
-                   use_context_label=self.use_context_label,
-                   o_keep_fraction=self.o_keep_fraction)
+        self.loss_config()
 
     def loss_config(self) -> LossConfig:
+        config = LossConfig(alpha=self.alpha, tau=self.tau, loss_variant=self.loss_variant,
+                            metric=self.metric)
         if self.shot_mode == SHOT_MODE_1:
-            # context-label only, squared Euclidean, full weight on the label loss
-            return LossConfig(alpha=0.0, tau=self.tau, loss_variant=self.loss_variant,
-                              metric="sqeuclid", use_context_context=False,
-                              use_context_label=True,
-                              o_keep_fraction=self.o_keep_fraction)
-        return LossConfig(alpha=self.alpha, tau=self.tau, loss_variant=self.loss_variant,
-                          metric=self.metric,
-                          use_context_context=self.use_context_context,
-                          use_context_label=self.use_context_label,
-                          o_keep_fraction=self.o_keep_fraction)
+            # context-label only, on squared Euclidean distance
+            return replace(config, alpha=0.0, metric=METRIC_SQEUCLID)
+        return config
 
 
 # -- optimizer -------------------------------------------------------------
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator guard
+DECAY_EXCLUDE = ("norm", "bias")  # name substrings excluded from decay
 
 
 @dataclass
 class OptimizerState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
-    # name substrings excluded from decay (norm layers and biases)
-    decay_exclude: tuple[str, ...] = ("norm", "bias")
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def excluded(self, name: str) -> bool:
-        return any(pat in name for pat in self.decay_exclude)
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """Decoupled-decay update in place; decay skips excluded parameters."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -124,22 +113,30 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
         #   update = lr (m / bc1) / (sqrt(v / bc2) + eps) [+ lr wd p]
         update, tmp = np.empty_like(p.data), np.empty_like(p.data)
-        m *= state.beta1
-        m += np.multiply(g, 1 - state.beta1, out=tmp)
-        v *= state.beta2
-        np.multiply(g, 1 - state.beta2, out=tmp)
+        m *= BETA1
+        m += np.multiply(g, 1 - BETA1, out=tmp)
+        v *= BETA2
+        np.multiply(g, 1 - BETA2, out=tmp)
         v += np.multiply(tmp, g, out=tmp)
         np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-        tmp += state.eps
+        tmp += EPS
         np.divide(m, bc1, out=update)
         update *= state.lr
         update /= tmp
-        if state.weight_decay and not state.excluded(name):
+        if state.weight_decay and not any(pat in name for pat in DECAY_EXCLUDE):
             update += np.multiply(p.data, state.lr * state.weight_decay, out=tmp)
         p.data = p.data - update
 
 
-# -- checkpoints -------------------------------------------------------------
+# -- parameters and checkpoints ----------------------------------------------
+
+
+def init_params(config: EncoderConfig, embed_dim: int) -> dict[str, Tensor]:
+    """Fresh encoder and projection-head parameters, both drawn from `config.seed`."""
+    params = init_encoder_params(config)
+    params.update(init_projection_params(d=config.d, l=embed_dim, seed=config.seed))
+    return params
+
 
 CHECKPOINT_MAGIC = b"FEWTAG\x00\x01"
 # v1 kept per-head attention weights `layer{i}.attn.{q,k,v}{h}.{w,bias}`;
@@ -245,6 +242,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         enc_cfg = EncoderConfig(**meta["encoder_config"])
         if version == 1:
             _fuse_v1_heads(params, enc_cfg, path)
+        _check_tensors(params, enc_cfg, meta["embed_dim"], path)
         return Checkpoint(encoder_config=enc_cfg, params=params,
                           vocab=Vocabulary(meta["vocab"]),
                           label_map=LabelMap(meta["label_map"]),
@@ -270,6 +268,21 @@ def _fuse_v1_heads(params: dict[str, Tensor], config: EncoderConfig, path: str) 
                 params[f"layer{i}.attn.{kind}.{part}"] = Tensor(fused, requires_grad=True)
 
 
+def _check_tensors(params: dict[str, Tensor], config: EncoderConfig, embed_dim: int,
+                   path: str) -> None:
+    """CheckpointError naming `path` and a tensor that a model of this
+    encoder config and embedding dimension would lack, or hold in another shape."""
+    want = {name: t.shape for name, t in init_params(config, embed_dim).items()}
+    for name in sorted(want.keys() | params.keys()):
+        if name not in params:
+            raise CheckpointError(f"{path}: checkpoint lacks tensor {name}")
+        if name not in want:
+            raise CheckpointError(f"{path}: unexpected tensor {name}")
+        if params[name].shape != want[name]:
+            raise CheckpointError(f"{path}: tensor {name} has shape {params[name].shape}, "
+                                  f"the config implies {want[name]}")
+
+
 # -- training loops ----------------------------------------------------------
 
 
@@ -286,17 +299,16 @@ class LogEntry:
         return f"step={self.step} loss={self.loss:.6f} cc={cc} cl={cl}"
 
 
-def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, loss_config,
-                dropout_rng, subsample_rng, max_len: int) -> MixedLoss:
+def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, config: TrainConfig,
+                dropout_rng, subsample_rng) -> MixedLoss:
     # positions past the checkpoint's positional table are truncated away
-    max_len = min(max_len, ckpt.encoder_config.max_len)
+    max_len = min(config.max_len, ckpt.encoder_config.max_len)
     seqs = [assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences]
     hiddens = [encode(ckpt.params, ckpt.encoder_config, s, train_mode=True,
                       rng=dropout_rng) for s in seqs]
     batch = build_batch_view(hiddens, seqs, ckpt.params,
-                             o_keep_fraction=loss_config.o_keep_fraction,
-                             rng=subsample_rng)
-    return mixed_loss(batch, loss_config)
+                             o_keep_fraction=config.o_keep_fraction, rng=subsample_rng)
+    return mixed_loss(batch, config.loss_config())
 
 
 def _log_entry(out: MixedLoss, step: int, nonfinite: str) -> LogEntry:
@@ -344,15 +356,12 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
 
     encoder_config = EncoderConfig(vocab_size=vocab.size, max_len=config.max_len,
                                    seed=config.seed, **(encoder_overrides or {}))
-    params = init_encoder_params(encoder_config)
-    params.update(init_projection_params(d=encoder_config.d, l=config.embed_dim,
-                                         seed=config.seed))
-    ckpt = Checkpoint(encoder_config=encoder_config, params=params, vocab=vocab,
+    ckpt = Checkpoint(encoder_config=encoder_config,
+                      params=init_params(encoder_config, config.embed_dim), vocab=vocab,
                       label_map=label_map, label_set=label_set,
                       embed_dim=config.embed_dim)
 
     prompt = build_label_prompt(label_set, label_map)
-    loss_config = config.loss_config()
     opt = OptimizerState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = make_rng(config.seed, "batch_shuffle")
     dropout_rng = make_rng(config.seed, "dropout")
@@ -363,8 +372,7 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
         order = shuffle_rng.permutation(len(sentences))
         for lo in range(0, len(order), config.batch_size):
             batch_sents = [sentences[i] for i in order[lo:lo + config.batch_size]]
-            out = _batch_loss(ckpt, batch_sents, prompt, loss_config, dropout_rng,
-                              subsample_rng, config.max_len)
+            out = _batch_loss(ckpt, batch_sents, prompt, config, dropout_rng, subsample_rng)
             log.append(_log_entry(out, len(log),
                                   "non-finite training loss at step {step}: {loss}"))
             _update(ckpt, out, opt)
@@ -417,8 +425,7 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
     best: Optional[dict[str, np.ndarray]] = None
     hit_cap = False
     while True:
-        out = _batch_loss(ckpt, support, prompt, loss_config, dropout_rng,
-                          subsample_rng, config.max_len)
+        out = _batch_loss(ckpt, support, prompt, config, dropout_rng, subsample_rng)
         log.append(_log_entry(out, len(log), "non-finite fine-tuning loss at iteration {step}"))
         trace.append(log[-1].loss)
         if len(trace) > 1 and trace[-1] > trace[-2]:
@@ -435,5 +442,5 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
         for k, p in ckpt.params.items():
             p.data = best[k]
     return ckpt, FinetuneResult(loss_trace=trace, iterations=len(trace), hit_cap=hit_cap,
-                                used_context_context=loss_config.use_context_context,
+                                used_context_context=loss_config.alpha > 0.0,
                                 metric=loss_config.metric, log=log)

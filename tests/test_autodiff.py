@@ -246,7 +246,7 @@ PRIMITIVE_CASES = {
     "matmul_batched": lambda x: _weighted_sum(ad.matmul(x, ad.transpose(x))),
     "transpose_batched": lambda x: _weighted_sum(ad.transpose(x)),
     "row_gather": lambda x: ad.tsum(ad.square(ad.row_gather(x, [0, 0, x.shape[0] - 1]))),
-    "concat": lambda x: ad.tsum(ad.square(ad.concat([x, x], axis=0))),
+    "concat": lambda x: ad.tsum(ad.square(ad.concat([x, x]))),
     "masked_lse": lambda x: ad.tsum(ad.masked_row_logsumexp(
         x, np.ones(x.shape, dtype=bool))),
     "add_broadcast": lambda x: ad.tsum(ad.square(ad.add(x, Tensor(np.arange(x.shape[-1]) * 0.1)))),

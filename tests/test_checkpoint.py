@@ -14,6 +14,7 @@ import struct
 import numpy as np
 import pytest
 
+from fewtag.autodiff import Tensor
 from fewtag.cli import main
 from fewtag.data import Sentence
 from fewtag.encoder import encode
@@ -136,6 +137,44 @@ def test_trailing_bytes_rejected(tmp_path):
         path.write_bytes(f.read() + b"\x00")
     with pytest.raises(CheckpointError, match="1 trailing bytes"):
         load_checkpoint(str(path))
+
+
+def _edited_save(tmp_path, edit):
+    """The path of a v2 save of the v1 fixture whose parameters `edit` changed."""
+    ckpt = load_checkpoint(V1_CKPT)
+    edit(ckpt.params)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(ckpt, str(path))
+    return path
+
+
+# how to change a loaded checkpoint's parameters, and what the reload names
+TENSOR_EDITS = {
+    "missing": (lambda params: params.pop("layer0.ff.w1"), "lacks tensor layer0.ff.w1"),
+    "extra": (lambda params: params.update(extra=Tensor(np.zeros(2))),
+              "unexpected tensor extra"),
+    "wrong-shape": (lambda params: params.update({"emb.token": Tensor(np.zeros((3, 8)))}),
+                    r"tensor emb.token has shape \(3, 8\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_EDITS))
+def test_tensors_the_config_does_not_imply_rejected(tmp_path, case):
+    edit, match = TENSOR_EDITS[case]
+    path = _edited_save(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=match) as raised:
+        load_checkpoint(str(path))
+    assert str(path) in str(raised.value)
+
+
+def test_cli_maps_mismatched_tensors_to_data_error(tmp_path, caplog):
+    path = _edited_save(tmp_path, TENSOR_EDITS["missing"][0])
+    conll = tmp_path / "in.conll"
+    conll.write_text("alice\tI-person\n")
+    code = main(["--out", str(tmp_path / "out"), "predict", "--checkpoint", str(path),
+                 "--support", str(conll), "--input", str(conll)])
+    assert code == 3
+    assert "layer0.ff.w1" in caplog.text
 
 
 def test_cli_maps_bad_metadata_to_data_error(tmp_path):

@@ -82,6 +82,8 @@ class TestTrain:
         ("encoder.n_heads=0", "n_heads"),
         ("encoder=[16]", "encoder"),
         ("o_keep_fraction=0", "o_keep_fraction"),
+        ("weight_decay=-0.1", "weight_decay"),
+        ("use_context_context=false", "use_context_context"),
         ("metric=cosine", "metric"),
         ("loss_variant=xyz", "loss_variant"),
         ("embed_dim=abc", "embed_dim"),
@@ -96,6 +98,16 @@ class TestTrain:
         assert code == 2
         assert not out.exists()
         assert key in caplog.text
+
+    def test_o_subsampling_that_empties_a_batch_is_data_error(self, workspace, caplog):
+        tmp_path, train_path, _, _ = workspace
+        corpus = read_conll(str(train_path))
+        write_conll([Sentence(("just", "other", "words"), ("O", "O", "O"))] + corpus,
+                    str(train_path))
+        code, _ = run_train(workspace, "empty", extra=["--set", "batch_size=1",
+                                                       "--set", "o_keep_fraction=0.001"])
+        assert code == 3
+        assert "o_keep_fraction" in caplog.text
 
     def test_snapshot_replay_reproduces_checkpoint(self, workspace):
         tmp_path = workspace[0]

@@ -200,15 +200,9 @@ def test_sampler_properties(case):
 
 
 class TestVocab:
-    def test_min_count_threshold(self):
-        v = build_vocab([Sentence(("a", "a", "b"), ("O", "O", "O"))], min_count=2)
-        assert "a" in v
-        assert "b" not in v
-        assert v.id("b") == v.id("[UNK]")
-
     def test_label_phrase_words_always_present(self):
         lm = LabelMap({"creative-work": "creative work", "O": "other"})
-        v = build_vocab([Sentence(("x",), ("O",))], min_count=5, label_map=lm)
+        v = build_vocab([Sentence(("x",), ("O",))], label_map=lm)
         assert "creative" in v and "work" in v and "other" in v
 
     def test_reserved_ids(self):

@@ -98,24 +98,6 @@ def test_kl_js_gradients_match_finite_differences():
             assert ad.finite_diff_check(loss, point, step=1e-5) <= 1e-4
 
 
-def test_sq_euclidean_basics():
-    assert gs.sq_euclidean([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert gs.sq_euclidean([0.0, 0.0], [3.0, 4.0]) == 25.0
-    with pytest.raises(ad.ShapeError):
-        gs.sq_euclidean([1.0], [1.0, 2.0])
-
-
-def test_sq_euclidean_matches_loop_oracle():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        acc = 0.0
-        for x, y in zip(a, b):
-            acc += (x - y) ** 2
-        assert gs.sq_euclidean(a, b) == pytest.approx(acc, rel=1e-12)
-
-
 def test_pairwise_symkl_matches_per_pair():
     rng = np.random.default_rng(5)
     a = GaussianEmbedding(Tensor(rng.normal(size=(4, 3))),
@@ -137,7 +119,7 @@ def test_pairwise_sq_euclidean_matches_per_pair():
     d = gs.pairwise_sq_euclidean(Tensor(a), Tensor(b)).data
     for i in range(4):
         for j in range(5):
-            assert d[i, j] == pytest.approx(gs.sq_euclidean(a[i], b[j]), abs=1e-9)
+            assert d[i, j] == pytest.approx(np.sum((a[i] - b[j]) ** 2), abs=1e-9)
 
 
 def test_project_variance_positive_and_zero_params():
@@ -149,19 +131,13 @@ def test_project_variance_positive_and_zero_params():
 
     for name, t in params.items():
         t.data[...] = 0.0
-    out = gs.project(params, Tensor(rng.normal(size=6)))
+    out = gs.project(params, Tensor(rng.normal(size=(1, 6))))
     np.testing.assert_allclose(out.mu.data, 0.0)
     np.testing.assert_allclose(out.sigma2.data, np.log(2.0) + gs.SIGMA_FLOOR, atol=1e-12)
 
 
-def test_project_default_dim_is_128():
-    params = gs.init_projection_params(d=16, seed=0)
-    out = gs.project(params, Tensor(np.zeros(16)))
-    assert out.mu.shape[-1] == 128
-
-
 def test_project_gradients_match_finite_differences():
-    params = gs.init_projection_params(d=4, l=3, hidden=5, seed=1)
+    params = gs.init_projection_params(d=4, l=3, seed=1)
     rng = np.random.default_rng(8)
     point = rng.normal(size=(2, 4))
 

@@ -11,7 +11,7 @@ from fewtag.losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_ou
 from fewtag.rngutil import make_rng
 
 
-def _separate_checks(n_batches, seed, d=16, l=8, step=1e-5):
+def _separate_checks(n_batches, seed, d=16, l=8, step=gradcheck.STEP):
     """Max errors of `run_gradcheck`, one `finite_diff_check` call per loss form."""
     classes = ("A", "B", "C")
     class_order = classes + ("O",)

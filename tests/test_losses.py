@@ -187,14 +187,19 @@ class TestMixedLoss:
             LossConfig(alpha=1.5)
         with pytest.raises(ValueError):
             LossConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            LossConfig(use_context_context=False, use_context_label=False)
 
     def test_call_instrumentation(self):
         ls.reset_call_counts()
-        mixed_loss(self.batch(), LossConfig(metric="sqeuclid", use_context_context=False))
+        mixed_loss(self.batch(), LossConfig(metric="sqeuclid", alpha=0.0))
         assert ls.call_counts["context_context"] == 0
         assert ls.call_counts["context_label"] == 1
+
+    def test_call_instrumentation_alpha_one(self):
+        ls.reset_call_counts()
+        out = mixed_loss(self.batch(), LossConfig(metric="sqeuclid", alpha=1.0))
+        assert ls.call_counts["context_context"] == 1
+        assert ls.call_counts["context_label"] == 0
+        assert out.context_label is None
 
 
 LM = LabelMap({"A": "alpha", "B": "beta", "O": "other"})
@@ -209,7 +214,7 @@ def encoded_fixture():
     config = EncoderConfig(vocab_size=vocab.size, d=8, n_layers=1, n_heads=2,
                            dropout=0.0, max_len=14, seed=3)
     enc_params = init_encoder_params(config)
-    proj_params = init_projection_params(d=8, l=4, hidden=6, seed=4)
+    proj_params = init_projection_params(d=8, l=4, seed=4)
     return seqs, config, enc_params, proj_params
 
 
@@ -326,7 +331,6 @@ def test_two_sentence_mixed_loss_gradients_match_finite_differences(variant):
 
 
 def test_each_loss_builds_one_distance_matrix_and_one_kernel_node(monkeypatch):
-    batch = two_sentence_batch(8)
     made = []
     original = ad._make
 
@@ -335,14 +339,22 @@ def test_each_loss_builds_one_distance_matrix_and_one_kernel_node(monkeypatch):
         return original(data, prev, op, vjp)
 
     monkeypatch.setattr(ad, "_make", counting)
-    context_context_loss(batch, LossConfig())
+    context_context_loss(two_sentence_batch(8), LossConfig())
     assert made == ["pairwise_symkl", "anchor_terms", "sum", "scale"]
     made.clear()
-    context_label_loss(batch, LossConfig())
+    context_label_loss(two_sentence_batch(8), LossConfig())
     assert made == ["pairwise_symkl", "scale", "anchor_terms", "sum", "scale"]
     made.clear()
-    anchor_loss_in(0, batch, LossConfig())
+    anchor_loss_in(0, two_sentence_batch(8), LossConfig())
     assert made == ["pairwise_symkl", "anchor_terms", "reshape"]
+    made.clear()
+    # the losses over token pairs share one self-distance matrix per batch
+    batch = two_sentence_batch(8)
+    context_context_loss(batch, LossConfig())
+    anchor_loss_in(0, batch, LossConfig())
+    anchor_loss_out(0, batch, LossConfig())
+    assert made.count("pairwise_symkl") == 1
+    assert made.count("anchor_terms") == 3
 
 
 @settings(max_examples=200)
