@@ -343,45 +343,61 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(y * gain.data + bias.data, (a, gain, bias), "layer_norm", vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled-dot-product self-attention, as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bounds: Sequence[int]) -> Tensor:
+    """Multi-head scaled-dot-product self-attention within segments, as one node.
 
     q, k and v are (L, d) projections; column block h of width d/heads is
-    head h.  Each head's output is softmax(q_h k_h^T / sqrt(d/heads)) v_h,
-    and the heads are concatenated back into (L, d).
+    head h.  Rows bounds[i]:bounds[i + 1] form segment i, which attends only
+    to itself; `bounds` rises strictly from 0 to L.  Each segment's head h
+    output is softmax(q_h k_h^T / sqrt(d/heads)) v_h, and the heads are
+    concatenated back into (L, d).
     """
     if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape
             or heads < 1 or q.shape[1] % heads):
         raise ShapeError("attention", q.shape, k.shape, v.shape, heads)
     L, d = q.shape
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != L or any(
+            lo >= hi for lo, hi in segments):
+        raise ShapeError("attention", q.shape, tuple(bounds))
     dh = d // heads
+    c = 1.0 / np.sqrt(dh)
 
-    def split(m: np.ndarray) -> np.ndarray:  # (L, d) -> (heads, L, dh)
+    def split(m: np.ndarray) -> np.ndarray:  # (L, d) -> (heads, L, dh), a view if m is contiguous
         return m.reshape(L, heads, dh).swapaxes(0, 1)
 
-    def merge(m: np.ndarray) -> np.ndarray:  # (heads, L, dh) -> (L, d)
-        return m.swapaxes(0, 1).reshape(L, d)
-
-    c = 1.0 / np.sqrt(dh)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= c
-    p = _softmax(scores)  # (heads, L, L)
+    out = np.empty_like(q.data)
+    oh = split(out)
+    probs = []  # per segment, (heads, n, n)
+    for lo, hi in segments:
+        scores = qh[:, lo:hi] @ kh[:, lo:hi].swapaxes(-1, -2)
+        scores *= c
+        p = _softmax(scores)
+        oh[:, lo:hi] = p @ vh[:, lo:hi]
+        probs.append(p)
 
     def vjp(g):
         gh = split(g)
-        ds = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
-        return merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
-    return _make(merge(p @ vh), (q, k, v), "attention", vjp)
+        grads = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+        gqh, gkh, gvh = (split(x) for x in grads)
+        for (lo, hi), p in zip(segments, probs):
+            ds = _softmax_grad(p, gh[:, lo:hi] @ vh[:, lo:hi].swapaxes(-1, -2)) * c
+            gqh[:, lo:hi] = ds @ kh[:, lo:hi]
+            gkh[:, lo:hi] = ds.swapaxes(-1, -2) @ qh[:, lo:hi]
+            gvh[:, lo:hi] = p.swapaxes(-1, -2) @ gh[:, lo:hi]
+        return grads
+    return _make(out, (q, k, v), "attention", vjp)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
+def dropout(a: Tensor, rate: float, draws: np.ndarray) -> Tensor:
+    """`a` with each entry whose uniform draw in [0, 1) is below `rate` zeroed
+    and the others scaled by 1 / (1 - rate); `draws` has a's shape."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return a
-    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
-    factor = keep / (1.0 - rate)
+    if draws.shape != a.shape:
+        raise ShapeError("dropout", a.shape, draws.shape)
+    factor = (draws >= rate).astype(a.data.dtype) / (1.0 - rate)
     return _make(a.data * factor, (a,), "dropout", lambda g: (g * factor,))
 
 

@@ -6,6 +6,9 @@ by repeatable --set key=value flags and then by the dedicated flags (--seed,
 --out).  Every run writes a resolved-config snapshot to the output
 directory so it can be reproduced bit-exactly from the snapshot alone:
 `fewtag --config out/resolved_config.json --out replay/ <same subcommand>`.
+Subcommands that load a checkpoint take the model settings (`encoder`,
+`embed_dim`) from it: the snapshot records the checkpoint's, and a value
+given that differs from the checkpoint's is a usage error.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
 (unreadable corpora, label maps, checkpoints), 4 numeric error (non-finite
@@ -150,8 +153,10 @@ def _merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    config = dict(_DEFAULTS)
+def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The full config of a run, and the part of it given explicitly: by the
+    config file, by --set flags or by dedicated flags."""
+    given: dict = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -162,11 +167,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file {args.config} is not valid JSON: {e}")
         if not isinstance(file_config, dict):
             raise UsageError("config file must hold a JSON object")
-        config = _merge(config, file_config)
-    config = _merge(config, _parse_set(args.set or []))
+        given = file_config
+    given = _merge(given, _parse_set(args.set or []))
     for key, value in vars(args).items():
         if key in _DEFAULTS and value is not None:
-            config[key] = value
+            given[key] = value
+    config = _merge(_DEFAULTS, given)
 
     # a resolved-config snapshot names the subcommand it was written by
     snapshot_command = config.pop("command", args.command)
@@ -179,7 +185,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if config["protocol"] not in ("episode", "low-resource"):
         raise UsageError(f"unknown protocol {config['protocol']!r}")
     _check_settings(config)
-    return config
+    return config, given
 
 
 def train_config_from(config: dict) -> TrainConfig:
@@ -196,6 +202,27 @@ def _require(config: dict, command: str, *keys: str) -> None:
     missing = [k for k in keys if not config.get(k)]
     if missing:
         raise UsageError(f"{command} requires: {', '.join(missing)}")
+
+
+def _model_from_checkpoint(config: dict, given: dict):
+    """The checkpoint config["checkpoint"] names; config's model settings
+    (encoder and embed_dim) become the checkpoint's.
+
+    A model setting given explicitly that differs from the checkpoint's is a
+    usage error naming its key.
+    """
+    ckpt = load_checkpoint(config["checkpoint"])
+    encoder = {key: getattr(ckpt.encoder_config, key) for key in _ENCODER_TYPES}
+    differing = [(f"encoder.{key}", value, encoder[key])
+                 for key, value in sorted((given.get("encoder") or {}).items())
+                 if value != encoder[key]]
+    if "embed_dim" in given and given["embed_dim"] != ckpt.embed_dim:
+        differing.append(("embed_dim", given["embed_dim"], ckpt.embed_dim))
+    if differing:
+        raise UsageError("; ".join(f"{key}={value!r} differs from the checkpoint's {own!r}"
+                                   for key, value, own in differing))
+    config["encoder"], config["embed_dim"] = encoder, ckpt.embed_dim
+    return ckpt
 
 
 def _snapshot(config: dict, command: str) -> None:
@@ -223,7 +250,7 @@ def _out_path(config: dict, name: str) -> str:
     return os.path.join(config["out"], name)
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: dict, given: dict) -> int:
     _require(config, "train", "train_corpus", "label_map")
     _snapshot(config, "train")
     sentences = read_conll(config["train_corpus"])
@@ -241,10 +268,10 @@ def cmd_train(config: dict) -> int:
     return 0
 
 
-def cmd_finetune(config: dict) -> int:
+def cmd_finetune(config: dict, given: dict) -> int:
     _require(config, "finetune", "checkpoint", "support")
+    ckpt = _model_from_checkpoint(config, given)
     _snapshot(config, "finetune")
-    ckpt = load_checkpoint(config["checkpoint"])
     support = read_conll(config["support"])
     label_set = _classes_from(support, "target")
     label_map = (load_label_map(config["label_map"], label_set)
@@ -260,10 +287,10 @@ def cmd_finetune(config: dict) -> int:
     return 0
 
 
-def cmd_predict(config: dict) -> int:
+def cmd_predict(config: dict, given: dict) -> int:
     _require(config, "predict", "checkpoint", "support", "input")
+    ckpt = _model_from_checkpoint(config, given)
     _snapshot(config, "predict")
-    ckpt = load_checkpoint(config["checkpoint"])
     support = read_conll(config["support"])
     queries = read_conll(config["input"])
     bank = build_support_bank(ckpt, support, max_len=config["max_len"])
@@ -276,10 +303,10 @@ def cmd_predict(config: dict) -> int:
     return 0
 
 
-def cmd_evaluate(config: dict) -> int:
+def cmd_evaluate(config: dict, given: dict) -> int:
     _require(config, "evaluate", "checkpoint")
+    ckpt = _model_from_checkpoint(config, given)
     _snapshot(config, "evaluate")
-    ckpt = load_checkpoint(config["checkpoint"])
     train_config = train_config_from(config)
     if config["protocol"] == "episode":
         _require(config, "evaluate (episode protocol)", "episodes")
@@ -307,7 +334,7 @@ def cmd_evaluate(config: dict) -> int:
     return 0
 
 
-def cmd_sample(config: dict) -> int:
+def cmd_sample(config: dict, given: dict) -> int:
     _require(config, "sample", "support")
     _snapshot(config, "sample")
     corpus = read_conll(config["support"])
@@ -324,7 +351,7 @@ def cmd_sample(config: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(config: dict) -> int:
+def cmd_gradcheck(config: dict, given: dict) -> int:
     _snapshot(config, "gradcheck")
     report = run_gradcheck(n_batches=config["gradcheck_batches"],
                            seed=config["seed"])
@@ -333,10 +360,10 @@ def cmd_gradcheck(config: dict) -> int:
     return 0 if report.passed else EXIT_NUMERIC
 
 
-def cmd_dump_embeddings(config: dict) -> int:
+def cmd_dump_embeddings(config: dict, given: dict) -> int:
     _require(config, "dump-embeddings", "checkpoint", "input")
+    ckpt = _model_from_checkpoint(config, given)
     _snapshot(config, "dump-embeddings")
-    ckpt = load_checkpoint(config["checkpoint"])
     sentences = read_conll(config["input"])
     path = _out_path(config, "embeddings.tsv")
     n = dump_embeddings(ckpt, sentences, path, max_len=config["max_len"])
@@ -397,8 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
-        return _COMMANDS[args.command](config)
+        config, given = resolve_config(args)
+        return _COMMANDS[args.command](config, given)
     except UsageError as e:
         log.error("usage error: %s", e)
         return EXIT_USAGE

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .prompt import InputSequence
+from .prompt import PackedBatch
 from .rngutil import make_rng
 
 
@@ -94,24 +94,33 @@ def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
     return params
 
 
-def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
+def encode(params: dict[str, Tensor], config: EncoderConfig, batch: PackedBatch,
            train_mode: bool = False,
            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Hidden states of the occupied positions, shape (n_occupied, d).
+    """Hidden states of the batch's rows, shape (n_occupied, d).
 
-    Each layer is one fused multi-head attention over its q/k/v projections
-    and a softplus feed-forward, each followed by a residual add and an
-    affine layer norm.  Dropout is active only in train mode and draws from
-    `rng`.
+    Each layer is one fused multi-head attention, within each sequence, over
+    its q/k/v projections and a softplus feed-forward, each followed by a
+    residual add and an affine layer norm; every other op runs once over
+    all rows.  Dropout is active only in train mode and draws from `rng`
+    sequence by sequence, each sequence's sites in forward order, so a pack
+    draws the same masks as its sequences encoded one at a time.
     """
-    ids = seq.token_ids
+    ids = batch.token_ids
     if ids.max() >= config.vocab_size or ids.min() < 0:
         raise ValueError(f"token id out of range for vocab size {config.vocab_size}")
-    if train_mode and config.dropout > 0 and rng is None:
-        raise ValueError("train-mode encoding needs a dropout rng")
+    masks = None
+    if train_mode and config.dropout > 0:
+        if rng is None:
+            raise ValueError("train-mode encoding needs a dropout rng")
+        sites = 1 + 2 * config.n_layers
+        draws = [rng.random((n, config.d)) for n in np.diff(batch.bounds)
+                 for _ in range(sites)]
+        masks = iter([np.concatenate(draws[site::sites]) for site in range(sites)])
+        del draws
 
     def drop(x: Tensor) -> Tensor:
-        return ad.dropout(x, config.dropout, rng, train=train_mode)
+        return x if masks is None else ad.dropout(x, config.dropout, next(masks))
 
     def attn_proj(x: Tensor, name: str) -> Tensor:
         return ad.linear(x, params[f"{name}.w"], params[f"{name}.bias"])
@@ -120,13 +129,13 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, seq: InputSequence,
         return ad.layer_norm(x, params[f"{prefix}.norm_gain"], params[f"{prefix}.norm_bias"])
 
     x = ad.add(ad.row_gather(params["emb.token"], ids),
-               ad.row_gather(params["emb.pos"], np.arange(len(ids))))
+               ad.row_gather(params["emb.pos"], batch.positions))
     x = drop(norm(x, "emb"))
 
     for i in range(config.n_layers):
         p = f"layer{i}"
         q, k, v = (attn_proj(x, f"{p}.attn.{kind}") for kind in "qkv")
-        attn = attn_proj(ad.attention(q, k, v, config.n_heads), f"{p}.attn.out")
+        attn = attn_proj(ad.attention(q, k, v, config.n_heads, batch.bounds), f"{p}.attn.out")
         x = norm(ad.add(x, drop(attn)), f"{p}.attn")
 
         hid = ad.softplus(ad.linear(x, params[f"{p}.ff.w1"], params[f"{p}.ff.bias1"]))

@@ -9,22 +9,25 @@ bank row index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator
 
 import numpy as np
 
 from .data import (DataError, Episode, LabelSet, Sentence, greedy_sample_support,
                    tag_class)
 from .encoder import encode
-from .prompt import assemble_input, build_label_prompt
+from .prompt import assemble_input, build_label_prompt, pack
 from .training import Checkpoint, TrainConfig, finetune
 
 
 # Upper bound on the (queries, bank rows, d) difference block nn_decode
 # builds at once: 2 MB of float64, which stays in cache.
 NN_CHUNK_ELEMENTS = 1 << 18
+
+# Upper bound on the rows one eval-mode encoder pass packs: until its hidden
+# states are read, the pass's graph holds every intermediate of the pack.
+PACK_ROWS = 512
 
 
 @dataclass
@@ -91,14 +94,29 @@ class EvalReport:
         return out
 
 
-def _context_hidden(ckpt: Checkpoint, sentence: Sentence,
-                    max_len: int) -> tuple[np.ndarray, tuple[str, ...]]:
+def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
+                     max_len: int) -> Iterator[tuple[np.ndarray, tuple[str, ...]]]:
+    """Per sentence, in order: eval-mode hidden states of its context tokens
+    and their gold tags.
+
+    Consecutive sentences share one encoder pass of at most PACK_ROWS rows;
+    a sentence longer than that has a pass of its own.
+    """
     prompt = build_label_prompt(ckpt.label_set, ckpt.label_map)
     # positions past the checkpoint's positional table are truncated away
-    seq = assemble_input(sentence, prompt, ckpt.vocab,
-                         max_len=min(max_len, ckpt.encoder_config.max_len))
-    h = encode(ckpt.params, ckpt.encoder_config, seq, train_mode=False)
-    return h.data[seq.context_positions()], seq.gold_tags
+    max_len = min(max_len, ckpt.encoder_config.max_len)
+    seqs = [assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences]
+    lo = 0
+    while lo < len(seqs):
+        hi, rows = lo + 1, seqs[lo].n_occupied
+        while hi < len(seqs) and rows + seqs[hi].n_occupied <= PACK_ROWS:
+            rows += seqs[hi].n_occupied
+            hi += 1
+        packed = pack(seqs[lo:hi])
+        h = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=False).data
+        for seq, first in zip(packed.seqs, packed.bounds):
+            yield h[first + seq.context_positions()], seq.gold_tags
+        lo = hi
 
 
 def build_support_bank(ckpt: Checkpoint, support: list[Sentence],
@@ -107,15 +125,13 @@ def build_support_bank(ckpt: Checkpoint, support: list[Sentence],
     vectors: list[np.ndarray] = []
     tags: list[str] = []
     provenance: list[tuple[int, int]] = []
-    for si, sent in enumerate(support):
-        rows, gold = _context_hidden(ckpt, sent, max_len)
-        for pos, (row, tag) in enumerate(zip(rows, gold)):
-            vectors.append(row)
-            tags.append(tag)
-            provenance.append((si, pos))
-    if not vectors:
+    for si, (rows, gold) in enumerate(_context_hiddens(ckpt, support, max_len)):
+        vectors.append(rows)
+        tags += gold
+        provenance += ((si, pos) for pos in range(len(gold)))
+    if not tags:
         raise DataError("support set produced no context tokens")
-    return SupportBank(vectors=np.stack(vectors), tags=tuple(tags),
+    return SupportBank(vectors=np.concatenate(vectors), tags=tuple(tags),
                        provenance=tuple(provenance))
 
 
@@ -139,7 +155,7 @@ def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
 def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
                     max_len: int = 128) -> list[str]:
     """Predicted IO tags for a sentence; truncated positions default to O."""
-    rows, _ = _context_hidden(ckpt, sentence, max_len)
+    [(rows, _)] = _context_hiddens(ckpt, [sentence], max_len)
     tags = nn_decode(rows, bank)
     return tags + ["O"] * (len(sentence.tokens) - len(tags))
 
@@ -277,8 +293,8 @@ def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         f.write("token\ttag\t" + "\t".join(f"h{i}" for i in range(d)) + "\n")
-        for sent in sentences:
-            rows, gold = _context_hidden(checkpoint, sent, max_len)
+        for sent, (rows, gold) in zip(sentences,
+                                      _context_hiddens(checkpoint, sentences, max_len)):
             for tok, tag, row in zip(sent.tokens, gold, rows):
                 comps = "\t".join(f"{v:.10g}" for v in row)
                 f.write(f"{tok}\t{tag}\t{comps}\n")

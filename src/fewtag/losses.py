@@ -27,7 +27,7 @@ from .autodiff import Tensor
 from .data import DataError
 from .gaussian import (GaussianEmbedding, pairwise_sq_euclidean, pairwise_symkl,
                        project)
-from .prompt import InputSequence
+from .prompt import PackedBatch
 
 METRIC_SYMKL = "symkl"
 METRIC_SQEUCLID = "sqeuclid"
@@ -101,44 +101,41 @@ class BatchView:
         return [q for q, t in enumerate(self.tags) if q != p and t == self.tags[p]]
 
 
-def build_batch_view(hiddens: list[Tensor], seqs: list[InputSequence],
-                     proj_params: dict[str, Tensor],
+def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, Tensor],
                      o_keep_fraction: float = 1.0,
                      rng: Optional[np.random.Generator] = None) -> BatchView:
-    """Gather valid context tokens and label representatives, then project each set."""
-    if len(hiddens) != len(seqs) or not hiddens:
-        raise ValueError("need one hidden-state matrix per input sequence")
+    """Gather the packed batch's valid context tokens and label representatives
+    from its hidden states, then project each set."""
+    if hidden.data.ndim != 2 or hidden.shape[0] != batch.n_occupied:
+        raise ValueError(f"hidden states of shape {hidden.shape} do not match a packed "
+                         f"batch of {batch.n_occupied} rows")
     if o_keep_fraction < 1.0 and rng is None:
         raise ValueError("O subsampling needs an rng")
 
-    token_rows: list[Tensor] = []
+    token_rows: list[int] = []
     tags: list[str] = []
     sent_idx: list[int] = []
-    rep_rows: list[Tensor] = []
+    rep_rows: list[int] = []
     rep_sentence: list[int] = []
     rep_class: list[str] = []
-    for si, (h, seq) in enumerate(zip(hiddens, seqs)):
-        positions = seq.context_positions()
-        kept = []
-        for j, pos in enumerate(positions):
+    for si, (seq, start) in enumerate(zip(batch.seqs, batch.bounds)):
+        for j, pos in enumerate(seq.context_positions()):
             tag = seq.gold_tags[j]
             if tag == "O" and o_keep_fraction < 1.0 and rng.random() >= o_keep_fraction:
                 continue
-            kept.append(pos)
+            token_rows.append(start + pos)
             tags.append(tag)
             sent_idx.append(si)
-        if kept:
-            token_rows.append(ad.row_gather(h, kept))
-        rep_rows.append(ad.row_gather(h, [seq.label_rep_index[c] for c in seq.class_order]))
+        rep_rows += [start + seq.label_rep_index[c] for c in seq.class_order]
         rep_sentence += [si] * len(seq.class_order)
         rep_class += seq.class_order
     if not token_rows:  # every sentence has a context token, so O subsampling took them all
         raise DataError(f"o_keep_fraction={o_keep_fraction} dropped every context token "
-                        f"of a batch of {len(seqs)} sentence(s)")
-    embeddings = project(proj_params, ad.concat(token_rows))
+                        f"of a batch of {len(batch.seqs)} sentence(s)")
+    embeddings = project(proj_params, ad.row_gather(hidden, token_rows))
     return BatchView(embeddings=embeddings, tags=tuple(tags),
                      sentence_index=np.asarray(sent_idx),
-                     label_reps=project(proj_params, ad.concat(rep_rows)),
+                     label_reps=project(proj_params, ad.row_gather(hidden, rep_rows)),
                      rep_sentence=np.asarray(rep_sentence), rep_class=tuple(rep_class))
 
 

@@ -7,7 +7,8 @@ The model input is laid out as
 where the prompt lists every class (entity classes in label-set order, O
 last) as a [CLS] marker followed by the class's natural-language phrase.
 The [CLS] marker position is the class's representative token.  Inputs are
-not padded: `max_len` is only the budget the context is truncated to.
+not padded: `max_len` is only the budget the context is truncated to.  The
+encoder takes a batch of inputs packed row-wise, one segment per input.
 """
 
 from __future__ import annotations
@@ -97,3 +98,33 @@ def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
     return InputSequence(token_ids=ids, context_mask=context_mask,
                          label_rep_index=rep_index, gold_tags=gold,
                          class_order=prompt.class_order, max_len=max_len)
+
+
+@dataclass(frozen=True)
+class PackedBatch:
+    """Input sequences stacked row-wise for one encoder pass.
+
+    Rows bounds[i]:bounds[i + 1] hold sequence i; attention stays within them.
+    """
+    seqs: tuple[InputSequence, ...]
+    token_ids: np.ndarray   # (n_occupied,) int, every sequence's ids in order
+    positions: np.ndarray   # (n_occupied,) int, each row's position within its own sequence
+    bounds: np.ndarray      # (len(seqs) + 1,) int, each sequence's first row, then n_occupied
+
+    @property
+    def n_occupied(self) -> int:
+        return len(self.token_ids)
+
+    @property
+    def max_len(self) -> int:
+        """The members' length budgets, summed."""
+        return sum(s.max_len for s in self.seqs)
+
+
+def pack(seqs: list[InputSequence]) -> PackedBatch:
+    """The sequences, in order, as one packed batch."""
+    lengths = [s.n_occupied for s in seqs]
+    return PackedBatch(seqs=tuple(seqs),
+                       token_ids=np.concatenate([s.token_ids for s in seqs]),
+                       positions=np.concatenate([np.arange(n) for n in lengths]),
+                       bounds=np.concatenate([[0], np.cumsum(lengths)]))

@@ -23,7 +23,7 @@ from .data import DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_voc
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .gaussian import init_projection_params
 from .losses import METRIC_SQEUCLID, LossConfig, MixedLoss, build_batch_view, mixed_loss
-from .prompt import assemble_input, build_label_prompt
+from .prompt import assemble_input, build_label_prompt, pack
 from .rngutil import make_rng
 
 
@@ -136,6 +136,27 @@ def init_params(config: EncoderConfig, embed_dim: int) -> dict[str, Tensor]:
     params = init_encoder_params(config)
     params.update(init_projection_params(d=config.d, l=embed_dim, seed=config.seed))
     return params
+
+
+def param_shapes(config: EncoderConfig, embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every tensor `init_params` makes, without drawing them."""
+    d, ff, l = config.d, config.ff, embed_dim
+    shapes = {"emb.token": (config.vocab_size, d), "emb.pos": (config.max_len, d)}
+    norms = ["emb"]
+    for i in range(config.n_layers):
+        p = f"layer{i}"
+        for kind in ("q", "k", "v", "out"):
+            shapes[f"{p}.attn.{kind}.w"] = (d, d)
+            shapes[f"{p}.attn.{kind}.bias"] = (d,)
+        shapes.update({f"{p}.ff.w1": (d, ff), f"{p}.ff.bias1": (ff,),
+                       f"{p}.ff.w2": (ff, d), f"{p}.ff.bias2": (d,)})
+        norms += [f"{p}.attn", f"{p}.ff"]
+    for prefix in norms:
+        shapes[f"{prefix}.norm_gain"] = shapes[f"{prefix}.norm_bias"] = (d,)
+    for head in ("mu", "sigma"):
+        shapes.update({f"proj.{head}.w1": (d, d), f"proj.{head}.b1": (d,),
+                       f"proj.{head}.w2": (d, l), f"proj.{head}.b2": (l,)})
+    return shapes
 
 
 CHECKPOINT_MAGIC = b"FEWTAG\x00\x01"
@@ -272,7 +293,7 @@ def _check_tensors(params: dict[str, Tensor], config: EncoderConfig, embed_dim: 
                    path: str) -> None:
     """CheckpointError naming `path` and a tensor that a model of this
     encoder config and embedding dimension would lack, or hold in another shape."""
-    want = {name: t.shape for name, t in init_params(config, embed_dim).items()}
+    want = param_shapes(config, embed_dim)
     for name in sorted(want.keys() | params.keys()):
         if name not in params:
             raise CheckpointError(f"{path}: checkpoint lacks tensor {name}")
@@ -303,10 +324,9 @@ def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, config: Tra
                 dropout_rng, subsample_rng) -> MixedLoss:
     # positions past the checkpoint's positional table are truncated away
     max_len = min(config.max_len, ckpt.encoder_config.max_len)
-    seqs = [assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences]
-    hiddens = [encode(ckpt.params, ckpt.encoder_config, s, train_mode=True,
-                      rng=dropout_rng) for s in seqs]
-    batch = build_batch_view(hiddens, seqs, ckpt.params,
+    packed = pack([assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences])
+    hidden = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=True, rng=dropout_rng)
+    batch = build_batch_view(hidden, packed, ckpt.params,
                              o_keep_fraction=config.o_keep_fraction, rng=subsample_rng)
     return mixed_loss(batch, config.loss_config())
 

@@ -189,8 +189,8 @@ def test_add_broadcast_leading_axes_only():
 
 def test_dropout_deterministic_for_fixed_seed():
     x = Tensor(np.ones((4, 4)))
-    a = ad.dropout(x, 0.5, np.random.default_rng(np.random.Philox(7)))
-    b = ad.dropout(x, 0.5, np.random.default_rng(np.random.Philox(7)))
+    a = ad.dropout(x, 0.5, np.random.default_rng(np.random.Philox(7)).random(x.shape))
+    b = ad.dropout(x, 0.5, np.random.default_rng(np.random.Philox(7)).random(x.shape))
     np.testing.assert_array_equal(a.data, b.data)
     assert not np.array_equal(a.data, x.data)
 
@@ -212,6 +212,21 @@ def _fixed(shape, salt=0):
 
 def _heads(d):
     return 2 if d % 2 == 0 else 1
+
+
+def _segmented_attention(role):
+    """Attention over the rows of x stacked on themselves and one more row,
+    as three segments of unequal length (n, n + 1 and 2n + 1 rows), with x
+    in the q, k or v slot."""
+    def fn(x):
+        n = len(x.data)
+        stacked = ad.row_gather(x, [*range(n), *range(n), 0, *range(n), *range(n), n - 1])
+        rows = stacked.shape[0]
+        args = [_fixed(stacked.shape, 1), _fixed(stacked.shape, 2)]
+        args.insert("qkv".index(role), stacked)
+        return _weighted_sum(ad.attention(*args, _heads(x.shape[1]),
+                                          [0, n, 2 * n + 1, rows]))
+    return fn
 
 
 PRIMITIVE_CASES = {
@@ -236,11 +251,12 @@ PRIMITIVE_CASES = {
     "linear_b": lambda x: _weighted_sum(ad.linear(_fixed((2, 3)), _fixed((3, x.size)),
                                                   ad.reshape(x, (-1,)))),
     "attention_q": lambda x: _weighted_sum(ad.attention(
-        x, _fixed(x.shape, 1), _fixed(x.shape, 2), _heads(x.shape[1]))),
+        x, _fixed(x.shape, 1), _fixed(x.shape, 2), _heads(x.shape[1]), [0, len(x.data)])),
     "attention_k": lambda x: _weighted_sum(ad.attention(
-        _fixed(x.shape, 1), x, _fixed(x.shape, 2), _heads(x.shape[1]))),
+        _fixed(x.shape, 1), x, _fixed(x.shape, 2), _heads(x.shape[1]), [0, len(x.data)])),
     "attention_v": lambda x: _weighted_sum(ad.attention(
-        _fixed(x.shape, 1), _fixed(x.shape, 2), x, _heads(x.shape[1]))),
+        _fixed(x.shape, 1), _fixed(x.shape, 2), x, _heads(x.shape[1]), [0, len(x.data)])),
+    **{f"attention_segments_{role}": _segmented_attention(role) for role in "qkv"},
     "transpose": lambda x: ad.tsum(ad.square(ad.transpose(x))),
     "matmul": lambda x: ad.tsum(ad.matmul(x, ad.transpose(x))),
     "matmul_batched": lambda x: _weighted_sum(ad.matmul(x, ad.transpose(x))),
@@ -267,7 +283,7 @@ def test_forward_bit_identical_across_runs():
     def run():
         rng = np.random.default_rng(np.random.Philox(3))
         x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4))
-        h = ad.dropout(ad.softplus(x), 0.1, rng)
+        h = ad.dropout(ad.softplus(x), 0.1, rng.random(x.shape))
         return ad.tsum(ad.square(h)).item()
 
     assert run() == run()
@@ -324,7 +340,7 @@ def test_dropped_graph_is_freed_without_the_cycle_collector(run_backward):
     gc.disable()
     try:
         h = ad.linear(Tensor(rng.normal(size=(5, 3))), w, Tensor(np.zeros(4)))
-        interior = ad.attention(h, h, ad.softplus(h), heads=2)
+        interior = ad.attention(h, h, ad.softplus(h), heads=2, bounds=[0, 2, 5])
         root = ad.tsum(ad.square(interior))
         if run_backward:
             root.backward()

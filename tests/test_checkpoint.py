@@ -17,10 +17,10 @@ import pytest
 from fewtag.autodiff import Tensor
 from fewtag.cli import main
 from fewtag.data import Sentence
-from fewtag.encoder import encode
-from fewtag.prompt import assemble_input, build_label_prompt
-from fewtag.training import (CHECKPOINT_MAGIC, CheckpointError, load_checkpoint,
-                             save_checkpoint)
+from fewtag.encoder import EncoderConfig, encode
+from fewtag.prompt import assemble_input, build_label_prompt, pack
+from fewtag.training import (CHECKPOINT_MAGIC, CheckpointError, init_params, load_checkpoint,
+                             param_shapes, save_checkpoint)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 V1_CKPT = os.path.join(DATA, "v1_small.ckpt")
@@ -73,7 +73,7 @@ def test_v1_fixture_matches_v1_hidden_states():
     while f"hidden{n}" in ref.files:
         sent = Sentence(tuple(ref[f"tokens{n}"]), tuple(ref[f"tags{n}"]))
         seq = assemble_input(sent, prompt, ckpt.vocab, max_len=int(ref["max_len"]))
-        hidden = encode(ckpt.params, ckpt.encoder_config, seq).data
+        hidden = encode(ckpt.params, ckpt.encoder_config, pack([seq])).data
         np.testing.assert_allclose(hidden, ref[f"hidden{n}"], rtol=0, atol=1e-12)
         n += 1
     assert n == 4
@@ -165,6 +165,18 @@ def test_tensors_the_config_does_not_imply_rejected(tmp_path, case):
     with pytest.raises(CheckpointError, match=match) as raised:
         load_checkpoint(str(path))
     assert str(path) in str(raised.value)
+
+
+@pytest.mark.parametrize("overrides,embed_dim", [
+    ({"d": 8, "n_heads": 1}, 4),
+    ({"d": 8, "n_heads": 4, "n_layers": 3}, 4),
+    ({"d": 16, "n_heads": 4, "ff_dim": 24}, 4),
+    ({"d": 16, "n_heads": 1, "ff_dim": 8, "n_layers": 1}, 32),
+])
+def test_param_shapes_equal_the_shapes_init_params_draws(overrides, embed_dim):
+    config = EncoderConfig(vocab_size=11, max_len=9, **overrides)
+    drawn = {name: t.shape for name, t in init_params(config, embed_dim).items()}
+    assert param_shapes(config, embed_dim) == drawn
 
 
 def test_cli_maps_mismatched_tensors_to_data_error(tmp_path, caplog):

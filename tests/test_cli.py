@@ -305,3 +305,49 @@ def test_malformed_input_exits_with_its_code_and_names_the_file(trained, tmp_pat
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
     assert str(bad) in caplog.text
+
+
+# arguments after the global flags of each subcommand that loads a checkpoint
+FROM_CHECKPOINT = {
+    "finetune": ["finetune", "--checkpoint", "{ckpt}", "--support", "{support}"],
+    "predict": ["predict", "--checkpoint", "{ckpt}", "--support", "{support}",
+                "--input", "{support}"],
+    "evaluate": ["evaluate", "--checkpoint", "{ckpt}", "--protocol", "low-resource",
+                 "--support", "{train}", "--test-corpus", "{support}",
+                 "--n-way", "2", "--k-shot", "1", "--n-runs", "1"],
+    "dump-embeddings": ["dump-embeddings", "--checkpoint", "{ckpt}", "--input", "{support}"],
+}
+
+
+def _from_checkpoint(trained, command):
+    (_, train_path, support_path, _), ckpt = trained
+    paths = {"ckpt": ckpt, "support": support_path, "train": train_path}
+    return [arg.format(**paths) for arg in FROM_CHECKPOINT[command]]
+
+
+@pytest.mark.parametrize("command", sorted(FROM_CHECKPOINT))
+@pytest.mark.parametrize("setting,key", [
+    ("encoder.d=32", "encoder.d"),
+    ('encoder={"n_heads": 4, "dropout": 0.0}', "encoder.n_heads"),
+    ("embed_dim=16", "embed_dim"),
+])
+def test_model_setting_unlike_the_checkpoints_is_usage_error(trained, tmp_path, caplog,
+                                                             command, setting, key):
+    out = tmp_path / "out"
+    code = main(["--set", setting, "--out", str(out)] + _from_checkpoint(trained, command))
+    assert code == 2
+    assert f"{key}=" in caplog.text and "differs from the checkpoint" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(FROM_CHECKPOINT))
+def test_snapshot_records_the_checkpoints_model_settings(trained, tmp_path, command):
+    args = _from_checkpoint(trained, command)
+    assert main(["--out", str(tmp_path / "out")] + args) == 0
+    snap = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+    assert snap["encoder"] == {"d": 16, "n_layers": 1, "n_heads": 2, "ff_dim": None,
+                               "dropout": 0.0}
+    assert snap["embed_dim"] == 8
+    # the replay gives every model setting explicitly, each equal to the checkpoint's
+    assert main(["--config", str(tmp_path / "out" / "resolved_config.json"),
+                 "--out", str(tmp_path / "replay")] + args) == 0

@@ -7,7 +7,7 @@ from fewtag import autodiff as ad
 from fewtag import encoder as enc
 from fewtag.autodiff import Tensor
 from fewtag.data import LabelMap, LabelSet, Sentence, build_vocab
-from fewtag.prompt import assemble_input, build_label_prompt
+from fewtag.prompt import assemble_input, build_label_prompt, pack
 from fewtag.rngutil import make_rng
 
 
@@ -18,7 +18,7 @@ def small_setup(max_len=16, d=8, n_layers=1, n_heads=2, dropout=0.0, seed=0):
     sent = Sentence(("alice", "went", "home"), ("I-person", "O", "O"))
     vocab = build_vocab([sent], label_map=LM)
     prompt = build_label_prompt(LabelSet(("person",)), LM)
-    seq = assemble_input(sent, prompt, vocab, max_len=max_len)
+    seq = pack([assemble_input(sent, prompt, vocab, max_len=max_len)])
     config = enc.EncoderConfig(vocab_size=vocab.size, d=d, n_layers=n_layers,
                                n_heads=n_heads, dropout=dropout, max_len=max_len,
                                seed=seed)
@@ -142,7 +142,7 @@ def _reference_encode(params, config, seq, train_mode=False, rng=None):
     """`encode` built from unfused primitives: one graph node per matmul,
     bias add, transpose, reshape and softmax, heads viewed as (H, dh, L)."""
     def drop(x):
-        return ad.dropout(x, config.dropout, rng, train=train_mode)
+        return ad.dropout(x, config.dropout, next(draws)) if train_mode else x
 
     def dense(x, w, b):
         return ad.add(ad.matmul(x, params[w]), params[b])
@@ -152,6 +152,7 @@ def _reference_encode(params, config, seq, train_mode=False, rng=None):
 
     ids = seq.token_ids
     L, d, H, dh = len(ids), config.d, config.n_heads, config.head_dim
+    draws = iter(rng.random((L, d)) for _ in range(1 + 2 * config.n_layers)) if rng else None
     x = ad.add(ad.row_gather(params["emb.token"], ids),
                ad.row_gather(params["emb.pos"], np.arange(L)))
     x = drop(norm(x, "emb"))
@@ -210,3 +211,60 @@ def test_eval_encode_builds_one_node_per_fused_block(monkeypatch):
     # 2 gathers, 1 add and 1 norm, then per layer 5 linears, 1 attention,
     # 1 softplus, 2 residual adds and 2 norms
     assert len(made) == 4 + 12 * config.n_layers
+
+
+def packed_setup(n_sentences, d=8, n_layers=2, n_heads=2, dropout=0.1):
+    """Sequences of 1 to 7 context tokens under one prompt, and their config."""
+    words = ("alice", "went", "home", "bob", "stayed", "there", "today")
+    sents = [Sentence(words[:1 + i % 7], ("I-person",) + ("O",) * (i % 7))
+             for i in range(n_sentences)]
+    vocab = build_vocab(sents, label_map=LM)
+    prompt = build_label_prompt(LabelSet(("person",)), LM)
+    seqs = [assemble_input(s, prompt, vocab, max_len=16) for s in sents]
+    config = enc.EncoderConfig(vocab_size=vocab.size, d=d, n_layers=n_layers,
+                               n_heads=n_heads, dropout=dropout, max_len=16)
+    return seqs, config
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_packed_encode_equals_packs_of_one_bit_for_bit(train_mode):
+    seqs, config = packed_setup(9)
+    params = _perturbed_params(config)
+    packed = enc.encode(params, config, pack(seqs), train_mode=train_mode,
+                        rng=make_rng(4, "drop"))
+    rng = make_rng(4, "drop")
+    one_by_one = [enc.encode(params, config, pack([s]), train_mode=train_mode, rng=rng).data
+                  for s in seqs]
+    np.testing.assert_array_equal(packed.data, np.concatenate(one_by_one))
+
+
+def test_packed_attention_stays_within_each_sequence():
+    seqs, config = packed_setup(3, dropout=0.0)
+    params = enc.init_encoder_params(config)
+    changed = dataclasses.replace(seqs[0], token_ids=np.roll(seqs[0].token_ids, 1))
+    a = enc.encode(params, config, pack(seqs)).data
+    b = enc.encode(params, config, pack([changed] + seqs[1:])).data
+    first = seqs[0].n_occupied
+    assert not np.array_equal(a[:first], b[:first])
+    np.testing.assert_array_equal(a[first:], b[first:])
+
+
+def test_train_encode_builds_as_many_nodes_for_32_sequences_as_for_one(monkeypatch):
+    seqs, config = packed_setup(32)
+    params = enc.init_encoder_params(config)
+    original = ad._make
+    made = []
+
+    def counting(data, prev, op, vjp):
+        made.append(op)
+        return original(data, prev, op, vjp)
+
+    monkeypatch.setattr(ad, "_make", counting)
+    counts = []
+    for batch in (seqs[:1], seqs):
+        made.clear()
+        enc.encode(params, config, pack(batch), train_mode=True, rng=make_rng(0, "drop"))
+        counts.append(list(made))
+    assert counts[0] == counts[1]
+    # the eval-mode nodes plus one dropout after the embedding norm and two per layer
+    assert len(counts[1]) == 4 + 12 * config.n_layers + 1 + 2 * config.n_layers

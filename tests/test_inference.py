@@ -238,6 +238,32 @@ class TestDecoding:
         assert len(pred) == 40
         assert pred[-1] == "O"
 
+    def test_bank_over_several_packs_equals_one_of_packs_of_one(self, trained, monkeypatch):
+        ckpt, config, corpus, _ = trained
+        banks = []
+        for rows in (1, 40, inference.PACK_ROWS):  # one sentence per pass, a few, all
+            monkeypatch.setattr(inference, "PACK_ROWS", rows)
+            banks.append(build_support_bank(ckpt, corpus, max_len=config.max_len))
+        for bank in banks[1:]:
+            np.testing.assert_array_equal(bank.vectors, banks[0].vectors)
+            assert bank.tags == banks[0].tags
+            assert bank.provenance == banks[0].provenance
+
+    def test_bank_passes_pack_up_to_the_row_cap(self, trained, monkeypatch):
+        ckpt, config, corpus, _ = trained
+        passes = []
+        original = inference.encode
+
+        def recording(params, enc_config, batch, *args, **kwargs):
+            passes.append(len(batch.seqs))
+            assert batch.n_occupied <= 40 or len(batch.seqs) == 1
+            return original(params, enc_config, batch, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "PACK_ROWS", 40)
+        monkeypatch.setattr(inference, "encode", recording)
+        build_support_bank(ckpt, corpus, max_len=config.max_len)
+        assert sum(passes) == len(corpus) and 1 < len(passes) < len(corpus)
+
     def test_empty_support_rejected(self, trained):
         ckpt, config, _, _ = trained
         with pytest.raises(DataError):
@@ -380,8 +406,8 @@ class TestDumpEmbeddings:
         ckpt, config, corpus, _ = trained
         path = tmp_path / "emb.tsv"
         dump_embeddings(ckpt, corpus[:1], str(path), max_len=config.max_len)
-        from fewtag.inference import _context_hidden
-        rows, _ = _context_hidden(ckpt, corpus[0], config.max_len)
+        from fewtag.inference import _context_hiddens
+        [(rows, _)] = _context_hiddens(ckpt, corpus[:1], config.max_len)
         first = path.read_text().splitlines()[1].split("\t")
         got = np.array(first[2:], dtype=np.float64)
         np.testing.assert_allclose(got, rows[0], rtol=1e-9)

@@ -14,7 +14,7 @@ from fewtag.gaussian import GaussianEmbedding, init_projection_params
 from fewtag.losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_out,
                            build_batch_view, context_context_loss,
                            context_label_loss, mixed_loss)
-from fewtag.prompt import assemble_input, build_label_prompt
+from fewtag.prompt import assemble_input, build_label_prompt, pack
 
 
 def make_batch(mu, sigma2=None, tags=(), reps_mu=None, reps_sigma2=None,
@@ -210,55 +210,52 @@ def encoded_fixture():
              Sentence(("u", "v"), ("I-A", "O"))]
     vocab = build_vocab(sents, label_map=LM)
     prompt = build_label_prompt(LabelSet(("A", "B")), LM)
-    seqs = [assemble_input(s, prompt, vocab, max_len=14) for s in sents]
+    batch = pack([assemble_input(s, prompt, vocab, max_len=14) for s in sents])
     config = EncoderConfig(vocab_size=vocab.size, d=8, n_layers=1, n_heads=2,
                            dropout=0.0, max_len=14, seed=3)
     enc_params = init_encoder_params(config)
     proj_params = init_projection_params(d=8, l=4, seed=4)
-    return seqs, config, enc_params, proj_params
+    return batch, config, enc_params, proj_params
 
 
 def test_batch_view_excludes_prompt_and_padding():
-    seqs, config, enc_params, proj_params = encoded_fixture()
-    hiddens = [encode(enc_params, config, s) for s in seqs]
-    batch = build_batch_view(hiddens, seqs, proj_params)
+    packed, config, enc_params, proj_params = encoded_fixture()
+    batch = build_batch_view(encode(enc_params, config, packed), packed, proj_params)
     assert batch.n_tokens == 5
     assert batch.tags == ("I-A", "O", "I-B", "I-A", "O")
     assert batch.embeddings.mu.shape == (5, 4)
     # both sentences' prompts: classes A, B and O each
     assert batch.label_reps.mu.shape == (6, 4)
     assert batch.rep_sentence.tolist() == [0, 0, 0, 1, 1, 1]
-    assert batch.rep_class == seqs[0].class_order * 2
+    assert batch.rep_class == packed.seqs[0].class_order * 2
 
 
 def test_positive_sets_match_definition():
-    seqs, config, enc_params, proj_params = encoded_fixture()
-    hiddens = [encode(enc_params, config, s) for s in seqs]
-    batch = build_batch_view(hiddens, seqs, proj_params)
+    packed, config, enc_params, proj_params = encoded_fixture()
+    batch = build_batch_view(encode(enc_params, config, packed), packed, proj_params)
     assert batch.positive_set(0) == [3]
     assert batch.positive_set(1) == [4]
     assert batch.positive_set(2) == []
 
 
 def test_o_subsampling_drops_only_o_tokens():
-    seqs, config, enc_params, proj_params = encoded_fixture()
-    hiddens = [encode(enc_params, config, s) for s in seqs]
+    packed, config, enc_params, proj_params = encoded_fixture()
     rng = np.random.default_rng(0)
-    batch = build_batch_view(hiddens, seqs, proj_params, o_keep_fraction=1e-9, rng=rng)
+    batch = build_batch_view(encode(enc_params, config, packed), packed, proj_params,
+                             o_keep_fraction=1e-9, rng=rng)
     assert all(t != "O" for t in batch.tags)
     assert batch.n_tokens == 3
 
 
 @pytest.mark.parametrize("variant", ["icl", "ocl"])
 def test_mixed_loss_gradients_through_encoder_match_finite_differences(variant):
-    seqs, config, enc_params, proj_params = encoded_fixture()
+    packed, config, enc_params, proj_params = encoded_fixture()
     loss_config = LossConfig(alpha=0.5, loss_variant=variant)
 
     def loss(x):
         trial = dict(enc_params)
         trial["layer0.ff.w1"] = x
-        hiddens = [encode(trial, config, s) for s in seqs]
-        batch = build_batch_view(hiddens, seqs, proj_params)
+        batch = build_batch_view(encode(trial, config, packed), packed, proj_params)
         return mixed_loss(batch, loss_config).total
 
     err = ad.finite_diff_check(loss, enc_params["layer0.ff.w1"].data.copy(), step=1e-5)
