@@ -6,6 +6,9 @@ by repeatable --set key=value flags and then by the dedicated flags (--seed,
 --out).  Every run writes a resolved-config snapshot to the output
 directory so it can be reproduced bit-exactly from the snapshot alone:
 `fewtag --config out/resolved_config.json --out replay/ <same subcommand>`.
+The config keys are the fields of TrainConfig and RunConfig, and `encoder`,
+whose keys override EncoderConfig fields; each is checked against its field's
+type before any work starts.
 Subcommands that load a checkpoint take the model settings (`encoder`,
 `embed_dim`) from it: the snapshot records the checkpoint's, and a value
 given that differs from the checkpoint's is a usage error.
@@ -21,9 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .autodiff import NumericError
 from .data import (DataError, LabelSet, Sentence, greedy_sample_support,
@@ -41,88 +46,86 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
-# full key schema with defaults; None marks optional paths/values
-_DEFAULTS = {
-    **{f.name: getattr(TrainConfig(), f.name) for f in fields(TrainConfig)},
-    "encoder": {},            # overrides for the encoder (d, n_layers, ...)
-    "protocol": "episode",    # or "low-resource"
-    "n_way": 2,
-    "k_shot": 1,
-    "n_runs": 5,
-    "strict_k": False,
-    "gradcheck_batches": 20,
-    "train_corpus": None,
-    "support": None,
-    "test_corpus": None,
-    "episodes": None,
-    "input": None,
-    "label_map": None,
-    "checkpoint": None,
-    "out": "out",
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """Run-level settings: the evaluation protocol and its shape, and paths."""
+    protocol: str = "episode"   # or "low-resource"
+    n_way: int = 2
+    k_shot: int = 1
+    n_runs: int = 5
+    strict_k: bool = False
+    gradcheck_batches: int = 20
+    train_corpus: Optional[str] = None
+    support: Optional[str] = None
+    test_corpus: Optional[str] = None
+    episodes: Optional[str] = None
+    input: Optional[str] = None
+    label_map: Optional[str] = None
+    checkpoint: Optional[str] = None
+    out: str = "out"
+
+    def __post_init__(self):
+        if self.protocol not in ("episode", "low-resource"):
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        for name in ("n_way", "k_shot", "n_runs", "gradcheck_batches"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-# encoder overrides a config may set; vocab_size, max_len and seed come
-# from the corpus and the top-level keys
-_ENCODER_TYPES = {"d": int, "n_layers": int, "n_heads": int, "ff_dim": int, "dropout": float}
-# top-level keys outside TrainConfig that hold counts, and those that hold
-# paths (a number there would be opened as a file descriptor)
-_COUNT_KEYS = ("n_way", "k_shot", "n_runs", "gradcheck_batches")
-_PATH_KEYS = ("train_corpus", "support", "test_corpus", "episodes", "input", "label_map",
-              "checkpoint", "out")
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
-               tuple: "a list of numbers"}
+# every config key with its default; "encoder" holds EncoderConfig overrides
+_DEFAULTS = {**asdict(TrainConfig()), **asdict(RunConfig()), "encoder": {}}
+_HINTS = {**get_type_hints(TrainConfig), **get_type_hints(RunConfig)}
+# the EncoderConfig fields a config may set; vocab_size comes from the
+# corpus, max_len and seed from TrainConfig
+_ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig)
+                      if f.name not in ("vocab_size", "max_len", "seed"))
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false"}
 
 
 class UsageError(ValueError):
     pass
 
 
-def _has_type(value, kind) -> bool:
-    if kind is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, float) for v in value)
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a field annotated `kind`."""
+    args = get_args(kind)
+    if type(None) in args:  # Optional[X]
+        return value is None or _fits(value, args[0])
+    if get_origin(kind) is tuple:  # tuple[X, ...]
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
     if isinstance(value, bool):  # a JSON true is not a number
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float))
+        try:
+            return math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            return False
     return isinstance(value, kind)
 
 
-def _check_type(key: str, value, kind) -> None:
-    if not _has_type(value, kind):
-        raise UsageError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+def _describe(kind) -> str:
+    args = get_args(kind)
+    if type(None) in args:
+        return f"{_describe(args[0])} or null"
+    if get_origin(kind) is tuple:
+        return f"a list, each {_describe(args[0])}"
+    return _TYPE_NAMES[kind]
 
 
-def _check_settings(config: dict) -> None:
-    """Build every setting a subcommand uses, so that a bad value is a usage
-    error naming its key before any work starts."""
-    for key in sorted(_TRAIN_FIELDS):
-        _check_type(key, config[key], type(_DEFAULTS[key]))
-    for key in _COUNT_KEYS:
-        _check_type(key, config[key], int)
-        if config[key] <= 0:
-            raise UsageError(f"{key} must be positive, got {config[key]}")
-    for key in _PATH_KEYS:
-        if config[key] is not None:
-            _check_type(key, config[key], str)
-    _check_type("strict_k", config["strict_k"], bool)
-    encoder = config["encoder"] if config["encoder"] is not None else {}
-    if not isinstance(encoder, dict):
-        raise UsageError(f"encoder must be an object of overrides, got {encoder!r}")
-    unknown = set(encoder) - set(_ENCODER_TYPES)
-    if unknown:
-        raise UsageError(f"unknown encoder keys: {', '.join(sorted(unknown))} "
-                         f"(allowed: {', '.join(_ENCODER_TYPES)})")
-    for key, value in encoder.items():
-        if not (key == "ff_dim" and value is None):
-            _check_type(f"encoder.{key}", value, _ENCODER_TYPES[key])
+def _build(cls, values: dict, prefix: str = ""):
+    """cls built from JSON values, each checked against its field's
+    annotation; lists become tuples.  A value of the wrong type, or one cls
+    rejects, is a usage error naming its key."""
+    hints = get_type_hints(cls)
+    for key, value in values.items():
+        if not _fits(value, hints[key]):
+            raise UsageError(f"{prefix}{key} must be {_describe(hints[key])}, got {value!r}")
     try:
-        EncoderConfig(vocab_size=1, max_len=config["max_len"], seed=config["seed"], **encoder)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
     except ValueError as e:
-        raise UsageError(f"encoder: {e}")
-    train_config_from(config)
+        raise UsageError(f"{prefix}{e}") from None
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -133,12 +136,14 @@ def _parse_set(pairs: list[str]) -> dict:
         key, raw = pair.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, or nested past the parser's depth
             value = raw
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if not isinstance(node.get(part), dict):  # a later path replaces a value
+                node[part] = {}
+            node = node[part]
         node[parts[-1]] = value
     return out
 
@@ -153,9 +158,10 @@ def _merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """The full config of a run, and the part of it given explicitly: by the
-    config file, by --set flags or by dedicated flags."""
+def resolve_config(args: argparse.Namespace) -> tuple[TrainConfig, RunConfig, dict, dict]:
+    """A run's TrainConfig, RunConfig and encoder overrides, each checked
+    before any work starts, and the part of its config given explicitly: by
+    the config file, by --set flags or by dedicated flags."""
     given: dict = {}
     if args.config:
         try:
@@ -163,7 +169,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
                 file_config = json.load(f)
         except OSError as e:
             raise UsageError(f"config file {args.config} cannot be read: {e.strerror}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # bad JSON, nesting or UTF-8
             raise UsageError(f"config file {args.config} is not valid JSON: {e}")
         if not isinstance(file_config, dict):
             raise UsageError("config file must hold a JSON object")
@@ -182,37 +188,36 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     unknown = set(config) - set(_DEFAULTS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if config["protocol"] not in ("episode", "low-resource"):
-        raise UsageError(f"unknown protocol {config['protocol']!r}")
-    _check_settings(config)
-    return config, given
+    encoder = config.pop("encoder")
+    encoder = {} if encoder is None else encoder
+    if not isinstance(encoder, dict):
+        raise UsageError(f"encoder must be an object of overrides, got {encoder!r}")
+    unknown = set(encoder) - set(_ENCODER_KEYS)
+    if unknown:
+        raise UsageError(f"unknown encoder keys: {', '.join(sorted(unknown))} "
+                         f"(allowed: {', '.join(_ENCODER_KEYS)})")
+    train = _build(TrainConfig, {f.name: config[f.name] for f in fields(TrainConfig)})
+    run = _build(RunConfig, {f.name: config[f.name] for f in fields(RunConfig)})
+    _build(EncoderConfig, {"vocab_size": 1, "max_len": train.max_len, "seed": train.seed,
+                           **encoder}, prefix="encoder.")
+    return train, run, encoder, given
 
 
-def train_config_from(config: dict) -> TrainConfig:
-    kwargs = {k: config[k] for k in _TRAIN_FIELDS}
-    if isinstance(kwargs.get("alpha_grid"), list):
-        kwargs["alpha_grid"] = tuple(kwargs["alpha_grid"])
-    try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise UsageError(str(e))
-
-
-def _require(config: dict, command: str, *keys: str) -> None:
-    missing = [k for k in keys if not config.get(k)]
+def _require(run: RunConfig, command: str, *keys: str) -> None:
+    missing = [k for k in keys if not getattr(run, k)]
     if missing:
         raise UsageError(f"{command} requires: {', '.join(missing)}")
 
 
-def _model_from_checkpoint(config: dict, given: dict):
-    """The checkpoint config["checkpoint"] names; config's model settings
-    (encoder and embed_dim) become the checkpoint's.
+def _model_from_checkpoint(train: TrainConfig, run: RunConfig, given: dict):
+    """The checkpoint run.checkpoint names, then train and the encoder
+    overrides as that checkpoint's model has them (embed_dim and encoder).
 
     A model setting given explicitly that differs from the checkpoint's is a
     usage error naming its key.
     """
-    ckpt = load_checkpoint(config["checkpoint"])
-    encoder = {key: getattr(ckpt.encoder_config, key) for key in _ENCODER_TYPES}
+    ckpt = load_checkpoint(run.checkpoint)
+    encoder = {key: getattr(ckpt.encoder_config, key) for key in _ENCODER_KEYS}
     differing = [(f"encoder.{key}", value, encoder[key])
                  for key, value in sorted((given.get("encoder") or {}).items())
                  if value != encoder[key]]
@@ -221,19 +226,18 @@ def _model_from_checkpoint(config: dict, given: dict):
     if differing:
         raise UsageError("; ".join(f"{key}={value!r} differs from the checkpoint's {own!r}"
                                    for key, value, own in differing))
-    config["encoder"], config["embed_dim"] = encoder, ckpt.embed_dim
-    return ckpt
+    return ckpt, replace(train, embed_dim=ckpt.embed_dim), encoder
 
 
-def _snapshot(config: dict, command: str) -> None:
-    resolved = {"command": command, **config}
-    path = os.path.join(config["out"], "resolved_config.json")
+def _snapshot(command: str, train: TrainConfig, run: RunConfig, encoder: dict) -> None:
+    resolved = {"command": command, **asdict(train), **asdict(run), "encoder": encoder}
+    path = os.path.join(run.out, "resolved_config.json")
     try:
-        os.makedirs(config["out"], exist_ok=True)
+        os.makedirs(run.out, exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
             json.dump(resolved, f, indent=2, sort_keys=True)
     except OSError as e:
-        raise UsageError(f"out {config['out']!r} is not a usable output directory ({e})")
+        raise UsageError(f"out {run.out!r} is not a usable output directory ({e})")
     log.info("resolved config written to %s", path)
 
 
@@ -246,21 +250,20 @@ def _classes_from(sentences: list[Sentence], role: str) -> LabelSet:
     return LabelSet(tuple(sorted(found)), role=role)
 
 
-def _out_path(config: dict, name: str) -> str:
-    return os.path.join(config["out"], name)
+def _out_path(run: RunConfig, name: str) -> str:
+    return os.path.join(run.out, name)
 
 
-def cmd_train(config: dict, given: dict) -> int:
-    _require(config, "train", "train_corpus", "label_map")
-    _snapshot(config, "train")
-    sentences = read_conll(config["train_corpus"])
+def cmd_train(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
+    _require(run, "train", "train_corpus", "label_map")
+    _snapshot("train", train, run, encoder)
+    sentences = read_conll(run.train_corpus)
     label_set = _classes_from(sentences, "source")
-    label_map = load_label_map(config["label_map"], label_set)
-    ckpt, log_entries = train_source(sentences, label_set, label_map,
-                                     train_config_from(config),
-                                     encoder_overrides=config["encoder"] or None)
-    save_checkpoint(ckpt, _out_path(config, "checkpoint.ckpt"))
-    with open(_out_path(config, "loss_log.txt"), "w", encoding="utf-8") as f:
+    label_map = load_label_map(run.label_map, label_set)
+    ckpt, log_entries = train_source(sentences, label_set, label_map, train,
+                                     encoder_overrides=encoder or None)
+    save_checkpoint(ckpt, _out_path(run, "checkpoint.ckpt"))
+    with open(_out_path(run, "loss_log.txt"), "w", encoding="utf-8") as f:
         for entry in log_entries:
             f.write(entry.format() + "\n")
     log.info("trained on %d sentences, %d steps, final loss %.6f",
@@ -268,18 +271,17 @@ def cmd_train(config: dict, given: dict) -> int:
     return 0
 
 
-def cmd_finetune(config: dict, given: dict) -> int:
-    _require(config, "finetune", "checkpoint", "support")
-    ckpt = _model_from_checkpoint(config, given)
-    _snapshot(config, "finetune")
-    support = read_conll(config["support"])
+def cmd_finetune(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
+    _require(run, "finetune", "checkpoint", "support")
+    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
+    _snapshot("finetune", train, run, encoder)
+    support = read_conll(run.support)
     label_set = _classes_from(support, "target")
-    label_map = (load_label_map(config["label_map"], label_set)
-                 if config["label_map"] else ckpt.label_map)
-    tuned, result = finetune(ckpt, support, label_set, label_map,
-                             train_config_from(config))
-    save_checkpoint(tuned, _out_path(config, "finetuned.ckpt"))
-    with open(_out_path(config, "finetune_log.txt"), "w", encoding="utf-8") as f:
+    label_map = (load_label_map(run.label_map, label_set)
+                 if run.label_map else ckpt.label_map)
+    tuned, result = finetune(ckpt, support, label_set, label_map, train)
+    save_checkpoint(tuned, _out_path(run, "finetuned.ckpt"))
+    with open(_out_path(run, "finetune_log.txt"), "w", encoding="utf-8") as f:
         for entry in result.log:
             f.write(entry.format() + "\n")
     log.info("fine-tuned for %d iterations (cap hit: %s)",
@@ -287,42 +289,39 @@ def cmd_finetune(config: dict, given: dict) -> int:
     return 0
 
 
-def cmd_predict(config: dict, given: dict) -> int:
-    _require(config, "predict", "checkpoint", "support", "input")
-    ckpt = _model_from_checkpoint(config, given)
-    _snapshot(config, "predict")
-    support = read_conll(config["support"])
-    queries = read_conll(config["input"])
-    bank = build_support_bank(ckpt, support, max_len=config["max_len"])
-    tagged = [Sentence(s.tokens, tuple(decode_sentence(ckpt, s, bank,
-                                                       max_len=config["max_len"])))
+def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
+    _require(run, "predict", "checkpoint", "support", "input")
+    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
+    _snapshot("predict", train, run, encoder)
+    support = read_conll(run.support)
+    queries = read_conll(run.input)
+    bank = build_support_bank(ckpt, support, max_len=train.max_len)
+    tagged = [Sentence(s.tokens, tuple(decode_sentence(ckpt, s, bank, max_len=train.max_len)))
               for s in queries]
-    path = _out_path(config, "predictions.conll")
+    path = _out_path(run, "predictions.conll")
     write_conll(tagged, path)
     log.info("tagged %d sentences into %s", len(tagged), path)
     return 0
 
 
-def cmd_evaluate(config: dict, given: dict) -> int:
-    _require(config, "evaluate", "checkpoint")
-    ckpt = _model_from_checkpoint(config, given)
-    _snapshot(config, "evaluate")
-    train_config = train_config_from(config)
-    if config["protocol"] == "episode":
-        _require(config, "evaluate (episode protocol)", "episodes")
-        episodes = read_fewnerd_episodes(config["episodes"])
-        report = evaluate_episodes(ckpt, episodes, train_config)
+def cmd_evaluate(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
+    _require(run, "evaluate", "checkpoint")
+    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
+    _snapshot("evaluate", train, run, encoder)
+    if run.protocol == "episode":
+        _require(run, "evaluate (episode protocol)", "episodes")
+        episodes = read_fewnerd_episodes(run.episodes)
+        report = evaluate_episodes(ckpt, episodes, train)
     else:
-        _require(config, "evaluate (low-resource protocol)", "support", "test_corpus")
-        support_corpus = read_conll(config["support"])
-        test_corpus = read_conll(config["test_corpus"])
+        _require(run, "evaluate (low-resource protocol)", "support", "test_corpus")
+        support_corpus = read_conll(run.support)
+        test_corpus = read_conll(run.test_corpus)
         label_set = _classes_from(support_corpus, "target")
-        seeds = [config["seed"] + i for i in range(config["n_runs"])]
+        seeds = [train.seed + i for i in range(run.n_runs)]
         report = low_resource_eval(ckpt, label_set, support_corpus, test_corpus,
-                                   n_way=config["n_way"], k_shot=config["k_shot"],
-                                   seeds=seeds, config=train_config,
-                                   strict_k=config["strict_k"])
-    path = _out_path(config, "eval_report.json")
+                                   n_way=run.n_way, k_shot=run.k_shot,
+                                   seeds=seeds, config=train, strict_k=run.strict_k)
+    path = _out_path(run, "eval_report.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report.summary(), f, indent=2, sort_keys=True)
     if report.per_run:
@@ -334,15 +333,14 @@ def cmd_evaluate(config: dict, given: dict) -> int:
     return 0
 
 
-def cmd_sample(config: dict, given: dict) -> int:
-    _require(config, "sample", "support")
-    _snapshot(config, "sample")
-    corpus = read_conll(config["support"])
+def cmd_sample(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
+    _require(run, "sample", "support")
+    _snapshot("sample", train, run, encoder)
+    corpus = read_conll(run.support)
     label_set = _classes_from(corpus, "target")
-    sample = greedy_sample_support(corpus, label_set, config["n_way"],
-                                   config["k_shot"], seed=config["seed"],
-                                   strict_k=config["strict_k"])
-    path = _out_path(config, "support.conll")
+    sample = greedy_sample_support(corpus, label_set, run.n_way, run.k_shot,
+                                   seed=train.seed, strict_k=run.strict_k)
+    path = _out_path(run, "support.conll")
     write_conll(sample.sentences, path)
     counts = ", ".join(f"{c}={n}" for c, n in sorted(sample.counts.items()))
     print(f"sampled {len(sample.sentences)} sentences ({counts}) into {path}")
@@ -351,22 +349,22 @@ def cmd_sample(config: dict, given: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(config: dict, given: dict) -> int:
-    _snapshot(config, "gradcheck")
-    report = run_gradcheck(n_batches=config["gradcheck_batches"],
-                           seed=config["seed"])
+def cmd_gradcheck(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
+    _snapshot("gradcheck", train, run, encoder)
+    report = run_gradcheck(n_batches=run.gradcheck_batches, seed=train.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else EXIT_NUMERIC
 
 
-def cmd_dump_embeddings(config: dict, given: dict) -> int:
-    _require(config, "dump-embeddings", "checkpoint", "input")
-    ckpt = _model_from_checkpoint(config, given)
-    _snapshot(config, "dump-embeddings")
-    sentences = read_conll(config["input"])
-    path = _out_path(config, "embeddings.tsv")
-    n = dump_embeddings(ckpt, sentences, path, max_len=config["max_len"])
+def cmd_dump_embeddings(train: TrainConfig, run: RunConfig, encoder: dict,
+                        given: dict) -> int:
+    _require(run, "dump-embeddings", "checkpoint", "input")
+    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
+    _snapshot("dump-embeddings", train, run, encoder)
+    sentences = read_conll(run.input)
+    path = _out_path(run, "embeddings.tsv")
+    n = dump_embeddings(ckpt, sentences, path, max_len=train.max_len)
     print(f"wrote {n} token rows to {path}")
     return 0
 
@@ -380,6 +378,24 @@ _COMMANDS = {
     "gradcheck": cmd_gradcheck,
     "dump-embeddings": cmd_dump_embeddings,
 }
+# the settings each subcommand takes as --flags of its own
+_FLAGS = {
+    "train": ["train_corpus", "label_map"],
+    "finetune": ["checkpoint", "support", "label_map"],
+    "predict": ["checkpoint", "support", "input"],
+    "evaluate": ["checkpoint", "episodes", "support", "test_corpus",
+                 "protocol", "n_way", "k_shot", "n_runs"],
+    "sample": ["support", "n_way", "k_shot"],
+    "gradcheck": ["gradcheck_batches"],
+    "dump-embeddings": ["checkpoint", "input"],
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
+    """--key-name for a setting, parsed as its field's type."""
+    kind = _HINTS[key]
+    parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                        type=get_args(kind)[0] if get_args(kind) else kind, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,31 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (dot paths allowed)")
-    parser.add_argument("--seed", type=int, help="root random seed")
-    parser.add_argument("--out", help="output directory")
+    _add_flag(parser, "seed", help="root random seed")
+    _add_flag(parser, "out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    path_flags = {
-        "train": ["train_corpus", "label_map"],
-        "finetune": ["checkpoint", "support", "label_map"],
-        "predict": ["checkpoint", "support", "input"],
-        "evaluate": ["checkpoint", "episodes", "support", "test_corpus"],
-        "sample": ["support"],
-        "gradcheck": [],
-        "dump-embeddings": ["checkpoint", "input"],
-    }
-    extra_flags = {
-        "evaluate": ["protocol", "n_way", "k_shot", "n_runs"],
-        "sample": ["n_way", "k_shot"],
-        "gradcheck": ["gradcheck_batches"],
-    }
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        for key in path_flags[name]:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-        for key in extra_flags.get(name, []):
-            kind = str if key == "protocol" else int
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
+        for key in _FLAGS[name]:
+            _add_flag(p, key)
     return parser
 
 
@@ -424,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, given = resolve_config(args)
-        return _COMMANDS[args.command](config, given)
+        return _COMMANDS[args.command](*resolve_config(args))
     except UsageError as e:
         log.error("usage error: %s", e)
         return EXIT_USAGE

@@ -274,7 +274,7 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
     """
     rng = make_rng(seed, "support_sampler")
     if len(label_set) < n_way:
-        raise DataError(f"label set has {len(label_set)} classes, need N={n_way}")
+        raise DataError(f"label set has {len(label_set)} classes, need n_way={n_way}")
     classes = (set(label_set.classes) if len(label_set) == n_way
                else set(rng.choice(list(label_set.classes), size=n_way, replace=False)))
 
@@ -303,7 +303,7 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
                     break
         if best is None:
             missing = ", ".join(sorted(c for c in classes if counts[c] < k_shot))
-            raise DataError(f"cannot reach K={k_shot} shots for class(es): {missing}")
+            raise DataError(f"cannot reach k_shot={k_shot} shots for class(es): {missing}")
         i = untaken.pop(best[1])
         selected.append(order[i])
         counts.update(spans[i])

@@ -43,7 +43,7 @@ class TrainConfig:
     max_len: int = 128
     embed_dim: int = 128                     # Gaussian embedding dim l
     alpha: float = 0.5
-    alpha_grid: tuple[float, ...] = (0.8, 0.5, 0.3)
+    alpha_grid: tuple[float, ...] = (0.8, 0.5, 0.3)  # the paper's alpha search grid; a record only
     tau: float = 1.0
     loss_variant: str = "icl"
     metric: str = "symkl"
@@ -55,8 +55,7 @@ class TrainConfig:
     keep_best: bool = False
 
     def __post_init__(self):
-        for name in ("lr", "batch_size", "epochs", "max_len", "embed_dim", "tau",
-                     "max_finetune_iters"):
+        for name in ("lr", "batch_size", "epochs", "max_len", "embed_dim", "max_finetune_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.weight_decay < 0:

@@ -1,9 +1,14 @@
 import json
+import os
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fewtag.cli import main
+from fewtag.cli import RunConfig, main
 from fewtag.data import Sentence, read_conll, write_conll
+from fewtag.training import TrainConfig
 
 from synthdata import label_setup, separable_corpus
 
@@ -91,6 +96,15 @@ class TestTrain:
         ("n_runs=0", "n_runs"),
         ("support=7", "support"),
         ("strict_k=1", "strict_k"),
+        ("lr.x=1", "lr"),
+        ("encoder.d.x=1", "encoder.d"),
+        ("lr=NaN", "lr"),
+        ("lr=Infinity", "lr"),
+        ("weight_decay=NaN", "weight_decay"),
+        ("weight_decay=Infinity", "weight_decay"),
+        ("tau=Infinity", "tau"),
+        ("alpha_grid=[NaN]", "alpha_grid"),
+        pytest.param("lr=" + "[" * 100_000 + "]" * 100_000, "lr", id="lr-nested-past-json-depth"),
     ])
     def test_bad_setting_is_usage_error_naming_its_key(self, workspace, caplog, setting, key):
         # after SMALL, so the bad value overrides SMALL's encoder settings
@@ -351,3 +365,71 @@ def test_snapshot_records_the_checkpoints_model_settings(trained, tmp_path, comm
     # the replay gives every model setting explicitly, each equal to the checkpoint's
     assert main(["--config", str(tmp_path / "out" / "resolved_config.json"),
                  "--out", str(tmp_path / "replay")] + args) == 0
+
+
+# every key a config may set: the fields of TrainConfig and RunConfig, and the
+# EncoderConfig fields that encoder.* overrides
+ENCODER_KEYS = ["encoder.d", "encoder.n_layers", "encoder.n_heads", "encoder.ff_dim",
+                "encoder.dropout"]
+SCHEMA_KEYS = ([f.name for f in fields(TrainConfig)] + [f.name for f in fields(RunConfig)]
+               + ENCODER_KEYS)
+
+
+@pytest.mark.parametrize("key", SCHEMA_KEYS)
+def test_wrong_typed_setting_is_usage_error_naming_its_key(tmp_path, caplog, key):
+    # an object fits no field; given by --set after out, so it also replaces out
+    out = tmp_path / "out"
+    code = main(["--set", f"out={out}", "--set", f'{key}={{"x": 1}}', "gradcheck"])
+    assert code == 2
+    assert f"{key} must be" in caplog.text
+    assert not out.exists()
+
+
+def test_train_snapshot_holds_every_schema_key(trained):
+    _, ckpt = trained
+    snap = json.loads((ckpt.parent / "resolved_config.json").read_text())
+    assert set(snap) == ({f.name for f in fields(TrainConfig)} | {f.name for f in fields(RunConfig)}
+                         | {"encoder", "command"})
+
+
+def test_older_snapshot_replays(tmp_path, monkeypatch):
+    # written by an earlier release: `SMALL --seed 0 --out run train --train-corpus
+    # train.conll --label-map labels.map`, run in a directory write_workspace filled
+    old = os.path.join(os.path.dirname(__file__), "data", "resolved_config.json")
+    write_workspace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", old, "--out", "replay", "train"]) == 0
+    with open(old, encoding="utf-8") as f:
+        expected = {**json.load(f), "out": "replay"}
+    assert json.loads((tmp_path / "replay" / "resolved_config.json").read_text()) == expected
+    assert main(SMALL + ["--seed", "0", "--out", "run", "train", "--train-corpus", "train.conll",
+                         "--label-map", "labels.map"]) == 0
+    assert (tmp_path / "replay" / "checkpoint.ckpt").read_bytes() == \
+           (tmp_path / "run" / "checkpoint.ckpt").read_bytes()
+
+
+# small integers, often valid, reach the sampler and its data errors
+JSON_VALUES = st.integers(-1, 40) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(SCHEMA_KEYS + ["encoder"]),
+       suffix=st.one_of(st.just(""), st.sampled_from([".x", ".d"])), value=JSON_VALUES)
+def test_fuzzed_setting_exits_cleanly_and_names_its_key(workspace, capsys, caplog, key, suffix,
+                                                         value):
+    # after SMALL, so a dotted key may walk into SMALL's values; --out and
+    # --support override any value --set gives those two keys
+    tmp_path, train_path, _, _ = workspace
+    capsys.readouterr()
+    caplog.clear()
+    code = main(SMALL + ["--set", f"{key}{suffix}={json.dumps(value)}",
+                         "--out", str(tmp_path / "out"), "sample", "--support", str(train_path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    if code:
+        assert key.split(".")[-1] in caplog.text
