@@ -24,14 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, get_args, get_origin, get_type_hints
 
 from .autodiff import NumericError
-from .data import (DataError, LabelSet, Sentence, greedy_sample_support,
+from .data import (DataError, LabelSet, Sentence, fits_json, greedy_sample_support,
                    load_label_map, read_conll, read_fewnerd_episodes, write_conll)
 from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
@@ -88,23 +87,6 @@ class UsageError(ValueError):
     pass
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits a field annotated `kind`."""
-    args = get_args(kind)
-    if type(None) in args:  # Optional[X]
-        return value is None or _fits(value, args[0])
-    if get_origin(kind) is tuple:  # tuple[X, ...]
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool):  # a JSON true is not a number
-        return kind is bool
-    if kind is float:
-        try:
-            return math.isfinite(value)
-        except (TypeError, OverflowError):  # not a number, or an int past float range
-            return False
-    return isinstance(value, kind)
-
-
 def _describe(kind) -> str:
     args = get_args(kind)
     if type(None) in args:
@@ -120,7 +102,7 @@ def _build(cls, values: dict, prefix: str = ""):
     rejects, is a usage error naming its key."""
     hints = get_type_hints(cls)
     for key, value in values.items():
-        if not _fits(value, hints[key]):
+        if not fits_json(value, hints[key]):
             raise UsageError(f"{prefix}{key} must be {_describe(hints[key])}, got {value!r}")
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
@@ -241,31 +223,24 @@ def _snapshot(command: str, train: TrainConfig, run: RunConfig, encoder: dict) -
     log.info("resolved config written to %s", path)
 
 
-def _classes_from(sentences: list[Sentence], role: str) -> LabelSet:
-    found: set[str] = set()
-    for s in sentences:
-        found |= s.entity_classes()
+def _classes_from(sentences: list[Sentence], role: str, path: str) -> LabelSet:
+    found = set().union(*(s.entity_classes() for s in sentences))
     if not found:
-        raise DataError("corpus contains no entity classes")
+        raise DataError(f"{path}: corpus contains no entity classes")
     return LabelSet(tuple(sorted(found)), role=role)
-
-
-def _out_path(run: RunConfig, name: str) -> str:
-    return os.path.join(run.out, name)
 
 
 def cmd_train(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
     _require(run, "train", "train_corpus", "label_map")
     _snapshot("train", train, run, encoder)
     sentences = read_conll(run.train_corpus)
-    label_set = _classes_from(sentences, "source")
+    label_set = _classes_from(sentences, "source", run.train_corpus)
     label_map = load_label_map(run.label_map, label_set)
     ckpt, log_entries = train_source(sentences, label_set, label_map, train,
                                      encoder_overrides=encoder or None)
-    save_checkpoint(ckpt, _out_path(run, "checkpoint.ckpt"))
-    with open(_out_path(run, "loss_log.txt"), "w", encoding="utf-8") as f:
-        for entry in log_entries:
-            f.write(entry.format() + "\n")
+    save_checkpoint(ckpt, os.path.join(run.out, "checkpoint.ckpt"))
+    with open(os.path.join(run.out, "loss_log.txt"), "w", encoding="utf-8") as f:
+        f.writelines(entry.format() + "\n" for entry in log_entries)
     log.info("trained on %d sentences, %d steps, final loss %.6f",
              len(sentences), len(log_entries), log_entries[-1].loss)
     return 0
@@ -276,14 +251,13 @@ def cmd_finetune(train: TrainConfig, run: RunConfig, encoder: dict, given: dict)
     ckpt, train, encoder = _model_from_checkpoint(train, run, given)
     _snapshot("finetune", train, run, encoder)
     support = read_conll(run.support)
-    label_set = _classes_from(support, "target")
+    label_set = _classes_from(support, "target", run.support)
     label_map = (load_label_map(run.label_map, label_set)
                  if run.label_map else ckpt.label_map)
     tuned, result = finetune(ckpt, support, label_set, label_map, train)
-    save_checkpoint(tuned, _out_path(run, "finetuned.ckpt"))
-    with open(_out_path(run, "finetune_log.txt"), "w", encoding="utf-8") as f:
-        for entry in result.log:
-            f.write(entry.format() + "\n")
+    save_checkpoint(tuned, os.path.join(run.out, "finetuned.ckpt"))
+    with open(os.path.join(run.out, "finetune_log.txt"), "w", encoding="utf-8") as f:
+        f.writelines(entry.format() + "\n" for entry in result.log)
     log.info("fine-tuned for %d iterations (cap hit: %s)",
              result.iterations, result.hit_cap)
     return 0
@@ -294,11 +268,13 @@ def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) 
     ckpt, train, encoder = _model_from_checkpoint(train, run, given)
     _snapshot("predict", train, run, encoder)
     support = read_conll(run.support)
+    if not support:
+        raise DataError(f"{run.support}: support corpus holds no sentences")
     queries = read_conll(run.input)
     bank = build_support_bank(ckpt, support, max_len=train.max_len)
     tagged = [Sentence(s.tokens, tuple(decode_sentence(ckpt, s, bank, max_len=train.max_len)))
               for s in queries]
-    path = _out_path(run, "predictions.conll")
+    path = os.path.join(run.out, "predictions.conll")
     write_conll(tagged, path)
     log.info("tagged %d sentences into %s", len(tagged), path)
     return 0
@@ -311,17 +287,23 @@ def cmd_evaluate(train: TrainConfig, run: RunConfig, encoder: dict, given: dict)
     if run.protocol == "episode":
         _require(run, "evaluate (episode protocol)", "episodes")
         episodes = read_fewnerd_episodes(run.episodes)
+        if not episodes:
+            raise DataError(f"{run.episodes}: no episodes to evaluate")
         report = evaluate_episodes(ckpt, episodes, train)
     else:
         _require(run, "evaluate (low-resource protocol)", "support", "test_corpus")
         support_corpus = read_conll(run.support)
         test_corpus = read_conll(run.test_corpus)
-        label_set = _classes_from(support_corpus, "target")
+        label_set = _classes_from(support_corpus, "target", run.support)
+        extra = set().union(*(s.entity_classes() for s in test_corpus)) - set(label_set.classes)
+        if extra:
+            raise DataError(f"{run.test_corpus}: test corpus uses classes absent from the "
+                            f"support corpus {run.support}: {sorted(extra)}")
         seeds = [train.seed + i for i in range(run.n_runs)]
         report = low_resource_eval(ckpt, label_set, support_corpus, test_corpus,
                                    n_way=run.n_way, k_shot=run.k_shot,
                                    seeds=seeds, config=train, strict_k=run.strict_k)
-    path = _out_path(run, "eval_report.json")
+    path = os.path.join(run.out, "eval_report.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report.summary(), f, indent=2, sort_keys=True)
     if report.per_run:
@@ -337,10 +319,10 @@ def cmd_sample(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -
     _require(run, "sample", "support")
     _snapshot("sample", train, run, encoder)
     corpus = read_conll(run.support)
-    label_set = _classes_from(corpus, "target")
+    label_set = _classes_from(corpus, "target", run.support)
     sample = greedy_sample_support(corpus, label_set, run.n_way, run.k_shot,
                                    seed=train.seed, strict_k=run.strict_k)
-    path = _out_path(run, "support.conll")
+    path = os.path.join(run.out, "support.conll")
     write_conll(sample.sentences, path)
     counts = ", ".join(f"{c}={n}" for c, n in sorted(sample.counts.items()))
     print(f"sampled {len(sample.sentences)} sentences ({counts}) into {path}")
@@ -363,7 +345,7 @@ def cmd_dump_embeddings(train: TrainConfig, run: RunConfig, encoder: dict,
     ckpt, train, encoder = _model_from_checkpoint(train, run, given)
     _snapshot("dump-embeddings", train, run, encoder)
     sentences = read_conll(run.input)
-    path = _out_path(run, "embeddings.tsv")
+    path = os.path.join(run.out, "embeddings.tsv")
     n = dump_embeddings(ckpt, sentences, path, max_len=train.max_len)
     print(f"wrote {n} token rows to {path}")
     return 0

@@ -7,9 +7,10 @@ normalized at ingest (B-X becomes I-X).
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, get_args, get_origin
 
 import numpy as np
 
@@ -99,10 +100,10 @@ class LabelMap:
     def phrase(self, cls: str) -> str:
         return self.phrases[cls]
 
-    def check_covers(self, label_set: LabelSet) -> None:
+    def check_covers(self, label_set: LabelSet, name: str = "label map") -> None:
         missing = [c for c in label_set.with_o if c not in self.phrases]
         if missing:
-            raise DataError(f"label map is missing phrases for: {', '.join(missing)}")
+            raise DataError(f"{name} is missing phrases for: {', '.join(missing)}")
 
 
 @dataclass
@@ -192,14 +193,29 @@ def _label_to_io(label: str) -> str:
     return "I-" + label  # bare class names, as in episode files
 
 
-def _is_str_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+def fits_json(value, kind) -> bool:
+    """Whether a JSON value fits the annotation `kind`: int, float (finite),
+    str, bool, Optional[X], tuple[X, ...] (a list) or dict[str, X]."""
+    args = get_args(kind)
+    if type(None) in args:  # Optional[X]
+        return value is None or fits_json(value, args[0])
+    if get_origin(kind) is tuple:  # tuple[X, ...]
+        return isinstance(value, (list, tuple)) and all(fits_json(v, args[0]) for v in value)
+    if get_origin(kind) is dict:
+        return isinstance(value, dict) and all(fits_json(v, args[1]) for v in value.values())
+    if isinstance(value, bool):  # a JSON true is not a number
+        return kind is bool
+    if kind is float:
+        try:
+            return math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            return False
+    return isinstance(value, kind)
 
 
 def _record_sentences(part: dict) -> list[Sentence]:
     words, labels = part["word"], part["label"]
-    if not (isinstance(words, list) and isinstance(labels, list)
-            and all(map(_is_str_list, words + labels))):
+    if not all(fits_json(x, tuple[tuple[str, ...], ...]) for x in (words, labels)):
         raise DataError("word and label must be lists of lists of strings")
     if len(words) != len(labels):
         raise DataError(f"{len(words)} word lists but {len(labels)} label lists")
@@ -216,7 +232,7 @@ def read_fewnerd_episodes(path: str) -> list[Episode]:
         try:
             rec = json.loads(raw)
             types = rec["types"]
-            if not _is_str_list(types):
+            if not fits_json(types, tuple[str, ...]):
                 raise DataError(f"types must be a list of class names, got {types!r}")
             k = rec.get("K", 0)
             ep = Episode(_record_sentences(rec["support"]), _record_sentences(rec["query"]),
@@ -249,7 +265,7 @@ def load_label_map(path: str, label_set: Optional[LabelSet] = None) -> LabelMap:
     phrases.setdefault(O_TAG, DEFAULT_O_PHRASE)
     label_map = LabelMap(phrases)
     if label_set is not None:
-        label_map.check_covers(label_set)
+        label_map.check_covers(label_set, f"label map {path}")
     return label_map
 
 

@@ -9,7 +9,7 @@ bank row index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -114,8 +114,9 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
             hi += 1
         packed = pack(seqs[lo:hi])
         h = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=False).data
-        for seq, first in zip(packed.seqs, packed.bounds):
-            yield h[first + seq.context_positions()], seq.gold_tags
+        h, ends = h[packed.context_rows], np.cumsum([seq.n_context for seq in packed.seqs])
+        for seq, end in zip(packed.seqs, ends.tolist()):
+            yield h[end - seq.n_context:end], seq.gold_tags
         lo = hi
 
 
@@ -272,9 +273,8 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
                 raise
             skipped.append(seed)
             continue
-        run_config = TrainConfig(**{**config.__dict__, "seed": seed})
         counts = _fit_and_score(checkpoint, sample.sentences, target_label_set,
-                                run_config, test_corpus)
+                                replace(config, seed=seed), test_corpus)
         per_run.append(EvalReport(*counts).f1)
         pooled = tuple(a + b for a, b in zip(pooled, counts))
     if not per_run:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -104,39 +105,35 @@ class BatchView:
 def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, Tensor],
                      o_keep_fraction: float = 1.0,
                      rng: Optional[np.random.Generator] = None) -> BatchView:
-    """Gather the packed batch's valid context tokens and label representatives
-    from its hidden states, then project each set."""
+    """Gather the packed batch's context tokens and label representatives from
+    its hidden states, then project each set.  A gold class the prompt lacks is
+    a DataError.  Below an o_keep_fraction of 1, O tokens draw from `rng` in
+    batch order, and each is kept when its draw is below the fraction."""
     if hidden.data.ndim != 2 or hidden.shape[0] != batch.n_occupied:
         raise ValueError(f"hidden states of shape {hidden.shape} do not match a packed "
                          f"batch of {batch.n_occupied} rows")
     if o_keep_fraction < 1.0 and rng is None:
         raise ValueError("O subsampling needs an rng")
 
-    token_rows: list[int] = []
-    tags: list[str] = []
-    sent_idx: list[int] = []
-    rep_rows: list[int] = []
-    rep_sentence: list[int] = []
-    rep_class: list[str] = []
-    for si, (seq, start) in enumerate(zip(batch.seqs, batch.bounds)):
-        for j, pos in enumerate(seq.context_positions()):
-            tag = seq.gold_tags[j]
-            if tag == "O" and o_keep_fraction < 1.0 and rng.random() >= o_keep_fraction:
-                continue
-            token_rows.append(start + pos)
-            tags.append(tag)
-            sent_idx.append(si)
-        rep_rows += [start + seq.label_rep_index[c] for c in seq.class_order]
-        rep_sentence += [si] * len(seq.class_order)
-        rep_class += seq.class_order
-    if not token_rows:  # every sentence has a context token, so O subsampling took them all
+    gold = [tag for seq in batch.seqs for tag in seq.gold_tags]
+    prompt = batch.seqs[0].prompt
+    for cls in dict.fromkeys(tag if tag == "O" else tag[2:] for tag in gold):
+        if cls not in prompt.rep_offsets:
+            raise DataError(f"gold tag class {cls!r} has no label representative")
+    is_o = np.array(gold) == "O"
+    keep = ~is_o
+    keep[is_o] = rng.random(int(is_o.sum())) < o_keep_fraction if o_keep_fraction < 1.0 else True
+    if not keep.any():  # every sentence has a context token, so O subsampling took them all
         raise DataError(f"o_keep_fraction={o_keep_fraction} dropped every context token "
                         f"of a batch of {len(batch.seqs)} sentence(s)")
-    embeddings = project(proj_params, ad.row_gather(hidden, token_rows))
-    return BatchView(embeddings=embeddings, tags=tuple(tags),
-                     sentence_index=np.asarray(sent_idx),
-                     label_reps=project(proj_params, ad.row_gather(hidden, rep_rows)),
-                     rep_sentence=np.asarray(rep_sentence), rep_class=tuple(rep_class))
+    n_seqs, n_classes = batch.rep_rows.shape
+    sentence_index = np.repeat(np.arange(n_seqs), [seq.n_context for seq in batch.seqs])
+    embeddings = project(proj_params, ad.row_gather(hidden, batch.context_rows[keep]))
+    label_reps = project(proj_params, ad.row_gather(hidden, batch.rep_rows.ravel()))
+    return BatchView(embeddings=embeddings, tags=tuple(compress(gold, keep)),
+                     sentence_index=sentence_index[keep], label_reps=label_reps,
+                     rep_sentence=np.repeat(np.arange(n_seqs), n_classes),
+                     rep_class=prompt.class_order * n_seqs)
 
 
 def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str) -> Tensor:

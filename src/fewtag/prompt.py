@@ -8,7 +8,9 @@ where the prompt lists every class (entity classes in label-set order, O
 last) as a [CLS] marker followed by the class's natural-language phrase.
 The [CLS] marker position is the class's representative token.  Inputs are
 not padded: `max_len` is only the budget the context is truncated to.  The
-encoder takes a batch of inputs packed row-wise, one segment per input.
+encoder takes a batch of inputs packed row-wise, one segment per input; the
+pack also holds the rows of every context token and representative, which
+the losses and the decoder gather.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ class LabelPrompt:
 
 @dataclass(frozen=True)
 class InputSequence:
-    token_ids: np.ndarray            # (n_occupied,) int
-    context_mask: np.ndarray         # (n_occupied,) bool, true at valid context tokens
-    label_rep_index: dict[str, int]  # class -> absolute position of its [CLS] marker
-    gold_tags: tuple[str, ...]       # per context position, aligned with context_mask
-    class_order: tuple[str, ...]
-    max_len: int                     # the length budget n_occupied never exceeds
+    """[CLS] context [SEP] prompt [SEP] as ids; the context is rows 1..n_context."""
+    token_ids: np.ndarray       # (n_occupied,) int
+    gold_tags: tuple[str, ...]  # per context token
+    prompt: LabelPrompt
+    max_len: int                # the length budget n_occupied never exceeds
 
     @property
     def n_occupied(self) -> int:
@@ -46,10 +47,7 @@ class InputSequence:
 
     @property
     def n_context(self) -> int:
-        return int(self.context_mask.sum())
-
-    def context_positions(self) -> np.ndarray:
-        return np.nonzero(self.context_mask)[0]
+        return len(self.gold_tags)
 
 
 def build_label_prompt(label_set: LabelSet, label_map: LabelMap) -> LabelPrompt:
@@ -59,12 +57,11 @@ def build_label_prompt(label_set: LabelSet, label_map: LabelMap) -> LabelPrompt:
     label_map.check_covers(label_set)
     tokens: list[str] = []
     rep_offsets: dict[str, int] = {}
-    class_order = label_set.with_o
-    for cls in class_order:
+    for cls in label_set.with_o:
         rep_offsets[cls] = len(tokens)
         tokens.append(CLS)
         tokens.extend(label_map.phrase(cls).split())
-    return LabelPrompt(tuple(tokens), rep_offsets, class_order)
+    return LabelPrompt(tuple(tokens), rep_offsets, label_set.with_o)
 
 
 def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
@@ -82,22 +79,8 @@ def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
 
     words = [CLS] + list(sentence.tokens[:n_ctx]) + [SEP] + list(prompt.tokens) + [SEP]
     ids = np.array([vocab.id(w) for w in words], dtype=np.int64)
-
-    context_mask = np.zeros(len(words), dtype=bool)
-    context_mask[1:1 + n_ctx] = True
-
-    prompt_start = 1 + n_ctx + 1
-    rep_index = {cls: prompt_start + off for cls, off in prompt.rep_offsets.items()}
-
-    gold = sentence.tags[:n_ctx]
-    for tag in gold:
-        cls = tag if tag == "O" else tag[2:]
-        if cls not in rep_index:
-            raise DataError(f"gold tag class {cls!r} has no label representative")
-
-    return InputSequence(token_ids=ids, context_mask=context_mask,
-                         label_rep_index=rep_index, gold_tags=gold,
-                         class_order=prompt.class_order, max_len=max_len)
+    return InputSequence(token_ids=ids, gold_tags=sentence.tags[:n_ctx], prompt=prompt,
+                         max_len=max_len)
 
 
 @dataclass(frozen=True)
@@ -107,9 +90,11 @@ class PackedBatch:
     Rows bounds[i]:bounds[i + 1] hold sequence i; attention stays within them.
     """
     seqs: tuple[InputSequence, ...]
-    token_ids: np.ndarray   # (n_occupied,) int, every sequence's ids in order
-    positions: np.ndarray   # (n_occupied,) int, each row's position within its own sequence
-    bounds: np.ndarray      # (len(seqs) + 1,) int, each sequence's first row, then n_occupied
+    token_ids: np.ndarray     # (n_occupied,) int, every sequence's ids in order
+    positions: np.ndarray     # (n_occupied,) int, each row's position within its own sequence
+    bounds: np.ndarray        # (len(seqs) + 1,) int, each sequence's first row, then n_occupied
+    context_rows: np.ndarray  # (sum of n_context,) int, every context token's row in order
+    rep_rows: np.ndarray      # (len(seqs), n_classes) int, representative rows in class order
 
     @property
     def n_occupied(self) -> int:
@@ -122,9 +107,18 @@ class PackedBatch:
 
 
 def pack(seqs: list[InputSequence]) -> PackedBatch:
-    """The sequences, in order, as one packed batch."""
+    """The sequences, in order, as one packed batch; they share one prompt."""
+    prompt = seqs[0].prompt
+    if any(s.prompt != prompt for s in seqs):
+        raise ValueError("packed sequences must share one label prompt")
     lengths = [s.n_occupied for s in seqs]
-    return PackedBatch(seqs=tuple(seqs),
-                       token_ids=np.concatenate([s.token_ids for s in seqs]),
-                       positions=np.concatenate([np.arange(n) for n in lengths]),
-                       bounds=np.concatenate([[0], np.cumsum(lengths)]))
+    n_ctx = np.array([s.n_context for s in seqs], dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    in_context = (positions >= 1) & (positions <= np.repeat(n_ctx, lengths))
+    offsets = [prompt.rep_offsets[c] for c in prompt.class_order]
+    return PackedBatch(seqs=tuple(seqs), token_ids=np.concatenate([s.token_ids for s in seqs]),
+                       positions=positions, bounds=bounds,
+                       context_rows=np.nonzero(in_context)[0],
+                       # each prompt starts after its sequence's [CLS], context and [SEP]
+                       rep_rows=(bounds[:-1] + n_ctx + 2)[:, None] + offsets)

@@ -14,12 +14,13 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .autodiff import NumericError, Tensor
-from .data import DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_vocab
+from .data import (RESERVED, DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_vocab,
+                   fits_json)
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .gaussian import init_projection_params
 from .losses import METRIC_SQEUCLID, LossConfig, MixedLoss, build_batch_view, mixed_loss
@@ -175,11 +176,8 @@ class Checkpoint:
     embed_dim: int
 
     def clone(self) -> "Checkpoint":
-        params = {k: Tensor(v.data.copy(), requires_grad=True)
-                  for k, v in self.params.items()}
-        return Checkpoint(encoder_config=self.encoder_config, params=params,
-                          vocab=self.vocab, label_map=self.label_map,
-                          label_set=self.label_set, embed_dim=self.embed_dim)
+        return replace(self, params={k: Tensor(v.data.copy(), requires_grad=True)
+                                     for k, v in self.params.items()})
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
@@ -260,14 +258,26 @@ def load_checkpoint(path: str) -> Checkpoint:
         if off != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the tensors")
         enc_cfg = EncoderConfig(**meta["encoder_config"])
+        vocab, classes = meta["vocab"], meta["label_set"]["classes"]
+        hints = get_type_hints(EncoderConfig)
+        wrong = [key for key, ok in [
+            # a model of n layers has more than n tensors
+            ("encoder_config", enc_cfg.n_layers < len(params)
+             and all(fits_json(getattr(enc_cfg, k), kind) for k, kind in hints.items())),
+            ("vocab", fits_json(vocab, dict[str, int]) and set(RESERVED) <= vocab.keys()
+             and len(vocab) == enc_cfg.vocab_size
+             and sorted(vocab.values()) == list(range(len(vocab)))),
+            ("label_set", fits_json(classes, tuple[str, ...]) and len(classes) > 0),
+            ("label_map", fits_json(meta["label_map"], dict[str, str])
+             and meta["label_map"].keys() >= {*classes, "O"})] if not ok]
+        if wrong:
+            raise CheckpointError(f"{path}: malformed checkpoint metadata: {', '.join(wrong)}")
         if version == 1:
             _fuse_v1_heads(params, enc_cfg, path)
         _check_tensors(params, enc_cfg, meta["embed_dim"], path)
-        return Checkpoint(encoder_config=enc_cfg, params=params,
-                          vocab=Vocabulary(meta["vocab"]),
+        return Checkpoint(encoder_config=enc_cfg, params=params, vocab=Vocabulary(vocab),
                           label_map=LabelMap(meta["label_map"]),
-                          label_set=LabelSet(tuple(meta["label_set"]["classes"]),
-                                             role=meta["label_set"]["role"]),
+                          label_set=LabelSet(tuple(classes), role=meta["label_set"]["role"]),
                           embed_dim=meta["embed_dim"])
     except CheckpointError:
         raise
@@ -413,10 +423,7 @@ def retarget(checkpoint: Checkpoint, label_set: LabelSet,
              label_map: LabelMap) -> Checkpoint:
     """Clone a checkpoint onto a new label set without changing parameters."""
     label_map.check_covers(label_set)
-    ckpt = checkpoint.clone()
-    return Checkpoint(encoder_config=ckpt.encoder_config, params=ckpt.params,
-                      vocab=ckpt.vocab, label_map=label_map,
-                      label_set=label_set, embed_dim=ckpt.embed_dim)
+    return replace(checkpoint.clone(), label_map=label_map, label_set=label_set)
 
 
 def finetune(checkpoint: Checkpoint, support: list[Sentence],

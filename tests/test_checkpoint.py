@@ -121,6 +121,31 @@ def test_bad_metadata_rejected(tmp_path, meta, match):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("path,value,field", [
+    pytest.param(("vocab",), {}, "vocab", id="vocab-without-specials"),
+    pytest.param(("vocab",), ["[UNK]"], "vocab", id="vocab-a-list"),
+    pytest.param(("encoder_config", "d"), 8.0, "encoder_config", id="d-a-float"),
+    # checked before the tensor shapes, whose walk over the layers would not end
+    pytest.param(("encoder_config", "n_layers"), 10**12, "encoder_config", id="n_layers-huge"),
+    pytest.param(("label_set", "classes"), [], "label_set", id="no-classes"),
+    pytest.param(("label_set", "classes"), "PER", "label_set", id="classes-a-string"),
+    pytest.param(("label_map",), {"O": "other"}, "label_map", id="label-map-missing-classes"),
+    pytest.param(("label_map",), "other", "label_map", id="label-map-a-string"),
+])
+def test_wrongly_typed_metadata_rejected(tmp_path, path, value, field):
+    save_checkpoint(load_checkpoint(V1_CKPT), str(tmp_path / "v2.ckpt"))
+    version, meta, tensors = read_container((tmp_path / "v2.ckpt").read_bytes())
+    bad = json.loads(meta)
+    node = bad
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    ckpt = tmp_path / "typed.ckpt"
+    write_container(str(ckpt), version, json.dumps(bad).encode(), tensors)
+    with pytest.raises(CheckpointError, match=f"{ckpt}: malformed checkpoint metadata: {field}"):
+        load_checkpoint(str(ckpt))
+
+
 def test_bad_metadata_values_rejected(tmp_path):
     _, meta, tensors = v1_parts()
     bad = json.loads(meta)

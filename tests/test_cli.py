@@ -1,5 +1,8 @@
+import copy
 import json
 import os
+import struct
+import tempfile
 from dataclasses import fields
 
 import pytest
@@ -303,6 +306,12 @@ MALFORMED = {
     "episode-types-not-a-list": (EVALUATE, _episodes(lambda r: r.update(types=5)), 3),
     "episode-unequal-word-and-label-lists": (EVALUATE, _episodes(_drop_last_support_labels), 3),
     "episode-number-as-word": (EVALUATE, _episodes(_number_as_word), 3),
+    "episodes-file-empty": (EVALUATE, lambda p: p.write_text(""), 3),
+    "label-map-missing-a-class": (_train(label_map="{bad}"), lambda p: p.write_text("A = a\n"), 3),
+    "corpus-without-entities": (_train(corpus="{bad}"), lambda p: p.write_text("w\tO\n"), 3),
+    "predict-support-empty": (["--out", "{out}", "predict", "--checkpoint", "{ckpt}",
+                               "--support", "{bad}", "--input", "{support}"],
+                              lambda p: p.write_text(""), 3),
 }
 
 
@@ -319,6 +328,37 @@ def test_malformed_input_exits_with_its_code_and_names_the_file(trained, tmp_pat
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
     assert str(bad) in caplog.text
+
+
+@pytest.mark.parametrize("command, output", [("predict", "predictions.conll"),
+                                             ("dump-embeddings", "embeddings.tsv")])
+def test_input_tags_of_a_class_the_model_lacks_are_not_read(trained, tmp_path, command,
+                                                            output):
+    # trained on A and B; the support holds A alone and the input tags ORG
+    (_, train_path, _, _), ckpt = trained
+    support = tmp_path / "support.conll"
+    write_conll([s for s in read_conll(str(train_path)) if "A" in s.entity_classes()],
+                str(support))
+    query = tmp_path / "query.conll"
+    write_conll([Sentence(("aent0", "filler1", "bent2"), ("I-ORG", "O", "I-A"))], str(query))
+    args = {"predict": ["--support", str(support)], "dump-embeddings": []}[command]
+    code = main(SMALL + ["--out", str(tmp_path / "out"), command, "--checkpoint", str(ckpt),
+                         "--input", str(query)] + args)
+    assert code == 0
+    assert (tmp_path / "out" / output).exists()
+
+
+def test_low_resource_test_classes_absent_from_the_support_are_data_error(trained, tmp_path,
+                                                                           caplog):
+    (_, train_path, _, _), ckpt = trained
+    test = tmp_path / "test.conll"
+    write_conll([Sentence(("aent0", "filler1"), ("I-A", "O")),
+                 Sentence(("x", "y"), ("I-ORG", "O"))], str(test))
+    code = main(SMALL + ["--out", str(tmp_path / "out"), "evaluate", "--checkpoint", str(ckpt),
+                         "--protocol", "low-resource", "--support", str(train_path),
+                         "--test-corpus", str(test), "--n-way", "2", "--n-runs", "1"])
+    assert code == 3
+    assert str(test) in caplog.text and "'ORG'" in caplog.text
 
 
 # arguments after the global flags of each subcommand that loads a checkpoint
@@ -433,3 +473,116 @@ def test_fuzzed_setting_exits_cleanly_and_names_its_key(workspace, capsys, caplo
     assert "Traceback" not in capsys.readouterr().err
     if code:
         assert key.split(".")[-1] in caplog.text
+
+
+# -- every file a subcommand reads, malformed ------------------------------------
+
+# per subcommand: its file flags, each with the kind of file it reads, and the
+# other arguments it needs
+FILE_READERS = {
+    "train": ({"--train-corpus": "corpus", "--label-map": "label_map"}, []),
+    "finetune": ({"--checkpoint": "checkpoint", "--support": "corpus",
+                  "--label-map": "label_map"}, []),
+    "predict": ({"--checkpoint": "checkpoint", "--support": "corpus", "--input": "corpus"}, []),
+    "evaluate": ({"--checkpoint": "checkpoint", "--episodes": "episodes"},
+                 ["--protocol", "episode"]),
+    "evaluate-low-resource": ({"--checkpoint": "checkpoint", "--support": "corpus",
+                               "--test-corpus": "corpus"},
+                              ["--protocol", "low-resource", "--n-way", "2", "--n-runs", "1"]),
+    "sample": ({"--support": "corpus"}, ["--n-way", "2", "--k-shot", "1"]),
+    "dump-embeddings": ({"--checkpoint": "checkpoint", "--input": "corpus"}, []),
+}
+SLOTS = [(command, flag) for command, (flags, _) in FILE_READERS.items() for flag in flags]
+
+LINE_FIELDS = st.sampled_from(["w", "I-A", "I-B", "B-A", "O", "A", "I-", "=", "A = alpha",
+                               "#", " ", ""])
+# lines of 0 to 4 fields: wrong column counts for a corpus, or stray ones for a label map
+TEXT = st.lists(st.lists(LINE_FIELDS, max_size=4).map("\t".join), max_size=6).map("\n".join)
+
+
+def _checkpoint_meta(blob: bytes) -> tuple[dict, bytes, bytes]:
+    """A checkpoint's metadata, the bytes before it and the bytes after it."""
+    (meta_len,) = struct.unpack("<Q", blob[12:20])
+    return json.loads(blob[20:20 + meta_len]), blob[:12], blob[20 + meta_len:]
+
+
+def _with_meta(blob: bytes, meta) -> bytes:
+    _, head, tail = _checkpoint_meta(blob)
+    meta_bytes = json.dumps(meta).encode()
+    return head + struct.pack("<Q", len(meta_bytes)) + meta_bytes + tail
+
+
+def _replaced(record, path: tuple, value):
+    """A copy of the JSON record with the value at `path` replaced."""
+    if not path:
+        return value
+    record = copy.deepcopy(record)
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return record
+
+
+EPISODE_PATHS = [(), ("support",), ("query",), ("types",), ("K",), ("support", "word"),
+                 ("support", "label"), ("query", "word"), ("query", "label"),
+                 ("support", "word", 0), ("query", "label", 0), ("types", 0)]
+META_PATHS = [(), ("version",), ("encoder_config",), ("vocab",), ("label_map",), ("label_set",),
+              ("embed_dim",), ("encoder_config", "d"), ("encoder_config", "vocab_size"),
+              ("encoder_config", "max_len"), ("label_set", "classes"), ("label_set", "role"),
+              ("label_map", "O"), ("vocab", "[CLS]")]
+
+
+@st.composite
+def malformed_files(draw, kind: str, valid: bytes):
+    """(bytes to write, or None for a directory) of a malformed file of `kind`."""
+    how = draw(st.sampled_from(["bytes", "directory", "text", "json", "truncated"]))
+    if how == "directory":
+        return None
+    if how == "bytes":
+        return draw(st.binary(max_size=64))
+    if how == "truncated":
+        return valid[:draw(st.integers(0, max(0, len(valid) - 1)))]
+    if how == "text" or kind in ("corpus", "label_map"):
+        return draw(TEXT).encode()
+    value = draw(JSON_VALUES)
+    if kind == "episodes":
+        record = _replaced(episode_record(), draw(st.sampled_from(EPISODE_PATHS)), value)
+        return (json.dumps(record) + "\n").encode()
+    meta, _, _ = _checkpoint_meta(valid)
+    return _with_meta(valid, _replaced(meta, draw(st.sampled_from(META_PATHS)), value))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(slot=st.sampled_from(SLOTS), data=st.data())
+def test_malformed_file_exits_cleanly_and_names_it(trained, capsys, caplog, slot, data):
+    (_, train_path, support_path, map_path), ckpt = trained
+    command, bad_flag = slot
+    flags, extra = FILE_READERS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        episodes = os.path.join(tmp, "episodes.jsonl")
+        with open(episodes, "w", encoding="utf-8") as f:
+            f.write(json.dumps(episode_record()) + "\n")
+        valid = {"corpus": str(support_path), "label_map": str(map_path),
+                 "checkpoint": str(ckpt), "episodes": episodes}
+        if command == "train":
+            valid["corpus"] = str(train_path)
+        bad = os.path.join(tmp, "bad")
+        with open(valid[flags[bad_flag]], "rb") as f:
+            content = data.draw(malformed_files(flags[bad_flag], f.read()))
+        if content is None:
+            os.mkdir(bad)
+        else:
+            with open(bad, "wb") as f:
+                f.write(content)
+        argv = [command.split("-low-resource")[0]] + extra
+        for flag, kind in flags.items():
+            argv += [flag, bad if flag == bad_flag else valid[kind]]
+        capsys.readouterr()
+        caplog.clear()
+        code = main(SMALL + ["--out", os.path.join(tmp, "out")] + argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    if code:  # the file, or the setting it fails, such as `need n_way=2` of the sampler
+        assert bad in caplog.text or any(f"{key}=" in caplog.text for key in SCHEMA_KEYS)

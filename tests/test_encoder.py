@@ -268,3 +268,19 @@ def test_train_encode_builds_as_many_nodes_for_32_sequences_as_for_one(monkeypat
     assert counts[0] == counts[1]
     # the eval-mode nodes plus one dropout after the embedding norm and two per layer
     assert len(counts[1]) == 4 + 12 * config.n_layers + 1 + 2 * config.n_layers
+
+
+def test_train_encode_draws_every_dropout_mask_at_once():
+    seqs, config = packed_setup(5)
+    params = enc.init_encoder_params(config)
+    rng = make_rng(0, "drop")
+    shapes = []
+
+    class Recording:
+        def random(self, size):
+            shapes.append(size)
+            return rng.random(size)
+
+    enc.encode(params, config, pack(seqs), train_mode=True, rng=Recording())
+    sites = 1 + 2 * config.n_layers
+    assert shapes == [(sites * sum(s.n_occupied for s in seqs), config.d)]

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from fewtag import autodiff as ad
 from fewtag import losses as ls
 from fewtag.autodiff import Tensor
-from fewtag.data import LabelMap, LabelSet, Sentence, build_vocab
+from fewtag.data import DataError, LabelMap, LabelSet, Sentence, build_vocab
 from fewtag.encoder import EncoderConfig, encode, init_encoder_params
-from fewtag.gaussian import GaussianEmbedding, init_projection_params
+from fewtag.gaussian import GaussianEmbedding, init_projection_params, project
 from fewtag.losses import (BatchView, LossConfig, anchor_loss_in, anchor_loss_out,
                            build_batch_view, context_context_loss,
                            context_label_loss, mixed_loss)
@@ -227,7 +227,7 @@ def test_batch_view_excludes_prompt_and_padding():
     # both sentences' prompts: classes A, B and O each
     assert batch.label_reps.mu.shape == (6, 4)
     assert batch.rep_sentence.tolist() == [0, 0, 0, 1, 1, 1]
-    assert batch.rep_class == packed.seqs[0].class_order * 2
+    assert batch.rep_class == ("A", "B", "O") * 2
 
 
 def test_positive_sets_match_definition():
@@ -245,6 +245,47 @@ def test_o_subsampling_drops_only_o_tokens():
                              o_keep_fraction=1e-9, rng=rng)
     assert all(t != "O" for t in batch.tags)
     assert batch.n_tokens == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), keep=st.floats(0.05, 0.95),
+       lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def test_o_subsampling_keeps_the_tokens_a_per_token_draw_keeps(seed, keep, lengths):
+    sents = [Sentence(tuple(f"w{j}" for j in range(n)),
+                      tuple("I-A" if j % 3 == 0 else "O" for j in range(n))) for n in lengths]
+    vocab = build_vocab(sents, label_map=LM)
+    prompt = build_label_prompt(LabelSet(("A", "B")), LM)
+    packed = pack([assemble_input(s, prompt, vocab, max_len=16) for s in sents])
+    hidden = Tensor(np.random.default_rng(1).normal(size=(packed.n_occupied, 8)))
+    proj_params = init_projection_params(d=8, l=4, seed=4)
+    # reference: one rng.random() per O token, sentence by sentence
+    ref = np.random.default_rng(seed)
+    rows, tags, sentence_index = [], [], []
+    for si, (s, first) in enumerate(zip(sents, packed.bounds)):
+        for j, tag in enumerate(s.tags):
+            if tag == "O" and ref.random() >= keep:
+                continue
+            rows.append(first + 1 + j)
+            tags.append(tag)
+            sentence_index.append(si)
+    rng = np.random.default_rng(seed)
+    batch = build_batch_view(hidden, packed, proj_params, o_keep_fraction=keep, rng=rng)
+    assert batch.tags == tuple(tags)
+    assert batch.sentence_index.tolist() == sentence_index
+    np.testing.assert_array_equal(batch.embeddings.mu.data,
+                                  project(proj_params, ad.row_gather(hidden, rows)).mu.data)
+    assert rng.random() == ref.random()  # both drew once per O token
+
+
+def test_batch_view_rejects_a_gold_class_the_prompt_lacks():
+    sents = [Sentence(("x", "y"), ("I-A", "O")), Sentence(("u", "v"), ("I-C", "I-A"))]
+    vocab = build_vocab(sents, label_map=LM)
+    prompt = build_label_prompt(LabelSet(("A", "B")), LM)
+    # assembling and encoding read no gold tag
+    packed = pack([assemble_input(s, prompt, vocab, max_len=14) for s in sents])
+    hidden = Tensor(np.zeros((packed.n_occupied, 8)))
+    with pytest.raises(DataError, match="gold tag class 'C' has no label representative"):
+        build_batch_view(hidden, packed, init_projection_params(d=8, l=4, seed=4))
 
 
 @pytest.mark.parametrize("variant", ["icl", "ocl"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewtag.data import DataError, LabelMap, LabelSet, Sentence, build_vocab
-from fewtag.prompt import assemble_input, build_label_prompt
+from fewtag.prompt import assemble_input, build_label_prompt, pack
 
 
 LM = LabelMap({"person": "person", "location": "location", "O": "other",
@@ -45,27 +45,32 @@ def test_assemble_layout_arithmetic():
     sent, prompt, vocab = fixture()
     seq = assemble_input(sent, prompt, vocab, max_len=16)
     # [CLS] a w h [SEP] prompt(6) [SEP] = 12 occupied; no padding to max_len
-    assert seq.token_ids.shape == seq.context_mask.shape == (12,)
+    assert seq.token_ids.shape == (12,)
     assert seq.n_occupied == 12 and seq.max_len == 16
     assert vocab.id("[PAD]") not in seq.token_ids
     assert seq.n_context == 3
-    np.testing.assert_array_equal(seq.context_positions(), [1, 2, 3])
+    packed = pack([seq])
+    np.testing.assert_array_equal(packed.context_rows, [1, 2, 3])
+    np.testing.assert_array_equal(packed.positions, np.arange(12))
     assert seq.gold_tags == ("I-person", "O", "O")
 
 
 def test_representatives_carry_cls_id():
     sent, prompt, vocab = fixture()
-    seq = assemble_input(sent, prompt, vocab, max_len=16)
-    for cls, pos in seq.label_rep_index.items():
-        assert seq.token_ids[pos] == vocab.id("[CLS]")
-    assert seq.label_rep_index == {"person": 5, "location": 7, "O": 9}
+    packed = pack([assemble_input(sent, prompt, vocab, max_len=16)])
+    # person, location, O: each [CLS] followed by its phrase
+    np.testing.assert_array_equal(packed.rep_rows, [[5, 7, 9]])
+    for row, phrase in zip(packed.rep_rows[0], ("person", "location", "other")):
+        assert packed.token_ids[row] == vocab.id("[CLS]")
+        assert packed.token_ids[row + 1] == vocab.id(phrase)
 
 
-def test_context_mask_false_outside_context():
+def test_nothing_outside_context_and_representatives_is_marked():
     sent, prompt, vocab = fixture()
-    seq = assemble_input(sent, prompt, vocab, max_len=16)
-    assert not seq.context_mask[0]
-    assert not seq.context_mask[4:].any()
+    packed = pack([assemble_input(sent, prompt, vocab, max_len=16)])
+    # not the leading [CLS], the [SEP]s or the phrase words
+    marked = packed.context_rows.tolist() + packed.rep_rows.ravel().tolist()
+    assert sorted(marked) == [1, 2, 3, 5, 7, 9]
 
 
 def test_truncation_aligns_gold_tags():
@@ -86,11 +91,18 @@ def test_prompt_too_long_rejected():
 
 def test_assembly_pure():
     sent, prompt, vocab = fixture()
-    a = assemble_input(sent, prompt, vocab, max_len=20)
-    b = assemble_input(sent, prompt, vocab, max_len=20)
-    np.testing.assert_array_equal(a.token_ids, b.token_ids)
-    np.testing.assert_array_equal(a.context_mask, b.context_mask)
-    assert a.label_rep_index == b.label_rep_index
+    a = pack([assemble_input(sent, prompt, vocab, max_len=20)])
+    b = pack([assemble_input(sent, prompt, vocab, max_len=20)])
+    for name in ("token_ids", "positions", "bounds", "context_rows", "rep_rows"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.seqs[0].gold_tags == b.seqs[0].gold_tags
+
+
+def test_pack_rejects_sequences_under_different_prompts():
+    sent, prompt, vocab = fixture()
+    other = build_label_prompt(LabelSet(("person",)), LM)
+    with pytest.raises(ValueError, match="one label prompt"):
+        pack([assemble_input(sent, prompt, vocab), assemble_input(sent, other, vocab)])
 
 
 # -- properties of assemble_input --------------------------------------------
@@ -134,13 +146,52 @@ def test_assemble_input_properties(case):
     assert seq.token_ids.tolist() == ids(("[CLS]",) + sent.tokens[:n_ctx] + ("[SEP]",)
                                          + prompt.tokens + ("[SEP]",))
     assert seq.n_occupied <= max_len and seq.max_len == max_len
-    assert seq.context_positions().tolist() == list(range(1, 1 + n_ctx))
+    packed = pack([seq])
+    assert packed.context_rows.tolist() == list(range(1, 1 + n_ctx))
     assert seq.gold_tags == sent.tags[:n_ctx]
     assert len(seq.gold_tags) == seq.n_context
-    assert tuple(seq.label_rep_index) == seq.class_order == prompt.class_order
-    for cls, pos in seq.label_rep_index.items():
+    assert packed.rep_rows.shape == (1, len(prompt.class_order))
+    for cls, pos in zip(prompt.class_order, packed.rep_rows[0]):
         phrase = ids(label_map.phrase(cls).split())
         assert seq.token_ids[pos] == vocab.id("[CLS]")
         assert seq.token_ids[pos + 1:pos + 1 + len(phrase)].tolist() == phrase
         # the phrase ends where the next class's [CLS] or the final [SEP] starts
         assert seq.token_ids[pos + 1 + len(phrase)] in ids(("[CLS]", "[SEP]"))
+
+
+@st.composite
+def pack_cases(draw):
+    """Sequences under one drawn prompt, with contexts of any length the budget allows."""
+    sent, label_map, prompt, vocab, _ = draw(assembly_cases())
+    max_len = len(prompt) + 3 + draw(st.integers(1, 8))
+    seqs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 12))
+        tokens = tuple(draw(st.lists(st.sampled_from(WORDS), min_size=n, max_size=n)))
+        seqs.append(assemble_input(Sentence(tokens, sent.tags[:1] * n), prompt, vocab,
+                                   max_len=max_len))
+    return seqs, prompt, vocab
+
+
+@settings(max_examples=200, deadline=None)
+@given(pack_cases())
+def test_pack_rows_match_a_walk_over_each_sequence(case):
+    seqs, prompt, vocab = case
+    cls_id, sep_id = vocab.id("[CLS]"), vocab.id("[SEP]")
+    # oracle: walk each sequence's ids; its context runs from after the leading
+    # [CLS] to the first [SEP], and every later [CLS] is the next class's
+    positions, context, reps, first = [], [], [], 0
+    for seq in seqs:
+        ids = seq.token_ids.tolist()
+        sep = ids.index(sep_id)
+        positions += range(len(ids))
+        context += [first + k for k in range(1, sep)]
+        reps.append([first + k for k in range(sep + 1, len(ids)) if ids[k] == cls_id])
+        first += len(ids)
+    packed = pack(seqs)
+    assert packed.positions.tolist() == positions
+    assert packed.context_rows.tolist() == context
+    assert packed.rep_rows.tolist() == reps
+    assert packed.bounds.tolist() == [0] + np.cumsum([s.n_occupied for s in seqs]).tolist()
+    assert len(packed.context_rows) == sum(s.n_context for s in seqs)
+    assert packed.token_ids.tolist() == [i for s in seqs for i in s.token_ids.tolist()]

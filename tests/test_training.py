@@ -91,6 +91,12 @@ class TestTrainSource:
         final_epoch_mean = np.mean([e.loss for e in log[-per_epoch:]])
         assert final_epoch_mean < log[0].loss
 
+    def test_tag_outside_the_label_set_rejected(self):
+        corpus = separable_corpus(n_sentences=4, seed=3)  # classes A and B
+        label_set, label_map = label_setup(("A",))
+        with pytest.raises(DataError, match="gold tag class 'B' has no label representative"):
+            train_source(corpus, label_set, label_map, make_config(epochs=1), SMALL_ENC)
+
     def test_empty_dataset_rejected(self):
         label_set, label_map = label_setup(("A",))
         with pytest.raises(DataError):
@@ -153,6 +159,13 @@ class TestFinetune:
         target_set, target_map = label_setup(("A", "B"))
         with pytest.raises(DataError):
             finetune(ckpt, [], target_set, target_map, config)
+
+    def test_support_tag_outside_the_label_set_rejected(self):
+        ckpt, config = trained_fixture()
+        support = separable_corpus(n_sentences=4, seed=5)  # classes A and B
+        target_set, target_map = label_setup(("A",))
+        with pytest.raises(DataError, match="gold tag class 'B' has no label representative"):
+            finetune(ckpt, support, target_set, target_map, config)
 
     def test_iteration_cap_guarantees_termination(self):
         ckpt, config = trained_fixture()
