@@ -9,7 +9,9 @@ of the op's output to one gradient per input, in input order.  `_make` is
 the only place that attaches a VJP to a node, and `Tensor.backward` the
 only place that applies one, sending each gradient to its input unless
 that input needs none.  A VJP holds the op's inputs but not its node, so
-a dropped graph is freed by reference counting alone.
+a dropped graph is freed by reference counting alone.  Beside the inputs,
+which the graph keeps anyway, a VJP keeps only what it cannot rebuild
+from them bit for bit; the rest it computes again when it runs.
 
 A VJP never writes into its argument `g`, and may hand `g` itself, or a
 view of it, to one input or to several.  An input therefore keeps its
@@ -230,10 +232,12 @@ def log(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^a), as max(a, 0) + log1p(e^-|a|), which cannot overflow."""
-    e = np.exp(-np.abs(a.data))
-    # the derivative is the sigmoid of a, from the same e^-|a|
-    return _make(np.maximum(a.data, 0.0) + np.log1p(e), (a,), "softplus",
-                 lambda g: (g * (np.where(a.data >= 0, 1.0, e) / (1.0 + e)),))
+    def vjp(g):
+        # the derivative is the sigmoid of a, from e^-|a| computed again
+        e = np.exp(-np.abs(a.data))
+        return (g * (np.where(a.data >= 0, 1.0, e) / (1.0 + e)),)
+    return _make(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))), (a,),
+                 "softplus", vjp)
 
 
 def reciprocal(a: Tensor) -> Tensor:
@@ -322,6 +326,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
+def _centred(x: np.ndarray) -> np.ndarray:
+    return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean and unit variance, then
     scale by `gain` and shift by `bias` (both of the last axis's length)."""
@@ -329,12 +337,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError("layer_norm", a.shape, gain.shape, bias.shape)
     # sums divided by n: np.mean and np.var's results, without their Python overhead
     n = a.shape[-1]
-    centred = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    centred = _centred(a.data)
     var = np.square(centred).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     y = centred * inv
 
     def vjp(g):
+        y = _centred(a.data) * inv  # the forward's y, bit for bit, rebuilt from a
         lead = tuple(range(g.ndim - 1))
         gy = g * gain.data
         gm = gy.sum(axis=-1, keepdims=True) / n
@@ -397,8 +406,11 @@ def dropout(a: Tensor, rate: float, draws: np.ndarray) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if draws.shape != a.shape:
         raise ShapeError("dropout", a.shape, draws.shape)
-    factor = (draws >= rate).astype(a.data.dtype) / (1.0 - rate)
-    return _make(a.data * factor, (a,), "dropout", lambda g: (g * factor,))
+    # a boolean mask and one scale: the same bits as a float factor of 0 or
+    # 1 / (1 - rate), signed zeros included, at an eighth of its memory
+    keep = draws >= rate
+    s = 1.0 / (1.0 - rate)
+    return _make(a.data * keep * s, (a,), "dropout", lambda g: (g * keep * s,))
 
 
 def _masked_logsumexp(a: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

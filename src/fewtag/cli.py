@@ -230,6 +230,15 @@ def _classes_from(sentences: list[Sentence], role: str, path: str) -> LabelSet:
     return LabelSet(tuple(sorted(found)), role=role)
 
 
+def _sampled_classes(corpus: list[Sentence], run: RunConfig) -> LabelSet:
+    """The support corpus's classes, at least `n_way` of them."""
+    label_set = _classes_from(corpus, "target", run.support)
+    if len(label_set) < run.n_way:
+        raise DataError(f"{run.support}: support corpus has {len(label_set)} classes, "
+                        f"need n_way={run.n_way}")
+    return label_set
+
+
 def cmd_train(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
     _require(run, "train", "train_corpus", "label_map")
     _snapshot("train", train, run, encoder)
@@ -252,8 +261,12 @@ def cmd_finetune(train: TrainConfig, run: RunConfig, encoder: dict, given: dict)
     _snapshot("finetune", train, run, encoder)
     support = read_conll(run.support)
     label_set = _classes_from(support, "target", run.support)
-    label_map = (load_label_map(run.label_map, label_set)
-                 if run.label_map else ckpt.label_map)
+    if run.label_map:
+        label_map = load_label_map(run.label_map, label_set)
+    else:
+        label_map = ckpt.label_map
+        label_map.check_covers(label_set, f"the label map of checkpoint {run.checkpoint}, "
+                                          f"for the classes of support {run.support},")
     tuned, result = finetune(ckpt, support, label_set, label_map, train)
     save_checkpoint(tuned, os.path.join(run.out, "finetuned.ckpt"))
     with open(os.path.join(run.out, "finetune_log.txt"), "w", encoding="utf-8") as f:
@@ -294,7 +307,7 @@ def cmd_evaluate(train: TrainConfig, run: RunConfig, encoder: dict, given: dict)
         _require(run, "evaluate (low-resource protocol)", "support", "test_corpus")
         support_corpus = read_conll(run.support)
         test_corpus = read_conll(run.test_corpus)
-        label_set = _classes_from(support_corpus, "target", run.support)
+        label_set = _sampled_classes(support_corpus, run)
         extra = set().union(*(s.entity_classes() for s in test_corpus)) - set(label_set.classes)
         if extra:
             raise DataError(f"{run.test_corpus}: test corpus uses classes absent from the "
@@ -319,7 +332,7 @@ def cmd_sample(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -
     _require(run, "sample", "support")
     _snapshot("sample", train, run, encoder)
     corpus = read_conll(run.support)
-    label_set = _classes_from(corpus, "target", run.support)
+    label_set = _sampled_classes(corpus, run)
     sample = greedy_sample_support(corpus, label_set, run.n_way, run.k_shot,
                                    seed=train.seed, strict_k=run.strict_k)
     path = os.path.join(run.out, "support.conll")

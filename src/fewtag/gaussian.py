@@ -105,6 +105,11 @@ def _halves(g: GaussianEmbedding):
     return pq, (mu * mr).sum(axis=1), mu, r, mr
 
 
+def _swap_halves(pq: np.ndarray, l: int) -> np.ndarray:
+    """[Q, P] from [P, Q], each half 2l columns wide."""
+    return np.concatenate([pq[:, 2 * l:], pq[:, :2 * l]], axis=1)
+
+
 def _halves_vjp(mu, r, mr, gp, gq, gc):
     """Gradients at mu and s2 from those at P, Q and c (see `_halves`)."""
     l = mu.shape[1]
@@ -125,7 +130,8 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
     against itself (`a is b`) takes X = P Q^T + c once and D from X + X^T,
     which is exactly symmetric; its vector-Jacobian product depends only on
     gs = g + g^T, and hands the same half of the gradient, from gs Q and gs P,
-    to both of the node's (mu, s2) input pairs.
+    to both of the node's (mu, s2) input pairs.  The VJP computes the halves
+    again from the inputs instead of keeping them.
     """
     _check_valid(a)
     if b is not a:
@@ -133,28 +139,29 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
     if a.dim != b.dim:
         raise ShapeError("pairwise_symkl", a.mu.shape, b.mu.shape)
     l = a.dim
-    pqa, ca, mua, ra, mra = _halves(a)
+    pqa, ca = _halves(a)[:2]
     if b is a:
-        pa, qa = pqa[:, :2 * l], pqa[:, 2 * l:]
-        x = pa @ qa.T
+        x = pqa[:, :2 * l] @ pqa[:, 2 * l:].T
         x += ca[:, None]
         d = x + x.T
 
         def vjp(g):
+            pqa, _, mua, ra, mra = _halves(a)
             gs = g + g.T
             gs *= 0.125  # 0.25 from D, halved between the two input pairs
-            grads = _halves_vjp(mua, ra, mra, gs @ qa, gs @ pa, gs.sum(axis=1))
+            grads = _halves_vjp(mua, ra, mra, gs @ pqa[:, 2 * l:], gs @ pqa[:, :2 * l],
+                                gs.sum(axis=1))
             return grads + grads
     else:
-        pqb, cb, mub, rb, mrb = _halves(b)
-        qpb = np.concatenate([pqb[:, 2 * l:], pqb[:, :2 * l]], axis=1)
-        d = pqa @ qpb.T
+        pqb, cb = _halves(b)[:2]
+        d = pqa @ _swap_halves(pqb, l).T
         d += ca[:, None]
         d += cb
 
         def vjp(g):
+            (pqa, _, mua, ra, mra), (pqb, _, mub, rb, mrb) = _halves(a), _halves(b)
             g = 0.25 * g
-            ga, gb = g @ qpb, g.T @ pqa  # at [P_a, Q_a] and at [Q_b, P_b]
+            ga, gb = g @ _swap_halves(pqb, l), g.T @ pqa  # at [P_a, Q_a] and at [Q_b, P_b]
             return (_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], g.sum(axis=1))
                     + _halves_vjp(mub, rb, mrb, gb[:, 2 * l:], gb[:, :2 * l], g.sum(axis=0)))
     d *= 0.25

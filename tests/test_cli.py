@@ -287,6 +287,10 @@ def _number_as_word(record):
     record["query"]["word"][0][0] = 7
 
 
+def _one_class(path):
+    path.write_text("aent0\tI-A\nfiller1\tO\n")
+
+
 def _train(corpus="{train}", label_map="{map}", out="{out}"):
     return ["--out", out, "train", "--train-corpus", corpus, "--label-map", label_map]
 
@@ -312,6 +316,13 @@ MALFORMED = {
     "predict-support-empty": (["--out", "{out}", "predict", "--checkpoint", "{ckpt}",
                                "--support", "{bad}", "--input", "{support}"],
                               lambda p: p.write_text(""), 3),
+    # one class where --n-way asks for two
+    "sample-support-too-few-classes": (["--out", "{out}", "sample", "--support", "{bad}",
+                                        "--n-way", "2"], _one_class, 3),
+    "low-resource-support-too-few-classes": (
+        ["--out", "{out}", "evaluate", "--checkpoint", "{ckpt}", "--protocol", "low-resource",
+         "--support", "{bad}", "--test-corpus", "{bad}", "--n-way", "2", "--n-runs", "1"],
+        _one_class, 3),
 }
 
 
@@ -328,6 +339,19 @@ def test_malformed_input_exits_with_its_code_and_names_the_file(trained, tmp_pat
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
     assert str(bad) in caplog.text
+
+
+def test_support_class_the_checkpoints_label_map_lacks_names_both_files(trained, tmp_path,
+                                                                        capsys, caplog):
+    _, ckpt = trained
+    support = tmp_path / "support.conll"
+    support.write_text("zent0\tI-ZZ\nfiller1\tO\n")
+    code = main(SMALL + ["--out", str(tmp_path / "out"), "finetune", "--checkpoint", str(ckpt),
+                         "--support", str(support)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert "missing phrases for: ZZ" in caplog.text
+    assert str(ckpt) in caplog.text and str(support) in caplog.text
 
 
 @pytest.mark.parametrize("command, output", [("predict", "predictions.conll"),
