@@ -34,7 +34,7 @@ from .data import (DataError, LabelSet, Sentence, fits_json, greedy_sample_suppo
                    load_label_map, read_conll, read_fewnerd_episodes, write_conll)
 from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
-from .inference import (build_support_bank, decode_sentence, dump_embeddings,
+from .inference import (build_support_bank, decode_sentences, dump_embeddings,
                         evaluate_episodes, low_resource_eval)
 from .training import (CheckpointError, TrainConfig, finetune, load_checkpoint,
                        save_checkpoint, train_source)
@@ -285,8 +285,9 @@ def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) 
         raise DataError(f"{run.support}: support corpus holds no sentences")
     queries = read_conll(run.input)
     bank = build_support_bank(ckpt, support, max_len=train.max_len)
-    tagged = [Sentence(s.tokens, tuple(decode_sentence(ckpt, s, bank, max_len=train.max_len)))
-              for s in queries]
+    tagged = [Sentence(s.tokens, tuple(tags))
+              for s, tags in zip(queries, decode_sentences(ckpt, queries, bank,
+                                                           max_len=train.max_len))]
     path = os.path.join(run.out, "predictions.conll")
     write_conll(tagged, path)
     log.info("tagged %d sentences into %s", len(tagged), path)

@@ -96,13 +96,19 @@ def js(p: GaussianEmbedding, q: GaussianEmbedding) -> Tensor:
 
 
 def _halves(g: GaussianEmbedding):
-    """[P, Q] = [s2 + mu^2, mu, 1/s2, -2 mu/s2] and c = sum_d mu^2/s2 of each
-    row, with mu, 1/s2 and mu/s2 for the vector-Jacobian product."""
+    """[P, Q] = [s2 + mu^2, mu, 1/s2, -2 mu/s2], with mu, 1/s2 and mu/s2 for
+    the offsets c and the vector-Jacobian product."""
     mu, s2 = g.mu.data, g.sigma2.data
     r = 1.0 / s2
     mr = mu * r
-    pq = np.concatenate([s2 + mu * mu, mu, r, -2.0 * mr], axis=1)
-    return pq, (mu * mr).sum(axis=1), mu, r, mr
+    return np.concatenate([s2 + mu * mu, mu, r, -2.0 * mr], axis=1), mu, r, mr
+
+
+def _halves_and_offsets(g: GaussianEmbedding):
+    """[P, Q] (see `_halves`) and c = sum_d mu^2/s2 of each row, which only
+    the forward pass reads."""
+    pq, mu, _, mr = _halves(g)
+    return pq, (mu * mr).sum(axis=1)
 
 
 def _swap_halves(pq: np.ndarray, l: int) -> np.ndarray:
@@ -139,27 +145,27 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
     if a.dim != b.dim:
         raise ShapeError("pairwise_symkl", a.mu.shape, b.mu.shape)
     l = a.dim
-    pqa, ca = _halves(a)[:2]
+    pqa, ca = _halves_and_offsets(a)
     if b is a:
         x = pqa[:, :2 * l] @ pqa[:, 2 * l:].T
         x += ca[:, None]
         d = x + x.T
 
         def vjp(g):
-            pqa, _, mua, ra, mra = _halves(a)
+            pqa, mua, ra, mra = _halves(a)
             gs = g + g.T
             gs *= 0.125  # 0.25 from D, halved between the two input pairs
             grads = _halves_vjp(mua, ra, mra, gs @ pqa[:, 2 * l:], gs @ pqa[:, :2 * l],
                                 gs.sum(axis=1))
             return grads + grads
     else:
-        pqb, cb = _halves(b)[:2]
+        pqb, cb = _halves_and_offsets(b)
         d = pqa @ _swap_halves(pqb, l).T
         d += ca[:, None]
         d += cb
 
         def vjp(g):
-            (pqa, _, mua, ra, mra), (pqb, _, mub, rb, mrb) = _halves(a), _halves(b)
+            (pqa, mua, ra, mra), (pqb, mub, rb, mrb) = _halves(a), _halves(b)
             g = 0.25 * g
             ga, gb = g @ _swap_halves(pqb, l), g.T @ pqa  # at [P_a, Q_a] and at [Q_b, P_b]
             return (_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], g.sum(axis=1))

@@ -5,15 +5,22 @@ Decoding runs on raw encoder hidden states; the projection heads are not
 used at inference time.  Each query token takes the tag of its nearest
 support token under squared Euclidean distance, ties broken by the lowest
 bank row index.
+
+Support banks, query decoding and embedding dumps all encode through
+`_context_hiddens`: consecutive sentences share one eval-mode encoder pass
+of up to PACK_ROWS rows, over the parameters wrapped as constants, so a
+pass builds no autodiff graph.  `decode_sentences` decodes the queries of
+each pass sentence by sentence, through `decode_sentence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import (DataError, Episode, LabelSet, Sentence, greedy_sample_support,
                    tag_class)
 from .encoder import encode
@@ -25,9 +32,12 @@ from .training import Checkpoint, TrainConfig, finetune
 # builds at once: 2 MB of float64, which stays in cache.
 NN_CHUNK_ELEMENTS = 1 << 18
 
-# Upper bound on the rows one eval-mode encoder pass packs: until its hidden
-# states are read, the pass's graph holds every intermediate of the pack.
-PACK_ROWS = 512
+# Upper bound on the rows one eval-mode encoder pass packs.  A pass builds no
+# graph, so it holds only the arrays of the op it is in, which grow with the
+# pack.  Encoding 120 `bench/gen.py` test sentences (2 shared vCPUs, one BLAS
+# thread) took 50-75 ms in 256-row packs, 60-107 ms in 512-row packs and
+# 109-135 ms one sentence per pass, at traced peaks of 3.2, 5.1 and 1.6 MB.
+PACK_ROWS = 256
 
 
 @dataclass
@@ -100,8 +110,10 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
     and their gold tags.
 
     Consecutive sentences share one encoder pass of at most PACK_ROWS rows;
-    a sentence longer than that has a pass of its own.
+    a sentence longer than that has a pass of its own.  The parameters are
+    wrapped as constants (no copy), so a pass builds no graph.
     """
+    params = {k: Tensor(p.data) for k, p in ckpt.params.items()}
     prompt = build_label_prompt(ckpt.label_set, ckpt.label_map)
     # positions past the checkpoint's positional table are truncated away
     max_len = min(max_len, ckpt.encoder_config.max_len)
@@ -113,7 +125,7 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
             rows += seqs[hi].n_occupied
             hi += 1
         packed = pack(seqs[lo:hi])
-        h = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=False).data
+        h = encode(params, ckpt.encoder_config, packed, train_mode=False).data
         h, ends = h[packed.context_rows], np.cumsum([seq.n_context for seq in packed.seqs])
         for seq, end in zip(packed.seqs, ends.tolist()):
             yield h[end - seq.n_context:end], seq.gold_tags
@@ -154,11 +166,24 @@ def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
 
 
 def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
-                    max_len: int = 128) -> list[str]:
-    """Predicted IO tags for a sentence; truncated positions default to O."""
-    [(rows, _)] = _context_hiddens(ckpt, [sentence], max_len)
+                    max_len: int = 128, rows: Optional[np.ndarray] = None) -> list[str]:
+    """Predicted IO tags for a sentence; truncated positions default to O.
+
+    `rows` are the sentence's context hidden states, as `_context_hiddens`
+    yields them; without them the sentence is encoded alone.
+    """
+    if rows is None:
+        [(rows, _)] = _context_hiddens(ckpt, [sentence], max_len)
     tags = nn_decode(rows, bank)
     return tags + ["O"] * (len(sentence.tokens) - len(tags))
+
+
+def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence], bank: SupportBank,
+                     max_len: int = 128) -> list[list[str]]:
+    """`decode_sentence` of each sentence, from packed encoder passes."""
+    return [decode_sentence(ckpt, sentence, bank, max_len, rows=rows)
+            for sentence, (rows, _) in zip(sentences,
+                                           _context_hiddens(ckpt, sentences, max_len))]
 
 
 def extract_spans(tags) -> list[Span]:
@@ -202,8 +227,8 @@ def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: L
     tuned, _ = finetune(checkpoint, support, label_set, checkpoint.label_map, config)
     bank = build_support_bank(tuned, support, max_len=config.max_len)
     gold = [extract_spans(s.tags) for s in queries]
-    pred = [extract_spans(decode_sentence(tuned, s, bank, max_len=config.max_len))
-            for s in queries]
+    pred = [extract_spans(tags)
+            for tags in decode_sentences(tuned, queries, bank, max_len=config.max_len)]
     return span_counts(gold, pred)
 
 

@@ -1,9 +1,12 @@
 import gc
+import math
 import weakref
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fewtag import autodiff as ad
 from fewtag import gaussian as gs
@@ -47,6 +50,68 @@ def test_row_gather_gradient_equals_scatter_add(indices):
     want = np.zeros((4, 3))
     np.add.at(want, np.asarray(indices, dtype=np.intp), weights)
     np.testing.assert_array_equal(a.grad, want)
+
+
+@st.composite
+def gathers(draw):
+    """A row count, a row shape, gather indices, and a gradient at the gathered
+    rows whose entries include signed zeros."""
+    rows = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(), (1,), (3,)]))
+    idx = draw(st.lists(st.integers(0, rows - 1), max_size=12))
+    n = len(idx) * math.prod(shape)
+    entries = st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6)
+    g = np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=np.float64)
+    return rows, shape, idx, g.reshape((len(idx),) + shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gathers())
+@example((4, (3,), [], np.zeros((0, 3))))                                    # empty
+@example((4, (), [2, 1], np.array([-0.0, 1.0])))                             # decreasing
+@example((4, (2,), [3, 0, 3, 1, 1], np.array([[-0.0, 1.0], [2.0, -0.0], [0.5, -0.0],
+                                              [-0.0, -0.0], [-0.0, 0.0]])))  # duplicates
+@example((4, (2,), [0, 2], np.array([[-0.0, 1.0], [0.0, -0.0]])))           # increasing
+def test_row_gather_gradient_is_np_add_at_bit_for_bit(case):
+    rows, shape, idx, g = case
+    a = Tensor(np.ones((rows,) + shape), requires_grad=True)
+    (got,) = ad.row_gather(a, idx)._vjp(g)
+    want = np.zeros(a.shape)
+    np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    np.testing.assert_array_equal(got, want)
+    if all(i < j for i, j in zip(idx, idx[1:])):
+        # distinct rows are assigned, so a -0.0 stays as given
+        assigned = np.zeros(a.shape)
+        assigned[idx] = g
+        assert got.tobytes() == assigned.tobytes()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_make_on_inputs_that_need_no_gradient_keeps_no_graph():
+    a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    out = ad._make(a.data + b.data, (a, b), "add", lambda g: (g, g))
+    assert out._prev == () and out._vjp is None and not out.requires_grad
+    assert out._op == "add"
+    np.testing.assert_array_equal(out.data, [4.0, 6.0])
+    # one input that needs a gradient is enough to keep every input and the VJP
+    w = Tensor([1.0, 1.0], requires_grad=True)
+
+    def vjp(g):
+        return g, g
+    out = ad._make(a.data + w.data, (a, w), "add", vjp)
+    assert out._prev == (a, w) and out._vjp is vjp and out.requires_grad
+
+
+def test_a_constant_intermediate_is_freed_once_the_next_op_has_read_it():
+    a, b = Tensor(np.arange(3.0)), Tensor(np.ones(3))
+    mid = ad.mul(a, b)
+    ref = weakref.ref(mid)
+    out = ad.softplus(ad.add(mid, a))
+    del mid
+    assert ref() is None
+    assert out._prev == () and out._vjp is None
 
 
 def test_row_softmax_uniform():

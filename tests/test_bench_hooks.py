@@ -5,7 +5,8 @@ callers look them up in, and `bench/workloads.py`'s `DecodeChecker` wraps
 `inference.decode_sentence`.  A renamed function or a changed call path in
 `src/` would drop calls out of the benchmark's trace and output checks.
 This runs a tiny train, fine-tune, bank and decode pipeline under both and
-checks that every wrapper was installed and reached once per encoder pass.
+checks that every wrapper was installed and reached once per encoder pass,
+and that packed query decoding still hands every query to the checker.
 """
 
 import math
@@ -88,3 +89,23 @@ def test_tracer_and_checker_see_every_stage(hooks):
     metrics = trace.metrics()
     assert 0.0 < metrics["encoder.occupied_ratio"] <= 1.0
     assert metrics["autodiff.nodes"] > 0
+
+
+def test_packed_query_decoding_passes_every_query_through_the_checker(hooks):
+    trace, checker = hooks
+    rng = np.random.default_rng(1)
+    config = TrainConfig(batch_size=4, embed_dim=8, max_len=48, max_finetune_iters=3)
+    source = gen.corpus(rng, list(gen.SOURCE_PHRASES), 4, gen.SOURCE_MAX_MENTIONS)
+    ckpt, _ = training.train_source(source, gen.source_label_set(), gen.label_map(),
+                                    config, encoder_overrides=ENC)
+    ep = gen.episode(rng, 2, 1, 5)
+    assert sum(len(q.tokens) for q in ep.query) < inference.PACK_ROWS // 2  # one pack
+    before = trace.calls["encoder.encode"]
+    report = inference.evaluate_episodes(ckpt, [ep], config)
+    assert report.tp + report.fn == sum(len(inference.extract_spans(q.tags)) for q in ep.query)
+    # fine-tuning takes one pass per iteration, the bank one, and the queries one
+    iterations = trace.counts["training.finetune.iterations"]
+    assert trace.calls["encoder.encode"] - before == iterations + 2
+    assert trace.calls["inference.decode_sentence"] == len(ep.query)
+    assert trace.calls["inference.nn_decode"] == len(ep.query)
+    assert checker.checked == len(ep.query) and checker.problems == []

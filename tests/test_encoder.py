@@ -270,6 +270,27 @@ def test_train_encode_builds_as_many_nodes_for_32_sequences_as_for_one(monkeypat
     assert len(counts[1]) == 4 + 12 * config.n_layers + 1 + 2 * config.n_layers
 
 
+def test_train_encode_keeps_a_graph_of_its_nodes_down_to_the_parameters():
+    seqs, config = packed_setup(32)
+    params = enc.init_encoder_params(config)
+    out = enc.encode(params, config, pack(seqs), train_mode=True, rng=make_rng(0, "drop"))
+    seen, stack, inner, leaves = set(), [out], [], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._prev:
+            inner.append(t)
+            stack.extend(t._prev)
+        else:
+            leaves.add(id(t))
+    # the 33 nodes `_make` counts for a train-mode encode, each linked to its inputs
+    assert len(inner) == 4 + 12 * config.n_layers + 1 + 2 * config.n_layers == 33
+    assert all(t._vjp is not None and t.requires_grad for t in inner)
+    assert leaves == {id(p) for p in params.values()}
+
+
 def test_train_encode_draws_every_dropout_mask_at_once():
     seqs, config = packed_setup(5)
     params = enc.init_encoder_params(config)

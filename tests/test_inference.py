@@ -1,22 +1,33 @@
 import dataclasses
+import os
+import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewtag import autodiff as ad
 from fewtag import inference
 from fewtag.autodiff import ShapeError
-from fewtag.data import DataError, Episode, LabelSet, Sentence, greedy_sample_support
+from fewtag.data import (DataError, Episode, LabelSet, Sentence, build_vocab,
+                         greedy_sample_support)
+from fewtag.encoder import EncoderConfig
 from fewtag.inference import (EvalReport, Span, SupportBank, build_support_bank,
-                              decode_sentence, dump_embeddings, evaluate_episodes,
-                              extract_spans, low_resource_eval, micro_f1, nn_decode,
-                              span_counts)
+                              decode_sentence, decode_sentences, dump_embeddings,
+                              evaluate_episodes, extract_spans, low_resource_eval, micro_f1,
+                              nn_decode, span_counts)
 from fewtag.prompt import assemble_input, build_label_prompt
-from fewtag.training import finetune, train_source
+from fewtag.training import Checkpoint, TrainConfig, finetune, init_params, train_source
 
 from synthdata import label_setup, separable_corpus
 from test_training import SMALL_ENC, make_config
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+import gen  # noqa: E402  (the benchmark's corpus generator, found through the path above)
 
 
 def bank_from(vectors, tags):
@@ -238,6 +249,25 @@ class TestDecoding:
         assert len(pred) == 40
         assert pred[-1] == "O"
 
+    def test_eval_passes_build_no_graph_and_free_every_node(self, trained, monkeypatch):
+        ckpt, config, corpus, _ = trained
+        made = []
+        original = ad._make
+
+        def recording(data, prev, op, vjp):
+            out = original(data, prev, op, vjp)
+            made.append((weakref.ref(out), out._prev, out._vjp))
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording)
+        grads = {k: p.grad for k, p in ckpt.params.items()}
+        rows = [r for r, _ in inference._context_hiddens(ckpt, corpus, config.max_len)]
+        assert len(rows) == len(corpus) and made
+        assert all(prev == () and vjp is None for _, prev, vjp in made)
+        assert all(ref() is None for ref, _, _ in made)
+        # the checkpoint's own parameters are read, not wrapped into a graph
+        assert all(p.requires_grad and p.grad is grads[k] for k, p in ckpt.params.items())
+
     def test_bank_over_several_packs_equals_one_of_packs_of_one(self, trained, monkeypatch):
         ckpt, config, corpus, _ = trained
         banks = []
@@ -284,6 +314,72 @@ class TestDecoding:
         assert n_ctx < 40
         assert len(pred) == 40
         assert pred[n_ctx:] == ["O"] * (40 - n_ctx)
+
+
+def gen_task(n_support: int, n_test: int, max_len: int = 128, **enc):
+    """An untrained checkpoint on a 4-class `bench/gen.py` task, its support
+    corpus and its test corpus (6-30 tokens a sentence)."""
+    rng = np.random.default_rng(3)
+    classes = list(gen.TARGET_PHRASES)[:4]
+    support = gen.corpus(rng, classes, n_support, gen.TARGET_MAX_MENTIONS)
+    test = gen.corpus(rng, classes, n_test, gen.TARGET_MAX_MENTIONS)
+    vocab = build_vocab(support + test, label_map=gen.label_map())
+    config = EncoderConfig(vocab_size=vocab.size, max_len=max_len, **enc)
+    embed_dim = TrainConfig().embed_dim
+    ckpt = Checkpoint(config, init_params(config, embed_dim), vocab, gen.label_map(),
+                      LabelSet(tuple(classes), role="target"), embed_dim)
+    return ckpt, support, test
+
+
+class TestDecodeSentences:
+    @pytest.mark.parametrize("pack_rows", [64, inference.PACK_ROWS])
+    def test_packed_decoding_equals_one_sentence_at_a_time(self, monkeypatch, pack_rows):
+        ckpt, support, test = gen_task(6, 30, max_len=320, d=16, n_layers=1, n_heads=2)
+        classes = ckpt.label_set.classes
+        long_sent = gen.sentence(np.random.default_rng(4), classes, 300, 2)
+        queries = test[:12] + [long_sent] + test[12:]
+        monkeypatch.setattr(inference, "PACK_ROWS", pack_rows)
+        passes = []
+        original = inference.encode
+
+        def recording(params, enc_config, batch, *args, **kwargs):
+            passes.append(batch.n_occupied)
+            return original(params, enc_config, batch, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "encode", recording)
+        bank = build_support_bank(ckpt, support, max_len=320)
+        passes.clear()
+        packed = decode_sentences(ckpt, queries, bank, max_len=320)
+        # the long sentence has a pass of its own; the others share packs under the cap
+        assert max(passes) > pack_rows and sorted(passes)[-2] <= pack_rows
+        assert 1 < len(passes) < len(queries)
+        assert packed == [decode_sentence(ckpt, s, bank, max_len=320) for s in queries]
+        assert [len(tags) for tags in packed] == [len(s.tokens) for s in queries]
+
+    def test_empty_query_list_decodes_to_nothing(self):
+        ckpt, support, _ = gen_task(4, 1, d=16, n_layers=1, n_heads=2)
+        assert decode_sentences(ckpt, [], build_support_bank(ckpt, support)) == []
+
+
+# Traced peak (tracemalloc) of decoding the 120 sentences below: 2.15 MiB, of
+# which nn_decode's distance block is 2 MiB.  Encoding the packs on the
+# trainable parameters, so that each pass builds a graph, reads 5.18 MiB, and
+# constant parameters whose nodes still kept their inputs 4.59 MiB.
+DECODE_PEAK_BOUND_MIB = 3.0
+
+
+def test_decoding_120_sentences_stays_under_its_traced_peak():
+    ckpt, support, test = gen_task(8, 120)
+    bank = build_support_bank(ckpt, support)
+    decode_sentences(ckpt, test[:2], bank)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        tags = decode_sentences(ckpt, test, bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tags) == 120
+    assert peak / 2**20 < DECODE_PEAK_BOUND_MIB
 
 
 class TestEvaluateEpisodes:
