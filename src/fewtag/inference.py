@@ -4,7 +4,12 @@ evaluation protocols (episode evaluation and low-resource evaluation).
 Decoding runs on raw encoder hidden states; the projection heads are not
 used at inference time.  Each query token takes the tag of its nearest
 support token under squared Euclidean distance, ties broken by the lowest
-bank row index.
+bank row index.  `nn_decode` searches in two stages: one BLAS product per
+block of query rows gives |b|^2 - 2 q.b for every bank row, and a query with
+a second row within a proven rounding bound of its best one is recomputed
+from the exact-difference sums sum((q - b)**2), so every tag is the one those
+sums give.  Hidden states that are not finite, in the bank or in a query,
+raise NumericError.
 
 Support banks, query decoding and embedding dumps all encode through
 `_context_hiddens`: consecutive sentences share one eval-mode encoder pass
@@ -20,7 +25,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import NumericError, Tensor
 from .data import (DataError, Episode, LabelSet, Sentence, greedy_sample_support,
                    tag_class)
 from .encoder import encode
@@ -28,9 +33,17 @@ from .prompt import assemble_input, build_label_prompt, pack
 from .training import Checkpoint, TrainConfig, finetune
 
 
-# Upper bound on the (queries, bank rows, d) difference block nn_decode
-# builds at once: 2 MB of float64, which stays in cache.
+_F64 = np.finfo(np.float64)
+
+# Upper bound on the elements of the blocks nn_decode builds at once (each
+# holds at least one query row): its (query rows, bank rows) first-stage
+# distances and the (query rows, bank rows, d) differences of its exact
+# re-check.  Either is at most 2 MB of float64, which stays in cache.
 NN_CHUNK_ELEMENTS = 1 << 18
+
+# Near-tie gap of nn_decode's first stage, per unit of (d + 3) (|q| + max |b|)^2:
+# 8 u (u = eps / 2, the unit roundoff), twice the rounding bound derived there.
+NN_TIE_SLACK = 4 * _F64.eps
 
 # Upper bound on the rows one eval-mode encoder pass packs.  A pass builds no
 # graph, so it holds only the arrays of the op it is in, which grow with the
@@ -51,6 +64,18 @@ class SupportBank:
             raise DataError("support bank rows and tags must align")
         if len(self.tags) == 0:
             raise DataError("support bank is empty")
+        _require_finite(self.vectors, "support bank rows",
+                        lambda i: "sentence {} token {}".format(*self.provenance[i]))
+
+
+def _require_finite(vectors: np.ndarray, what: str, name=lambda i: f"row {i}") -> None:
+    """NumericError naming the first few rows of `vectors` that hold a NaN
+    or an infinity; `name` maps a row index to its name."""
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(bad):
+        shown = ", ".join(name(i) for i in bad[:5]) + (", ..." if len(bad) > 5 else "")
+        raise NumericError(f"{len(bad)} of {len(vectors)} {what} hold non-finite "
+                           f"hidden states: {shown}")
 
 
 @dataclass(frozen=True)
@@ -149,20 +174,66 @@ def build_support_bank(ckpt: Checkpoint, support: list[Sentence],
 
 
 def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
-    """Tag of the globally nearest support token, per query row."""
-    query_hidden = np.atleast_2d(np.asarray(query_hidden, dtype=np.float64))
-    if query_hidden.shape[1] != bank.vectors.shape[1]:
-        raise DataError(
-            f"query dim {query_hidden.shape[1]} != bank dim {bank.vectors.shape[1]}")
-    n, d = bank.vectors.shape
+    """Tag of the globally nearest support token, per query row.
+
+    Nearest is under the exact-difference distance sum((q - b)**2), the
+    lowest bank row winning ties, bit for bit: a first stage finds each
+    query's nearest row from one BLAS product, and a query for which it
+    cannot rule out a tie is recomputed exactly.  NumericError names the
+    query rows that are not finite.
+    """
+    q = np.atleast_2d(np.asarray(query_hidden, dtype=np.float64))
+    b = bank.vectors
+    if q.shape[1] != b.shape[1]:
+        raise DataError(f"query dim {q.shape[1]} != bank dim {b.shape[1]}")
+    n, d = b.shape
+    qq, bb = np.einsum("ij,ij->i", q, q), np.einsum("ij,ij->i", b, b)
+    if not np.isfinite(qq).all():
+        _require_finite(q, "query rows")
+    # Stage 1 compares E = |b|^2 - 2 q.b, the distance less |q|^2, which is
+    # the same for every bank row of a query.  Let S = |q - b|^2 in exact
+    # arithmetic, D = fl(sum((q - b)**2)) the distance stage 2 computes,
+    # u the unit roundoff, g_k = k u / (1 - k u) and M = (|q| + |b|)^2 >= S.
+    # For any summation order, with or without FMA (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., sec. 3.1):
+    #   - D adds d terms fl(fl(q_k - b_k)^2) >= 0, each within a relative g_3
+    #     of (q_k - b_k)^2, so |D - S| <= g_(d+2) S <= g_(d+2) M;
+    #   - fl(|b|^2) is within g_d |b|^2 and fl(q.b) within g_d |q| |b|
+    #     (Cauchy-Schwarz), and the subtraction rounds once, on a value of
+    #     at most M (1 + g_d), so |E - (S - |q|^2)| <= g_(d+1) M.
+    # Hence |(D - |q|^2) - E| <= 2 g_(d+2) M <= 2 (d + 3) u M for d < 10^7,
+    # and a row j can be nearest only if E_j <= min E + 4 (d + 3) u M.  The
+    # gap below is twice that, over M's upper bound (|q| + max |b|)^2, so the
+    # roundings of the gap itself and of min E + gap (a few u M in all) stay
+    # inside it; `tiny` covers underflow, where each of the fewer than 2^50
+    # operations is off by less than 2^-1075.  A query takes its best row
+    # when every other row lies past min E + gap.  The other queries (a NaN
+    # from an overflow fails that test) and every query whose 4 M could
+    # overflow take stage 2: the exact-difference sums over the whole bank,
+    # lowest row on ties.
+    reach = (np.sqrt(qq) + np.sqrt(bb.max())) ** 2
+    gap = reach * (NN_TIE_SLACK * (d + 3)) + _F64.tiny
+    nearest = np.empty(len(q), dtype=np.intp)
+    rows = max(1, NN_CHUNK_ELEMENTS // n)
+    for lo in range(0, len(q), rows):
+        e = q[lo:lo + rows] @ b.T
+        e *= -2.0
+        e += bb
+        best = e.argmin(axis=1)
+        i = np.arange(len(best))
+        cut = e[i, best] + gap[lo:lo + rows]
+        e[i, best] = np.inf
+        nearest[lo:lo + rows] = np.where(e.min(axis=1) > cut, best, -1)
+    nearest[reach >= _F64.max / 4] = -1
+    redo = np.flatnonzero(nearest < 0)
     rows = max(1, NN_CHUNK_ELEMENTS // (n * d))
-    out = []
-    for lo in range(0, len(query_hidden), rows):
-        diff = query_hidden[lo:lo + rows, None, :] - bank.vectors  # (rows, n, d)
+    for lo in range(0, len(redo), rows):
+        at = redo[lo:lo + rows]
+        diff = q[at, None, :] - b  # (rows, n, d)
         np.square(diff, out=diff)
         # argmin takes the first minimum, so the lowest bank row wins ties
-        out.extend(bank.tags[j] for j in diff.sum(axis=-1).argmin(axis=1))
-    return out
+        nearest[at] = diff.sum(axis=-1).argmin(axis=1)
+    return [bank.tags[j] for j in nearest.tolist()]
 
 
 def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
@@ -180,10 +251,16 @@ def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
 
 def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence], bank: SupportBank,
                      max_len: int = 128) -> list[list[str]]:
-    """`decode_sentence` of each sentence, from packed encoder passes."""
-    return [decode_sentence(ckpt, sentence, bank, max_len, rows=rows)
-            for sentence, (rows, _) in zip(sentences,
-                                           _context_hiddens(ckpt, sentences, max_len))]
+    """`decode_sentence` of each sentence, from packed encoder passes; a
+    NumericError names the sentence."""
+    out = []
+    for i, (sentence, (rows, _)) in enumerate(zip(sentences,
+                                                  _context_hiddens(ckpt, sentences, max_len))):
+        try:
+            out.append(decode_sentence(ckpt, sentence, bank, max_len, rows=rows))
+        except NumericError as e:
+            raise _prefixed(e, f"query sentence {i}: ") from e
+    return out
 
 
 def extract_spans(tags) -> list[Span]:

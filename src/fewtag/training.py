@@ -220,7 +220,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; v1 per-head attention weights are fused on load.
 
-    Every malformed file raises CheckpointError naming `path`.
+    Every malformed file, and every file with a NaN or an infinity in a
+    tensor, raises CheckpointError naming `path`.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -254,6 +255,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             shape = struct.unpack(f"<{rank}Q", take(8 * rank))
             count = int(np.prod(shape)) if rank else 1
             data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(data).all():
+                # training refuses non-finite losses and gradients, so no save holds these
+                raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
             params[name] = Tensor(data, requires_grad=True)
         if off != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the tensors")

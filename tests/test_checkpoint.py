@@ -108,6 +108,17 @@ def test_v1_missing_head_tensor_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_v1_tensor_that_is_not_finite_rejected(tmp_path, value):
+    version, meta, tensors = v1_parts()
+    tensors["layer1.attn.v0.bias"] = tensors["layer1.attn.v0.bias"].copy()
+    tensors["layer1.attn.v0.bias"][1] = value
+    path = tmp_path / "poisoned.ckpt"
+    write_container(str(path), version, meta, tensors)
+    with pytest.raises(CheckpointError, match="tensor layer1.attn.v0.bias holds non-finite"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("meta,match", [
     (b"{x}", "JSONDecodeError"),
     (b"\xff\xfe{}", "UnicodeDecodeError"),
@@ -180,6 +191,8 @@ TENSOR_EDITS = {
               "unexpected tensor extra"),
     "wrong-shape": (lambda params: params.update({"emb.token": Tensor(np.zeros((3, 8)))}),
                     r"tensor emb.token has shape \(3, 8\)"),
+    "not-finite": (lambda params: params["layer0.ff.w1"].data.put(5, np.nan),
+                   "tensor layer0.ff.w1 holds non-finite values"),
 }
 
 

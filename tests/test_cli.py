@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fewtag.cli import RunConfig, main
-from fewtag.data import Sentence, read_conll, write_conll
-from fewtag.training import TrainConfig
+from fewtag.data import UNK, Sentence, read_conll, write_conll
+from fewtag.training import TrainConfig, load_checkpoint, save_checkpoint
 
 from synthdata import label_setup, separable_corpus
 
@@ -370,6 +370,33 @@ def test_input_tags_of_a_class_the_model_lacks_are_not_read(trained, tmp_path, c
                          "--input", str(query)] + args)
     assert code == 0
     assert (tmp_path / "out" / output).exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("unseen_in, named", [("support", "support bank rows"),
+                                               ("input", "query sentence 0: 4 of 4 query rows")])
+def test_non_finite_hidden_states_are_numeric_error(trained, tmp_path, capsys, caplog,
+                                                    unseen_in, named):
+    # a finite [UNK] embedding so large that layer norm's sum overflows: every
+    # sentence with an unknown word encodes to NaN
+    (_, _, support_path, _), ckpt_path = trained
+    ckpt = load_checkpoint(str(ckpt_path))
+    ckpt.params["emb.token"].data[ckpt.vocab.id(UNK)] = 1e308
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, str(huge))
+    files = {"support": read_conll(str(support_path)), "input": read_conll(str(support_path))}
+    first = files[unseen_in][0]
+    files[unseen_in][0] = Sentence(("zzunseen",) + first.tokens[1:], first.tags)
+    for name, sentences in files.items():
+        write_conll(sentences, str(tmp_path / f"{name}.conll"))
+    code = main(SMALL + ["--out", str(tmp_path / "out"), "predict", "--checkpoint", str(huge),
+                         "--support", str(tmp_path / "support.conll"),
+                         "--input", str(tmp_path / "input.conll")])
+    assert code == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert "numeric error: " in caplog.text and f"{named} hold non-finite" in caplog.text
+    assert not (tmp_path / "out" / "predictions.conll").exists()
 
 
 def test_low_resource_test_classes_absent_from_the_support_are_data_error(trained, tmp_path,

@@ -3,6 +3,7 @@ import os
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from fewtag import autodiff as ad
 from fewtag import inference
-from fewtag.autodiff import ShapeError
+from fewtag.autodiff import NumericError, ShapeError
 from fewtag.data import (DataError, Episode, LabelSet, Sentence, build_vocab,
                          greedy_sample_support)
 from fewtag.encoder import EncoderConfig
@@ -103,6 +104,66 @@ class TestNNDecode:
     def test_empty_bank_rejected(self):
         with pytest.raises(DataError):
             bank_from(np.zeros((0, 2)), ())
+
+
+def adversarial_bank_and_queries(rng, d, scale):
+    """Bank rows 1 to 2^30 ulps apart and exact duplicates; queries on bank
+    rows, a hair off them, halfway between two of them and far from all."""
+    base = rng.normal(size=(int(rng.integers(1, 5)), d)) * scale
+    near = base[rng.integers(0, len(base), size=8)]
+    ulps = np.round(2.0 ** rng.uniform(0, 30, size=(8, 1))) * rng.choice([-1, 0, 1], near.shape)
+    near = near + ulps * np.spacing(near)
+    vectors = np.concatenate([base, near])
+    vectors = np.concatenate([vectors, vectors[rng.integers(0, len(vectors), size=3)]])
+    vectors = vectors[rng.permutation(len(vectors))]
+    on = vectors[rng.integers(0, len(vectors), size=6)]
+    off = on * (1 + 1e-9 * rng.normal(size=on.shape))
+    i, j = rng.integers(0, len(vectors), size=(2, 4))
+    between = (vectors[i] + vectors[j]) / 2
+    far = rng.normal(size=(2, d)) * scale
+    return vectors, np.concatenate([on, off, between, far])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 128), exponent=st.integers(-100, 100),
+       chunk_elements=st.sampled_from([1, 64, inference.NN_CHUNK_ELEMENTS]))
+def test_nn_decode_is_exact_on_near_ties(seed, d, exponent, chunk_elements):
+    rng = np.random.default_rng(seed)
+    vectors, queries = adversarial_bank_and_queries(rng, d, 10.0 ** exponent)
+    # one tag per row, so that any other row, a tied one included, shows
+    bank = bank_from(vectors, [f"I-C{i}" for i in range(len(vectors))])
+    with mock.patch.object(inference, "NN_CHUNK_ELEMENTS", chunk_elements):
+        assert nn_decode(queries, bank) == TestNNDecode.loop_decode(queries, bank)
+
+
+def test_distances_that_overflow_the_first_stage_are_recomputed_exactly():
+    # |q|^2 near 1e320 overflows; the exact differences, near 1e150, do not
+    rng = np.random.default_rng(4)
+    vectors = 1e160 + 1e150 * rng.normal(size=(6, 3))
+    bank = bank_from(vectors, [f"I-C{i}" for i in range(6)])
+    order = rng.permutation(6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = nn_decode(vectors[order], bank)
+        assert got == TestNNDecode.loop_decode(vectors[order], bank)
+    assert got == [f"I-C{i}" for i in order]
+
+
+class TestNonFinite:
+    def test_bank_names_its_rows_that_are_not_finite(self):
+        vectors = np.zeros((4, 2))
+        vectors[1, 0], vectors[3, 1] = np.nan, -np.inf
+        with pytest.raises(NumericError, match="2 of 4 support bank rows hold non-finite "
+                                               "hidden states: sentence 0 token 1, "
+                                               "sentence 0 token 3$"):
+            bank_from(vectors, ["O"] * 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nn_decode_names_query_rows_that_are_not_finite(self, bad):
+        bank = bank_from([[0.0, 0.0], [1.0, 1.0]], ("O", "I-A"))
+        queries = np.zeros((3, 2))
+        queries[2, 1] = bad
+        with pytest.raises(NumericError, match="1 of 3 query rows .*: row 2$"):
+            nn_decode(queries, bank)
 
 
 class TestSpans:
@@ -361,11 +422,14 @@ class TestDecodeSentences:
         assert decode_sentences(ckpt, [], build_support_bank(ckpt, support)) == []
 
 
-# Traced peak (tracemalloc) of decoding the 120 sentences below: 2.15 MiB, of
-# which nn_decode's distance block is 2 MiB.  Encoding the packs on the
-# trainable parameters, so that each pass builds a graph, reads 5.18 MiB, and
-# constant parameters whose nodes still kept their inputs 4.59 MiB.
+# Traced peak (tracemalloc) of decoding the 120 sentences below: 2.14 MiB, set
+# by the encoder's packed passes.  Encoding the packs on the trainable
+# parameters, so that each pass builds a graph, reads 5.18 MiB, and constant
+# parameters whose nodes still kept their inputs 4.59 MiB.  nn_decode's own
+# peak over the same sentences is 0.08 MiB; a search that builds the
+# (queries, bank rows, d) difference block reads 2.01 MiB.
 DECODE_PEAK_BOUND_MIB = 3.0
+NN_DECODE_PEAK_BOUND_MIB = 0.25
 
 
 def test_decoding_120_sentences_stays_under_its_traced_peak():
@@ -380,6 +444,21 @@ def test_decoding_120_sentences_stays_under_its_traced_peak():
         tracemalloc.stop()
     assert len(tags) == 120
     assert peak / 2**20 < DECODE_PEAK_BOUND_MIB
+
+
+def test_nn_decode_of_120_sentences_stays_under_its_traced_peak():
+    ckpt, support, test = gen_task(8, 120)
+    bank = build_support_bank(ckpt, support)
+    hidden = [rows for rows, _ in inference._context_hiddens(ckpt, test, 128)]
+    nn_decode(hidden[0], bank)
+    tracemalloc.start()
+    try:
+        for rows in hidden:
+            nn_decode(rows, bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < NN_DECODE_PEAK_BOUND_MIB
 
 
 class TestEvaluateEpisodes:
