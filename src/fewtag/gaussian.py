@@ -124,20 +124,63 @@ def _halves_vjp(mu, r, mr, gp, gq, gc):
             gp1 - r * (r * gq1 - 2.0 * mr * gq2) - mr * mr * gc)
 
 
-def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
-    """(nA, nB) matrix of symmetrized KL divergences between two batches, as one node.
+def _segments(bounds, n_a: int, n_b: int, op: str):
+    """The (rows of a, rows of b) slices of each segment that holds rows of
+    a, and the widest segment's row count in b.  `bounds` is a pair of
+    sequences that rise, not necessarily strictly, from 0 to n_a and from 0
+    to n_b, one entry more than there are segments; None is one segment of
+    all rows."""
+    if bounds is None:
+        return [(slice(0, n_a), slice(0, n_b))], n_b
+    ta, tb = (np.asarray(x).tolist() for x in bounds)
+    if (len(ta) < 2 or len(tb) != len(ta) or ta[0] != 0 or tb[0] != 0
+            or ta[-1] != n_a or tb[-1] != n_b
+            or any(lo > hi for t in (ta, tb) for lo, hi in zip(t[:-1], t[1:]))):
+        raise ShapeError(op, (n_a, n_b), tuple(ta), tuple(tb))
+    segs = [(slice(alo, ahi), slice(blo, bhi))
+            for alo, ahi, blo, bhi in zip(ta[:-1], ta[1:], tb[:-1], tb[1:]) if ahi > alo]
+    return segs, max(hi - lo for lo, hi in zip(tb[:-1], tb[1:]))
+
+
+def _block_vjp(segs, g, left, right):
+    """Each segment's block g_s of g against both sides of its product
+    left_s right_s^T: g_s right_s and g_s^T left_s, stacked in left's and
+    right's rows, and the blocks' row and column sums.  A row of `right`
+    in no segment with rows of `left` gets zeros."""
+    g_left, g_right = np.empty_like(left), np.zeros_like(right)
+    row_sums, col_sums = np.empty(len(left)), np.zeros(len(right))
+    for sa, sb in segs:
+        gs = g[sa, :sb.stop - sb.start]
+        np.matmul(gs, right[sb], out=g_left[sa])
+        np.matmul(gs.T, left[sa], out=g_right[sb])
+        row_sums[sa] = gs.sum(axis=1)
+        col_sums[sb] = gs.sum(axis=0)
+    return g_left, g_right, row_sums, col_sums
+
+
+def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding, bounds=None) -> Tensor:
+    """(nA, w) matrix of symmetrized KL divergences between two batches, as one node.
 
     Per pair, d(p,q) = 0.25 * sum_d [ s2p/s2q + s2q/s2p
                                       + (mup-muq)^2 * (1/s2p + 1/s2q) ] - l/2,
     which expands over the halves P = [s2 + mu^2, mu] and Q = [1/s2, -2 mu/s2]
     of each batch, with c = sum_d mu^2/s2, into
       D = 0.25 * (P_a Q_b^T + Q_a P_b^T + c_a + c_b^T) - l/2.
-    Two batches take one product, [P_a, Q_a] @ [Q_b, P_b]^T.  An embedding
-    against itself (`a is b`) takes X = P Q^T + c once and D from X + X^T,
-    which is exactly symmetric; its vector-Jacobian product depends only on
-    gs = g + g^T, and hands the same half of the gradient, from gs Q and gs P,
-    to both of the node's (mu, s2) input pairs.  The VJP computes the halves
-    again from the inputs instead of keeping them.
+
+    Without `bounds`, w = nB and every row of a meets every row of b.  With
+    `bounds` = (bounds_a, bounds_b), as `_segments` reads them, the matrix
+    is block-diagonal: the rows of a in segment s meet only the rows of b in
+    segment s, row i's column j holds its distance to the segment's j-th
+    row of b, w is the widest segment of b, and the columns past a
+    segment's own width hold zero and take no gradient.  Each segment
+    takes one product, [P_a, Q_a]_s @ [Q_b, P_b]_s^T, and its VJP two.
+
+    An embedding against itself (`a is b`) without bounds takes X = P Q^T + c
+    once and D from X + X^T, which is exactly symmetric; its vector-Jacobian
+    product depends only on gs = g + g^T, and hands the same half of the
+    gradient, from one product gs [P, Q], to both of the node's (mu, s2)
+    input pairs.  The VJP computes the halves again from the inputs instead
+    of keeping them.
     """
     _check_valid(a)
     if b is not a:
@@ -146,41 +189,60 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding) -> Tensor:
         raise ShapeError("pairwise_symkl", a.mu.shape, b.mu.shape)
     l = a.dim
     pqa, ca = _halves_and_offsets(a)
-    if b is a:
+    if b is a and bounds is None:
         x = pqa[:, :2 * l] @ pqa[:, 2 * l:].T
         x += ca[:, None]
         d = x + x.T
+        d *= 0.25
+        d -= l / 2.0
 
         def vjp(g):
             pqa, mua, ra, mra = _halves(a)
             gs = g + g.T
             gs *= 0.125  # 0.25 from D, halved between the two input pairs
-            grads = _halves_vjp(mua, ra, mra, gs @ pqa[:, 2 * l:], gs @ pqa[:, :2 * l],
-                                gs.sum(axis=1))
+            gpq = gs @ pqa  # [gs P, gs Q]: the gradients at Q and at P
+            grads = _halves_vjp(mua, ra, mra, gpq[:, 2 * l:], gpq[:, :2 * l], gs.sum(axis=1))
             return grads + grads
     else:
+        segs, w = _segments(bounds, len(pqa), len(b.mu.data), "pairwise_symkl")
         pqb, cb = _halves_and_offsets(b)
-        d = pqa @ _swap_halves(pqb, l).T
-        d += ca[:, None]
-        d += cb
+        qpb = _swap_halves(pqb, l)
+        d = np.zeros((len(pqa), w))
+        for sa, sb in segs:
+            x = d[sa, :sb.stop - sb.start]
+            np.matmul(pqa[sa], qpb[sb].T, out=x)
+            x += ca[sa, None]
+            x += cb[sb]
+            x *= 0.25
+            x -= l / 2.0
 
         def vjp(g):
             (pqa, mua, ra, mra), (pqb, mub, rb, mrb) = _halves(a), _halves(b)
-            g = 0.25 * g
-            ga, gb = g @ _swap_halves(pqb, l), g.T @ pqa  # at [P_a, Q_a] and at [Q_b, P_b]
-            return (_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], g.sum(axis=1))
-                    + _halves_vjp(mub, rb, mrb, gb[:, 2 * l:], gb[:, :2 * l], g.sum(axis=0)))
-    d *= 0.25
-    d -= l / 2.0
+            # the gradients at [P_a, Q_a] and at [Q_b, P_b]
+            ga, gb, gca, gcb = _block_vjp(segs, 0.25 * g, pqa, _swap_halves(pqb, l))
+            return (_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], gca)
+                    + _halves_vjp(mub, rb, mrb, gb[:, 2 * l:], gb[:, :2 * l], gcb))
     return ad._make(d, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl", vjp)
 
 
-def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """(nA, nB) matrix of squared Euclidean distances between row vectors, as one node."""
+def pairwise_sq_euclidean(a: Tensor, b: Tensor, bounds=None) -> Tensor:
+    """(nA, w) matrix of squared Euclidean distances between row vectors, as
+    one node; w and the block-diagonal layout under `bounds` are as in
+    `pairwise_symkl`."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[-1]:
         raise ShapeError("pairwise_sq_euclidean", a.shape, b.shape)
     x, y = a.data, b.data
-    d = -2.0 * (x @ y.T) + np.square(y).sum(axis=1) + np.square(x).sum(axis=1)[:, None]
-    return ad._make(d, (a, b), "pairwise_sq_euclidean",
-                    lambda g: (2.0 * (x * g.sum(axis=1)[:, None] - g @ y),
-                               2.0 * (y * g.sum(axis=0)[:, None] - g.T @ x)))
+    segs, w = _segments(bounds, len(x), len(y), "pairwise_sq_euclidean")
+    xx, yy = np.square(x).sum(axis=1), np.square(y).sum(axis=1)
+    d = np.zeros((len(x), w))
+    for sa, sb in segs:
+        blk = d[sa, :sb.stop - sb.start]
+        np.matmul(x[sa], y[sb].T, out=blk)
+        blk *= -2.0
+        blk += yy[sb]
+        blk += xx[sa, None]
+
+    def vjp(g):
+        gx, gy, rows, cols = _block_vjp(segs, g, x, y)
+        return 2.0 * (x * rows[:, None] - gx), 2.0 * (y * cols[:, None] - gy)
+    return ad._make(d, (a, b), "pairwise_sq_euclidean", vjp)

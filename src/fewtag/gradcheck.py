@@ -80,19 +80,23 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
         hidden, tags, rep_hidden = _random_case(rng, d, classes)
         proj = init_projection_params(d=d, l=l, seed=seed + b)
         n = hidden.shape[0]
-        reps = None  # this batch's representatives, once the first evaluation needs them
+        view = None  # the last evaluation's: the next one reuses its masks and segments
 
         def losses(x: Tensor) -> tuple[Tensor, ...]:  # in CHECK_NAMES order
-            nonlocal reps
-            if reps is None:  # independent of x: projected once, as constants with no graph
+            nonlocal view
+            e = project(proj, x)
+            if view is None:
+                # independent of x: projected once, as constants with no graph
                 g = project(proj, Tensor(rep_hidden))
                 reps = GaussianEmbedding(Tensor(g.mu.data), Tensor(g.sigma2.data))
-            v = BatchView(embeddings=project(proj, x), tags=tags,
-                          sentence_index=np.zeros(n, dtype=int), label_reps=reps,
-                          rep_sentence=np.zeros(len(class_order), dtype=int),
-                          rep_class=class_order)
-            m = mixed_loss(v, icl)
-            return (anchor_loss_in(0, v, ocl), anchor_loss_out(0, v, icl),
+                view = BatchView(embeddings=e, tags=tags, sentence_index=np.zeros(n, dtype=int),
+                                 label_reps=reps,
+                                 rep_sentence=np.zeros(len(class_order), dtype=int),
+                                 rep_class=class_order)
+            else:
+                view = view.with_embeddings(e)
+            m = mixed_loss(view, icl)
+            return (anchor_loss_in(0, view, ocl), anchor_loss_out(0, view, icl),
                     m.context_context.value, m.context_label.value, m.total)
 
         errors = finite_diff_check(losses, hidden, step=STEP)

@@ -20,6 +20,7 @@ each pass sentence by sentence, through `decode_sentence`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -389,16 +390,26 @@ def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str
                     max_len: int = 128) -> int:
     """Tab-separated dump: token, gold tag, hidden-state components.
 
-    Returns the number of data rows written.
+    Returns the number of data rows written.  A sentence with a non-finite
+    hidden state is a NumericError naming it and its tokens.  The file is
+    written beside `path` and then renamed over it, so `path` never holds a
+    partly written dump.
     """
     d = checkpoint.encoder_config.d
     n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("token\ttag\t" + "\t".join(f"h{i}" for i in range(d)) + "\n")
-        for sent, (rows, gold) in zip(sentences,
-                                      _context_hiddens(checkpoint, sentences, max_len)):
-            for tok, tag, row in zip(sent.tokens, gold, rows):
-                comps = "\t".join(f"{v:.10g}" for v in row)
-                f.write(f"{tok}\t{tag}\t{comps}\n")
-                n += 1
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write("token\ttag\t" + "\t".join(f"h{i}" for i in range(d)) + "\n")
+            for i, (sent, (rows, gold)) in enumerate(
+                    zip(sentences, _context_hiddens(checkpoint, sentences, max_len))):
+                _require_finite(rows, f"rows of sentence {i}", lambda j: f"token {j}")
+                for tok, tag, row in zip(sent.tokens, gold, rows):
+                    comps = "\t".join(f"{v:.10g}" for v in row)
+                    f.write(f"{tok}\t{tag}\t{comps}\n")
+                    n += 1
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return n

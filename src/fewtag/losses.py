@@ -8,7 +8,9 @@ Two objectives are combined:
     form (ICL) averages the per-positive logs.
   * context-label: each token's single positive is its gold class's prompt
     representative from its own sentence; the softmax runs over all class
-    representatives, O included.
+    representatives of that sentence, O included.  Its distances are
+    per-sentence blocks: each token is compared only with its own
+    sentence's representatives, never with the whole batch's.
 
 The training metric is the symmetrized KL between Gaussian embeddings; the
 squared Euclidean distance on the mu projections is used in 1-shot mode.
@@ -16,6 +18,7 @@ squared Euclidean distance on the mu projections is used in 1-shot mode.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -70,8 +73,12 @@ class BatchView:
 
     The label representatives of every sentence's prompt are stacked into
     one (m, l) embedding, with each row's sentence and class alongside.
-    The tag masks and, per metric, the tokens' distances to each other are
-    computed once per batch and shared by every loss that reads them.
+    `sentence_index` and `rep_sentence` number the sentences from 0 and
+    never decrease, so each sentence's tokens and representatives are
+    contiguous rows (`segments`); the context-label loss rejects a batch
+    that breaks this with a ValueError naming the field.  The tag masks,
+    the label masks and, per metric, the tokens' distances to each other
+    are computed once per batch and shared by every loss that reads them.
     """
 
     embeddings: GaussianEmbedding          # (n, l)
@@ -91,6 +98,43 @@ class BatchView:
     def masks(self) -> tuple[np.ndarray, np.ndarray]:
         """`_masks` of the batch's tags."""
         return _masks(self.tags)
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row bounds (t, r) of each sentence: sentence s holds tokens
+        t[s]:t[s + 1] and representatives r[s]:r[s + 1]."""
+        n = 1 + max(self.sentence_index.max(initial=-1), self.rep_sentence.max(initial=-1))
+        return (_bounds(self.sentence_index, n, "sentence_index"),
+                _bounds(self.rep_sentence, n, "rep_sentence"))
+
+    @cached_property
+    def label_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gold, own) masks over the context-label distances' (n, w) blocks
+        (see `context_label_loss`): column j of token i is representative
+        r[s] + j of its sentence s, which is its own while j < r[s + 1] - r[s].
+        A token whose own representatives lack its gold class is a ValueError."""
+        _, r = self.segments
+        first = r[self.sentence_index]
+        cols = np.arange(np.diff(r).max())
+        own = cols < (r[self.sentence_index + 1] - first)[:, None]
+        codes: dict[str, int] = {}
+        rep_code = np.append(_codes(self.rep_class, codes), -1)  # -1 past a sentence's own
+        token_class = [t if t == "O" else t[2:] for t in self.tags]
+        token_code = _codes(token_class, codes)
+        gold = rep_code[np.where(own, first[:, None] + cols, -1)] == token_code[:, None]
+        missing = np.nonzero(~gold.any(axis=1))[0]
+        if missing.size:
+            raise ValueError(f"gold class {token_class[missing[0]]!r} has no label "
+                             f"representative")
+        return gold, own
+
+    def with_embeddings(self, embeddings: GaussianEmbedding) -> BatchView:
+        """This batch with other token embeddings of the same shape: the masks
+        and segments computed so far carry over, the distances do not."""
+        view = copy.copy(self)
+        view.embeddings = embeddings
+        view._self_distances = {}
+        return view
 
     def self_distance(self, metric: str) -> Tensor:
         """(n, n) distances between the batch's tokens under `metric`."""
@@ -136,10 +180,18 @@ def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, 
                      rep_class=prompt.class_order * n_seqs)
 
 
-def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str) -> Tensor:
+def _bounds(index: np.ndarray, n_sentences: int, name: str) -> np.ndarray:
+    """Row bounds of sentences 0..n_sentences-1 in a per-row sentence index."""
+    if index.size and (index[0] < 0 or (index[1:] < index[:-1]).any()):
+        raise ValueError(f"{name} must number sentences from 0 in non-decreasing order")
+    return np.searchsorted(index, np.arange(n_sentences + 1))
+
+
+def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str,
+              bounds=None) -> Tensor:
     if metric == METRIC_SYMKL:
-        return pairwise_symkl(a, b)
-    return pairwise_sq_euclidean(a.mu, b.mu)
+        return pairwise_symkl(a, b, bounds)
+    return pairwise_sq_euclidean(a.mu, b.mu, bounds)
 
 
 def _codes(items, codes: dict) -> np.ndarray:
@@ -240,24 +292,21 @@ def context_label_loss(batch: BatchView, config: LossConfig) -> LossValue:
     """Softmax-contrastive pull toward each token's gold class representative.
 
     The denominator ranges over all classes (O included) of the token's own
-    sentence's prompt.  One distance matrix covers every token against every
-    representative; each token is an ICL anchor whose only positive is its
-    gold representative and whose candidates are its own sentence's.
+    sentence's prompt.  The distances are one (n, w) node of per-sentence
+    blocks (see `pairwise_symkl`): row i holds token i's distances to its
+    own sentence's representatives, and w is the most any sentence has.
+    Each token is an ICL anchor whose only positive is its gold
+    representative and whose candidates are its row's first columns, one
+    per representative of its sentence.
     """
     call_counts["context_label"] += 1
     if batch.n_tokens == 0:
         return LossValue(Tensor(0.0), warned=True)
     if batch.label_reps is None:
         raise ValueError("batch has no label representatives")
-    own = batch.sentence_index[:, None] == batch.rep_sentence
-    codes: dict[str, int] = {}
-    rep_code = _codes(batch.rep_class, codes)
-    token_class = [t if t == "O" else t[2:] for t in batch.tags]
-    gold = own & (_codes(token_class, codes)[:, None] == rep_code)
-    missing = np.nonzero(~gold.any(axis=1))[0]
-    if missing.size:
-        raise ValueError(f"gold class {token_class[missing[0]]!r} has no label representative")
-    d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric), 1.0 / config.tau)
+    gold, own = batch.label_masks
+    d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric, batch.segments),
+                 1.0 / config.tau)
     terms = _anchor_terms(d, None, gold, own, VARIANT_ICL)
     return LossValue(ad.tmean(terms), n_anchors=batch.n_tokens)
 

@@ -372,14 +372,12 @@ def test_input_tags_of_a_class_the_model_lacks_are_not_read(trained, tmp_path, c
     assert (tmp_path / "out" / output).exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("unseen_in, named", [("support", "support bank rows"),
-                                               ("input", "query sentence 0: 4 of 4 query rows")])
-def test_non_finite_hidden_states_are_numeric_error(trained, tmp_path, capsys, caplog,
-                                                    unseen_in, named):
-    # a finite [UNK] embedding so large that layer norm's sum overflows: every
-    # sentence with an unknown word encodes to NaN
+def write_huge_unk_inputs(trained, tmp_path, unseen_in):
+    """A copy of the trained checkpoint whose [UNK] embedding is a finite 1e308,
+    so large that layer norm's sum overflows and every sentence with an
+    unknown word encodes to NaN, and support.conll and input.conll under
+    tmp_path, the first sentence of `unseen_in` starting with an unknown word.
+    Returns the checkpoint's path."""
     (_, _, support_path, _), ckpt_path = trained
     ckpt = load_checkpoint(str(ckpt_path))
     ckpt.params["emb.token"].data[ckpt.vocab.id(UNK)] = 1e308
@@ -390,6 +388,16 @@ def test_non_finite_hidden_states_are_numeric_error(trained, tmp_path, capsys, c
     files[unseen_in][0] = Sentence(("zzunseen",) + first.tokens[1:], first.tags)
     for name, sentences in files.items():
         write_conll(sentences, str(tmp_path / f"{name}.conll"))
+    return huge
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("unseen_in, named", [("support", "support bank rows"),
+                                               ("input", "query sentence 0: 4 of 4 query rows")])
+def test_non_finite_hidden_states_are_numeric_error(trained, tmp_path, capsys, caplog,
+                                                    unseen_in, named):
+    huge = write_huge_unk_inputs(trained, tmp_path, unseen_in)
     code = main(SMALL + ["--out", str(tmp_path / "out"), "predict", "--checkpoint", str(huge),
                          "--support", str(tmp_path / "support.conll"),
                          "--input", str(tmp_path / "input.conll")])
@@ -397,6 +405,22 @@ def test_non_finite_hidden_states_are_numeric_error(trained, tmp_path, capsys, c
     assert "Traceback" not in capsys.readouterr().err
     assert "numeric error: " in caplog.text and f"{named} hold non-finite" in caplog.text
     assert not (tmp_path / "out" / "predictions.conll").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_hidden_states_in_dump_embeddings_are_numeric_error(trained, tmp_path,
+                                                                       capsys, caplog):
+    huge = write_huge_unk_inputs(trained, tmp_path, "input")
+    out = tmp_path / "out"
+    code = main(SMALL + ["--out", str(out), "dump-embeddings", "--checkpoint", str(huge),
+                         "--input", str(tmp_path / "input.conll")])
+    assert code == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert ("numeric error: 4 of 4 rows of sentence 0 hold non-finite hidden states: "
+            "token 0, token 1, token 2, token 3") in caplog.text
+    # no dump, whole or partial, and no temporary file beside it
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
 
 
 def test_low_resource_test_classes_absent_from_the_support_are_data_error(trained, tmp_path,

@@ -305,3 +305,89 @@ def test_pairwise_symkl_of_an_embedding_with_itself_is_symmetric_and_matches_two
     for leaf, ref_a, ref_b in zip(leaves, copies[:2], copies[2:]):
         want = ref_a.grad + ref_b.grad
         np.testing.assert_allclose(leaf.grad, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# -- per-segment blocks -----------------------------------------------------------
+
+# (bounds_a, bounds_b): two_sentence_batch's widths 3 and 2, and five segments
+# holding 3, 2, 1, 0 and 3 rows of a against 3, 2, 3, 2 and 3 rows of b; the
+# fourth is a sentence whose tokens O-subsampling dropped entirely
+LAYOUTS = {"uneven": ([0, 3, 5], [0, 3, 5]),
+           "one_row_and_empty": ([0, 3, 5, 6, 6, 9], [0, 3, 5, 8, 10, 13])}
+KERNELS = {
+    "symkl": (lambda t, bounds=None: gs.pairwise_symkl(GaussianEmbedding(t[0], t[1]),
+                                                       GaussianEmbedding(t[2], t[3]), bounds),
+              "pairwise_symkl"),
+    "sqeuclid": (lambda t, bounds=None: gs.pairwise_sq_euclidean(t[0], t[2], bounds),
+                 "pairwise_sq_euclidean"),
+}
+
+
+def layout_parts(layout, seed):
+    ta, tb = LAYOUTS[layout]
+    return random_parts(seed, n_a=ta[-1], n_b=tb[-1], l=4)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("metric", KERNELS)
+def test_segment_blocks_equal_the_full_matrix_own_entries(metric, layout):
+    kernel, op = KERNELS[metric]
+    ta, tb = LAYOUTS[layout]
+    parts = [Tensor(p) for p in layout_parts(layout, 19)]
+    full = kernel(parts).data
+    d = kernel(parts, LAYOUTS[layout])
+    widths = np.diff(tb)
+    assert d._op == op and d.shape == (ta[-1], widths.max())
+    for s, (lo, hi) in enumerate(zip(ta[:-1], ta[1:])):
+        w = widths[s]
+        # each block is its own BLAS product, so it rounds differently from the full one
+        np.testing.assert_allclose(d.data[lo:hi, :w], full[lo:hi, tb[s]:tb[s + 1]],
+                                   rtol=0, atol=1e-13 * np.abs(full).max())
+        assert not d.data[lo:hi, w:].any()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("metric, which", [("symkl", 0), ("symkl", 1), ("symkl", 2),
+                                           ("symkl", 3), ("sqeuclid", 0), ("sqeuclid", 2)],
+                         ids=["symkl-mu_a", "symkl-sigma2_a", "symkl-mu_b", "symkl-sigma2_b",
+                              "sqeuclid-a", "sqeuclid-b"])
+def test_segment_blocks_gradients_match_finite_differences(metric, which, layout):
+    kernel, _ = KERNELS[metric]
+    ta, tb = LAYOUTS[layout]
+    parts = layout_parts(layout, 20)
+    # weights on the padding columns too, which must take no gradient
+    weights = np.random.default_rng(21).normal(size=(ta[-1], np.diff(tb).max()))
+
+    def fn(x):
+        t = [Tensor(p) for p in parts]
+        t[which] = x
+        return ad.tsum(ad.mul(kernel(t, LAYOUTS[layout]), Tensor(weights)))
+
+    assert ad.finite_diff_check(fn, parts[which]) <= 1e-6
+
+
+@pytest.mark.parametrize("metric", KERNELS)
+def test_rows_of_b_in_a_segment_without_rows_of_a_get_exact_zero_gradients(metric):
+    kernel, _ = KERNELS[metric]
+    ta, tb = LAYOUTS["one_row_and_empty"]
+    leaves = [Tensor(p, requires_grad=True) for p in layout_parts("one_row_and_empty", 22)]
+    d = kernel(leaves, (ta, tb))
+    weights = np.random.default_rng(23).normal(size=d.shape)
+    ad.tsum(ad.mul(d, Tensor(weights))).backward(leaves=leaves)
+    # b's mu, and its sigma2 if the metric reads it
+    for leaf in leaves[2:4 if metric == "symkl" else 3]:
+        assert (leaf.grad[tb[3]:tb[4]] == 0).all()
+        assert (leaf.grad[tb[2]:tb[3]] != 0).all() and (leaf.grad[tb[4]:] != 0).all()
+
+
+@pytest.mark.parametrize("bounds", [([0, 5, 3, 9], [0, 3, 8, 13]), ([0, 3, 9], [0, 8, 12]),
+                                    ([0, 3, 9], [0, 5, 8, 13]), ([1, 9], [0, 13]),
+                                    ([9], [13])],
+                         ids=["decreasing", "short_of_b", "unequal_counts", "not_from_0",
+                              "no_segment"])
+@pytest.mark.parametrize("metric", KERNELS)
+def test_segment_bounds_that_do_not_partition_the_rows_are_rejected(metric, bounds):
+    kernel, _ = KERNELS[metric]
+    parts = [Tensor(p) for p in layout_parts("one_row_and_empty", 24)]
+    with pytest.raises(ad.ShapeError):
+        kernel(parts, bounds)

@@ -423,3 +423,54 @@ def test_all_rows_anchor_terms_equal_the_explicit_rows_bitwise(variant):
 
     for got, want in zip(run(None), run(np.arange(6))):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["sentence_index", "rep_sentence"])
+def test_context_label_rejects_sentence_indices_out_of_order(name):
+    batch = two_sentence_batch(9)
+    setattr(batch, name, getattr(batch, name)[::-1].copy())
+    with pytest.raises(ValueError, match=f"{name} must number sentences from 0 in "
+                                         "non-decreasing order"):
+        context_label_loss(batch, LossConfig())
+
+
+@pytest.mark.parametrize("metric", ["symkl", "sqeuclid"])
+def test_context_label_distances_are_one_block_of_own_representatives_per_token(
+        monkeypatch, metric):
+    sents = [Sentence(tuple(f"w{j}" for j in range(n)),
+                      tuple(("I-A", "O", "I-B")[j % 3] for j in range(n)))
+             for n in np.random.default_rng(2).integers(1, 12, size=32)]
+    vocab = build_vocab(sents, label_map=LM)
+    prompt = build_label_prompt(LabelSet(("A", "B")), LM)
+    packed = pack([assemble_input(s, prompt, vocab, max_len=16) for s in sents])
+    hidden = Tensor(np.random.default_rng(3).normal(size=(packed.n_occupied, 8)))
+    batch = build_batch_view(hidden, packed, init_projection_params(d=8, l=4, seed=4))
+    n_classes = len(prompt.class_order)
+    assert batch.label_reps.mu.shape == (32 * n_classes, 4)
+    shapes = []
+    original = ad._make
+
+    def recording(data, prev, op, vjp):
+        shapes.append((op, data.shape))
+        return original(data, prev, op, vjp)
+
+    monkeypatch.setattr(ad, "_make", recording)
+    context_label_loss(batch, LossConfig(metric=metric))
+    kernel = "pairwise_symkl" if metric == "symkl" else "pairwise_sq_euclidean"
+    assert shapes[0] == (kernel, (batch.n_tokens, n_classes))
+    assert all(32 * n_classes not in shape for _, shape in shapes)
+
+
+def test_a_view_with_other_embeddings_keeps_masks_and_segments_but_not_distances():
+    batch = two_sentence_batch(10)
+    context_context_loss(batch, LossConfig())
+    context_label_loss(batch, LossConfig())
+    embeddings = two_sentence_batch(11).embeddings
+    view = batch.with_embeddings(embeddings)
+    for name in ("masks", "segments", "label_masks"):
+        assert getattr(view, name) is getattr(batch, name)
+    other = BatchView(embeddings, batch.tags, batch.sentence_index, batch.label_reps,
+                      batch.rep_sentence, batch.rep_class)
+    for config in (LossConfig(), LossConfig(metric="sqeuclid")):
+        for loss in (context_context_loss, context_label_loss):
+            assert loss(view, config).value.item() == loss(other, config).value.item()
