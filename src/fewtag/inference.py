@@ -20,7 +20,6 @@ each pass sentence by sentence, through `decode_sentence`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -31,7 +30,7 @@ from .data import (DataError, Episode, LabelSet, Sentence, greedy_sample_support
                    tag_class)
 from .encoder import encode
 from .prompt import assemble_input, build_label_prompt, pack
-from .training import Checkpoint, TrainConfig, finetune
+from .training import Checkpoint, TrainConfig, finetune, replacing
 
 
 _F64 = np.finfo(np.float64)
@@ -392,24 +391,18 @@ def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str
 
     Returns the number of data rows written.  A sentence with a non-finite
     hidden state is a NumericError naming it and its tokens.  The file is
-    written beside `path` and then renamed over it, so `path` never holds a
-    partly written dump.
+    written through `training.replacing`, so `path` never holds a partly
+    written dump.
     """
     d = checkpoint.encoder_config.d
     n = 0
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write("token\ttag\t" + "\t".join(f"h{i}" for i in range(d)) + "\n")
-            for i, (sent, (rows, gold)) in enumerate(
-                    zip(sentences, _context_hiddens(checkpoint, sentences, max_len))):
-                _require_finite(rows, f"rows of sentence {i}", lambda j: f"token {j}")
-                for tok, tag, row in zip(sent.tokens, gold, rows):
-                    comps = "\t".join(f"{v:.10g}" for v in row)
-                    f.write(f"{tok}\t{tag}\t{comps}\n")
-                    n += 1
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path, "w", encoding="utf-8") as f:
+        f.write("token\ttag\t" + "\t".join(f"h{i}" for i in range(d)) + "\n")
+        for i, (sent, (rows, gold)) in enumerate(
+                zip(sentences, _context_hiddens(checkpoint, sentences, max_len))):
+            _require_finite(rows, f"rows of sentence {i}", lambda j: f"token {j}")
+            for tok, tag, row in zip(sent.tokens, gold, rows):
+                comps = "\t".join(f"{v:.10g}" for v in row)
+                f.write(f"{tok}\t{tag}\t{comps}\n")
+                n += 1
     return n

@@ -13,8 +13,9 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, get_type_hints
+from typing import IO, Iterator, Optional, get_type_hints
 
 import numpy as np
 
@@ -180,11 +181,25 @@ class Checkpoint:
                                      for k, v in self.params.items()})
 
 
+@contextmanager
+def replacing(path: str, mode: str = "w", **open_kwargs) -> Iterator[IO]:
+    """A file opened beside `path` and renamed over it once the block ends
+    without an error, so `path` never holds a partly written file."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Versioned binary container: magic, metadata JSON, named f64 tensors.
 
-    The file is written beside `path` and then renamed over it, so `path`
-    never holds a partly written checkpoint.
+    The file is written through `replacing`, so `path` never holds a partly
+    written checkpoint.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -195,26 +210,20 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "embed_dim": ckpt.embed_dim,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<Q", len(meta_bytes)))
-            f.write(meta_bytes)
-            f.write(struct.pack("<I", len(ckpt.params)))
-            for name in sorted(ckpt.params):
-                data = np.ascontiguousarray(ckpt.params[name].data, dtype="<f8")
-                name_b = name.encode()
-                f.write(struct.pack("<H", len(name_b)))
-                f.write(name_b)
-                f.write(struct.pack("<B", data.ndim))
-                f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-                f.write(data.tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        f.write(struct.pack("<Q", len(meta_bytes)))
+        f.write(meta_bytes)
+        f.write(struct.pack("<I", len(ckpt.params)))
+        for name in sorted(ckpt.params):
+            data = np.ascontiguousarray(ckpt.params[name].data, dtype="<f8")
+            name_b = name.encode()
+            f.write(struct.pack("<H", len(name_b)))
+            f.write(name_b)
+            f.write(struct.pack("<B", data.ndim))
+            f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+            f.write(data.tobytes())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
