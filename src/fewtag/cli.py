@@ -10,13 +10,14 @@ The config keys are the fields of TrainConfig and RunConfig, and `encoder`,
 whose keys override EncoderConfig fields; each is checked against its field's
 type before any work starts.
 Subcommands that load a checkpoint take the model settings (`encoder`,
-`embed_dim`) from it: the snapshot records the checkpoint's, and a value
-given that differs from the checkpoint's is a usage error.
+`embed_dim`, `max_len`) from it: the snapshot records the checkpoint's, and
+a value given that differs from the checkpoint's is a usage error.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error
-(unreadable corpora, label maps, checkpoints), 4 numeric error (non-finite
-losses or gradients, failed gradient check).  Log verbosity is controlled by
-the FEWTAG_LOG_LEVEL environment variable (DEBUG, INFO, WARNING, ...).
+Exit codes: 0 success, 2 usage or configuration error (a size setting too
+large to allocate included), 3 data error (unreadable corpora, label maps,
+checkpoints), 4 numeric error (non-finite losses or gradients, failed
+gradient check).  Log verbosity is controlled by the FEWTAG_LOG_LEVEL
+environment variable (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -193,22 +194,23 @@ def _require(run: RunConfig, command: str, *keys: str) -> None:
 
 def _model_from_checkpoint(train: TrainConfig, run: RunConfig, given: dict):
     """The checkpoint run.checkpoint names, then train and the encoder
-    overrides as that checkpoint's model has them (embed_dim and encoder).
+    overrides as that checkpoint's model has them (embed_dim, max_len, encoder).
 
     A model setting given explicitly that differs from the checkpoint's is a
     usage error naming its key.
     """
     ckpt = load_checkpoint(run.checkpoint)
     encoder = {key: getattr(ckpt.encoder_config, key) for key in _ENCODER_KEYS}
+    model = {"embed_dim": ckpt.embed_dim, "max_len": ckpt.encoder_config.max_len}
     differing = [(f"encoder.{key}", value, encoder[key])
                  for key, value in sorted((given.get("encoder") or {}).items())
                  if value != encoder[key]]
-    if "embed_dim" in given and given["embed_dim"] != ckpt.embed_dim:
-        differing.append(("embed_dim", given["embed_dim"], ckpt.embed_dim))
+    differing += [(key, given[key], own) for key, own in model.items()
+                  if key in given and given[key] != own]
     if differing:
         raise UsageError("; ".join(f"{key}={value!r} differs from the checkpoint's {own!r}"
                                    for key, value, own in differing))
-    return ckpt, replace(train, embed_dim=ckpt.embed_dim), encoder
+    return ckpt, replace(train, **model), encoder
 
 
 def _snapshot(command: str, train: TrainConfig, run: RunConfig, encoder: dict) -> None:
@@ -284,10 +286,8 @@ def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) 
     if not support:
         raise DataError(f"{run.support}: support corpus holds no sentences")
     queries = read_conll(run.input)
-    bank = build_support_bank(ckpt, support, max_len=train.max_len)
-    tagged = [Sentence(s.tokens, tuple(tags))
-              for s, tags in zip(queries, decode_sentences(ckpt, queries, bank,
-                                                           max_len=train.max_len))]
+    tags = decode_sentences(ckpt, queries, build_support_bank(ckpt, support))
+    tagged = [Sentence(s.tokens, tuple(t)) for s, t in zip(queries, tags)]
     path = os.path.join(run.out, "predictions.conll")
     write_conll(tagged, path)
     log.info("tagged %d sentences into %s", len(tagged), path)
@@ -360,7 +360,7 @@ def cmd_dump_embeddings(train: TrainConfig, run: RunConfig, encoder: dict,
     _snapshot("dump-embeddings", train, run, encoder)
     sentences = read_conll(run.input)
     path = os.path.join(run.out, "embeddings.tsv")
-    n = dump_embeddings(ckpt, sentences, path, max_len=train.max_len)
+    n = dump_embeddings(ckpt, sentences, path)
     print(f"wrote {n} token rows to {path}")
     return 0
 
@@ -421,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](*resolve_config(args))
     except UsageError as e:
         log.error("usage error: %s", e)
+        return EXIT_USAGE
+    except MemoryError as e:
+        log.error("usage error: out of memory, a size setting is too large: %s", e)
         return EXIT_USAGE
     except (DataError, CheckpointError, OSError) as e:
         log.error("data error: %s", e)

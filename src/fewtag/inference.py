@@ -129,10 +129,10 @@ class EvalReport:
         return out
 
 
-def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
-                     max_len: int) -> Iterator[tuple[np.ndarray, tuple[str, ...]]]:
+def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence]
+                     ) -> Iterator[tuple[np.ndarray, tuple[str, ...]]]:
     """Per sentence, in order: eval-mode hidden states of its context tokens
-    and their gold tags.
+    within the checkpoint's length budget, and their gold tags.
 
     Consecutive sentences share one encoder pass of at most PACK_ROWS rows;
     a sentence longer than that has a pass of its own.  The parameters are
@@ -140,9 +140,8 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
     """
     params = {k: Tensor(p.data) for k, p in ckpt.params.items()}
     prompt = build_label_prompt(ckpt.label_set, ckpt.label_map)
-    # positions past the checkpoint's positional table are truncated away
-    max_len = min(max_len, ckpt.encoder_config.max_len)
-    seqs = [assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences]
+    seqs = [assemble_input(s, prompt, ckpt.vocab, max_len=ckpt.encoder_config.max_len)
+            for s in sentences]
     lo = 0
     while lo < len(seqs):
         hi, rows = lo + 1, seqs[lo].n_occupied
@@ -157,13 +156,12 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence],
         lo = hi
 
 
-def build_support_bank(ckpt: Checkpoint, support: list[Sentence],
-                       max_len: int = 128) -> SupportBank:
-    """Eval-mode hidden states of every valid support context token."""
+def build_support_bank(ckpt: Checkpoint, support: list[Sentence]) -> SupportBank:
+    """Eval-mode hidden states of every support context token in the length budget."""
     vectors: list[np.ndarray] = []
     tags: list[str] = []
     provenance: list[tuple[int, int]] = []
-    for si, (rows, gold) in enumerate(_context_hiddens(ckpt, support, max_len)):
+    for si, (rows, gold) in enumerate(_context_hiddens(ckpt, support)):
         vectors.append(rows)
         tags += gold
         provenance += ((si, pos) for pos in range(len(gold)))
@@ -237,27 +235,26 @@ def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
 
 
 def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
-                    max_len: int = 128, rows: Optional[np.ndarray] = None) -> list[str]:
-    """Predicted IO tags for a sentence; truncated positions default to O.
+                    rows: Optional[np.ndarray] = None) -> list[str]:
+    """Predicted IO tags for a sentence; tokens past the length budget default to O.
 
     `rows` are the sentence's context hidden states, as `_context_hiddens`
     yields them; without them the sentence is encoded alone.
     """
     if rows is None:
-        [(rows, _)] = _context_hiddens(ckpt, [sentence], max_len)
+        [(rows, _)] = _context_hiddens(ckpt, [sentence])
     tags = nn_decode(rows, bank)
     return tags + ["O"] * (len(sentence.tokens) - len(tags))
 
 
-def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence], bank: SupportBank,
-                     max_len: int = 128) -> list[list[str]]:
+def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence],
+                     bank: SupportBank) -> list[list[str]]:
     """`decode_sentence` of each sentence, from packed encoder passes; a
     NumericError names the sentence."""
     out = []
-    for i, (sentence, (rows, _)) in enumerate(zip(sentences,
-                                                  _context_hiddens(ckpt, sentences, max_len))):
+    for i, (sentence, (rows, _)) in enumerate(zip(sentences, _context_hiddens(ckpt, sentences))):
         try:
-            out.append(decode_sentence(ckpt, sentence, bank, max_len, rows=rows))
+            out.append(decode_sentence(ckpt, sentence, bank, rows=rows))
         except NumericError as e:
             raise _prefixed(e, f"query sentence {i}: ") from e
     return out
@@ -302,10 +299,9 @@ def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: L
                    config: TrainConfig, queries: list[Sentence]) -> tuple[int, int, int]:
     """Fine-tune on the support, decode the queries against it; span tp, fp, fn."""
     tuned, _ = finetune(checkpoint, support, label_set, checkpoint.label_map, config)
-    bank = build_support_bank(tuned, support, max_len=config.max_len)
+    bank = build_support_bank(tuned, support)
     gold = [extract_spans(s.tags) for s in queries]
-    pred = [extract_spans(tags)
-            for tags in decode_sentences(tuned, queries, bank, max_len=config.max_len)]
+    pred = [extract_spans(tags) for tags in decode_sentences(tuned, queries, bank)]
     return span_counts(gold, pred)
 
 
@@ -385,11 +381,11 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
     return EvalReport(*pooled, per_run=per_run, skipped_seeds=skipped)
 
 
-def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str,
-                    max_len: int = 128) -> int:
+def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str) -> int:
     """Tab-separated dump: token, gold tag, hidden-state components.
 
-    Returns the number of data rows written.  A sentence with a non-finite
+    Returns the number of data rows written: a sentence's tokens within the
+    checkpoint's length budget.  A sentence with a non-finite
     hidden state is a NumericError naming it and its tokens.  The file is
     written through `training.replacing`, so `path` never holds a partly
     written dump.
@@ -399,7 +395,7 @@ def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str
     with replacing(path, "w", encoding="utf-8") as f:
         f.write("token\ttag\t" + "\t".join(f"h{i}" for i in range(d)) + "\n")
         for i, (sent, (rows, gold)) in enumerate(
-                zip(sentences, _context_hiddens(checkpoint, sentences, max_len))):
+                zip(sentences, _context_hiddens(checkpoint, sentences))):
             _require_finite(rows, f"rows of sentence {i}", lambda j: f"token {j}")
             for tok, tag, row in zip(sent.tokens, gold, rows):
                 comps = "\t".join(f"{v:.10g}" for v in row)

@@ -42,6 +42,7 @@ class TrainConfig:
     lr: float = 5e-5
     batch_size: int = 32
     epochs: int = 1
+    # sizes a new checkpoint's positional table; later stages read the checkpoint's
     max_len: int = 128
     embed_dim: int = 128                     # Gaussian embedding dim l
     alpha: float = 0.5
@@ -344,9 +345,8 @@ class LogEntry:
 
 def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, config: TrainConfig,
                 dropout_rng, subsample_rng) -> MixedLoss:
-    # positions past the checkpoint's positional table are truncated away
-    max_len = min(config.max_len, ckpt.encoder_config.max_len)
-    packed = pack([assemble_input(s, prompt, ckpt.vocab, max_len=max_len) for s in sentences])
+    packed = pack([assemble_input(s, prompt, ckpt.vocab, max_len=ckpt.encoder_config.max_len)
+                   for s in sentences])
     hidden = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=True, rng=dropout_rng)
     batch = build_batch_view(hidden, packed, ckpt.params,
                              o_keep_fraction=config.o_keep_fraction, rng=subsample_rng)

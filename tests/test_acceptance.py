@@ -156,10 +156,10 @@ def _memo_support():
     return out  # 10 sentences
 
 
-def _decode_f1(ckpt, support, queries, max_len):
-    bank = build_support_bank(ckpt, support, max_len=max_len)
+def _decode_f1(ckpt, support, queries):
+    bank = build_support_bank(ckpt, support)
     gold = [extract_spans(s.tags) for s in queries]
-    pred = [extract_spans(decode_sentence(ckpt, s, bank, max_len=max_len))
+    pred = [extract_spans(decode_sentence(ckpt, s, bank))
             for s in queries]
     return micro_f1(gold, pred).f1
 
@@ -178,8 +178,8 @@ def test_criterion_4_memorization(capsys):
                                ENC, extra_vocab_words=extra)
         tuned, _ = finetune(ckpt, support, LabelSet(MEMO_CLASSES, role="target"),
                             MEMO_MAP, config)
-        support_f1s.append(_decode_f1(tuned, support, support, 24))
-        query_f1s.append(_decode_f1(tuned, support, query, 24))
+        support_f1s.append(_decode_f1(tuned, support, support))
+        query_f1s.append(_decode_f1(tuned, support, query))
     elapsed = time.time() - t0
     med_support = float(np.median(support_f1s))
     med_query = float(np.median(query_f1s))
@@ -210,8 +210,8 @@ def _transfer_run(seed):
     ft_config = TrainConfig(**{**config.__dict__, "lr": 0.02})
     tuned, _ = finetune(ckpt, support, target_set, XFER_MAP, ft_config)
     base = retarget(ckpt, target_set, XFER_MAP)
-    return (_decode_f1(base, support, query, 24),
-            _decode_f1(tuned, support, query, 24), ckpt, support, target_set)
+    return (_decode_f1(base, support, query),
+            _decode_f1(tuned, support, query), ckpt, support, target_set)
 
 
 def test_criterion_5_transfer(capsys):
@@ -354,11 +354,11 @@ def test_criterion_9_reproducibility(capsys, tmp_path):
         ckpts.append(ckpt)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 
-    bank = build_support_bank(ckpts[0], support, max_len=24)
-    before = [decode_sentence(ckpts[0], s, bank, max_len=24) for s in queries]
+    bank = build_support_bank(ckpts[0], support)
+    before = [decode_sentence(ckpts[0], s, bank) for s in queries]
     loaded = load_checkpoint(str(paths[0]))
-    bank2 = build_support_bank(loaded, support, max_len=24)
-    after = [decode_sentence(loaded, s, bank2, max_len=24) for s in queries]
+    bank2 = build_support_bank(loaded, support)
+    after = [decode_sentence(loaded, s, bank2) for s in queries]
     roundtrip = before == after
 
     ok = identical and roundtrip

@@ -74,13 +74,13 @@ def test_tracer_and_checker_see_every_stage(hooks):
     assert encode_calls() - before == result.iterations
 
     before = encode_calls()
-    bank = inference.build_support_bank(tuned, ep.support, max_len=config.max_len)
+    bank = inference.build_support_bank(tuned, ep.support)
     assert encode_calls() - before == 1  # the whole support fits one pack
     assert trace.counts["inference.bank_rows"] == len(bank.tags)
 
     before = encode_calls()
     for sent in ep.query:
-        inference.decode_sentence(tuned, sent, bank, max_len=config.max_len)
+        inference.decode_sentence(tuned, sent, bank)
     assert encode_calls() - before == len(ep.query)
     assert trace.calls["inference.decode_sentence"] == len(ep.query)
     assert trace.calls["inference.nn_decode"] == len(ep.query)

@@ -179,7 +179,7 @@ class TestPipeline:
         assert header.split("\t")[:2] == ["token", "tag"]
 
     def test_predict_past_checkpoint_positions(self, workspace):
-        # the default max_len (128) exceeds the checkpoint's table (24)
+        # the sentence is longer than the checkpoint's 24 positions
         tmp_path, _, support_path, _ = workspace
         _, out = run_train(workspace)
         long_path = tmp_path / "long.conll"
@@ -459,6 +459,7 @@ def _from_checkpoint(trained, command):
     ("encoder.d=32", "encoder.d"),
     ('encoder={"n_heads": 4, "dropout": 0.0}', "encoder.n_heads"),
     ("embed_dim=16", "embed_dim"),
+    ("max_len=128", "max_len"),
 ])
 def test_model_setting_unlike_the_checkpoints_is_usage_error(trained, tmp_path, caplog,
                                                              command, setting, key):
@@ -476,10 +477,56 @@ def test_snapshot_records_the_checkpoints_model_settings(trained, tmp_path, comm
     snap = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
     assert snap["encoder"] == {"d": 16, "n_layers": 1, "n_heads": 2, "ff_dim": None,
                                "dropout": 0.0}
-    assert snap["embed_dim"] == 8
+    assert snap["embed_dim"] == 8 and snap["max_len"] == 24
     # the replay gives every model setting explicitly, each equal to the checkpoint's
     assert main(["--config", str(tmp_path / "out" / "resolved_config.json"),
                  "--out", str(tmp_path / "replay")] + args) == 0
+
+
+def test_every_command_after_train_takes_the_checkpoints_max_len(workspace, caplog):
+    # a 256-position model holds a 150-token input whole, with its 8-token
+    # prompt and 3 specials; the default budget of 128 would hold 117 tokens
+    tmp_path, train_path, support_path, _ = workspace
+    code, out = run_train(workspace, extra=["--set", "max_len=256"])
+    assert code == 0
+    ckpt = str(out / "checkpoint.ckpt")
+    long_path = tmp_path / "long.conll"
+    write_conll([Sentence(tuple(f"filler{i % 8}" for i in range(149)) + ("aent0",),
+                          ("O",) * 149 + ("I-A",))], str(long_path))
+    commands = {
+        "predict": ["predict", "--checkpoint", ckpt, "--support", str(support_path),
+                    "--input", str(long_path)],
+        "dump-embeddings": ["dump-embeddings", "--checkpoint", ckpt, "--input", str(long_path)],
+        "finetune": ["finetune", "--checkpoint", ckpt, "--support", str(long_path)],
+        "evaluate": ["evaluate", "--checkpoint", ckpt, "--protocol", "low-resource",
+                     "--support", str(train_path), "--test-corpus", str(long_path),
+                     "--n-way", "2", "--k-shot", "1", "--n-runs", "1"],
+    }
+    for command, args in commands.items():
+        fast = ["--set", "max_finetune_iters=3", "--out", str(tmp_path / command)]
+        assert main(fast + args) == 0, command
+        snap = json.loads((tmp_path / command / "resolved_config.json").read_text())
+        assert snap["max_len"] == 256, command
+        caplog.clear()
+        assert main(["--set", "max_len=128", "--out", str(tmp_path / "x")] + args) == 2
+        assert "max_len=128 differs from the checkpoint's 256" in caplog.text
+    rows = (tmp_path / "dump-embeddings" / "embeddings.tsv").read_text().splitlines()
+    assert len(rows) == 1 + 150  # the header, then every token
+    predict = tmp_path / "predict"
+    assert main(["--config", str(predict / "resolved_config.json"),
+                 "--out", str(tmp_path / "replay")] + commands["predict"]) == 0
+    assert (tmp_path / "replay" / "predictions.conll").read_bytes() == \
+           (predict / "predictions.conll").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["max_len", "embed_dim", "encoder.d", "encoder.ff_dim"])
+def test_size_too_large_to_allocate_is_usage_error(workspace, capsys, caplog, key):
+    # 10**15 float64 rows or columns, past any address space: the allocation
+    # fails before a page is touched
+    code, _ = run_train(workspace, extra=["--set", f"{key}={10 ** 15}"])
+    assert code == 2
+    assert "out of memory" in caplog.text and "Unable to allocate" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # every key a config may set: the fields of TrainConfig and RunConfig, and the

@@ -297,16 +297,16 @@ class TestDecoding:
     def test_support_tokens_decode_to_their_own_tags(self, trained):
         ckpt, config, corpus, _ = trained
         support = corpus[:6]
-        bank = build_support_bank(ckpt, support, max_len=config.max_len)
+        bank = build_support_bank(ckpt, support)
         for sent in support:
-            pred = decode_sentence(ckpt, sent, bank, max_len=config.max_len)
+            pred = decode_sentence(ckpt, sent, bank)
             assert pred == list(sent.tags)
 
     def test_truncated_positions_default_to_o(self, trained):
         ckpt, config, corpus, _ = trained
-        bank = build_support_bank(ckpt, corpus[:2], max_len=config.max_len)
+        bank = build_support_bank(ckpt, corpus[:2])
         long_sent = Sentence(tuple(f"w{i}" for i in range(40)), ("O",) * 40)
-        pred = decode_sentence(ckpt, long_sent, bank, max_len=config.max_len)
+        pred = decode_sentence(ckpt, long_sent, bank)
         assert len(pred) == 40
         assert pred[-1] == "O"
 
@@ -322,7 +322,7 @@ class TestDecoding:
 
         monkeypatch.setattr(ad, "_make", recording)
         grads = {k: p.grad for k, p in ckpt.params.items()}
-        rows = [r for r, _ in inference._context_hiddens(ckpt, corpus, config.max_len)]
+        rows = [r for r, _ in inference._context_hiddens(ckpt, corpus)]
         assert len(rows) == len(corpus) and made
         assert all(prev == () and vjp is None for _, prev, vjp in made)
         assert all(ref() is None for ref, _, _ in made)
@@ -334,7 +334,7 @@ class TestDecoding:
         banks = []
         for rows in (1, 40, inference.PACK_ROWS):  # one sentence per pass, a few, all
             monkeypatch.setattr(inference, "PACK_ROWS", rows)
-            banks.append(build_support_bank(ckpt, corpus, max_len=config.max_len))
+            banks.append(build_support_bank(ckpt, corpus))
         for bank in banks[1:]:
             np.testing.assert_array_equal(bank.vectors, banks[0].vectors)
             assert bank.tags == banks[0].tags
@@ -352,13 +352,13 @@ class TestDecoding:
 
         monkeypatch.setattr(inference, "PACK_ROWS", 40)
         monkeypatch.setattr(inference, "encode", recording)
-        build_support_bank(ckpt, corpus, max_len=config.max_len)
+        build_support_bank(ckpt, corpus)
         assert sum(passes) == len(corpus) and 1 < len(passes) < len(corpus)
 
     def test_empty_support_rejected(self, trained):
         ckpt, config, _, _ = trained
         with pytest.raises(DataError):
-            build_support_bank(ckpt, [], max_len=config.max_len)
+            build_support_bank(ckpt, [])
 
     def test_max_len_past_checkpoint_table_truncates(self, trained):
         ckpt, config, corpus, label_set = trained
@@ -368,8 +368,8 @@ class TestDecoding:
                              ("O", "I-A") + ("O",) * 38)
         support = corpus[:4] + [long_sent]
         tuned, _ = finetune(ckpt, support, label_set, ckpt.label_map, wide)
-        bank = build_support_bank(tuned, support, max_len=wide.max_len)
-        pred = decode_sentence(tuned, long_sent, bank, max_len=wide.max_len)
+        bank = build_support_bank(tuned, support)
+        pred = decode_sentence(tuned, long_sent, bank)
         n_ctx = len(assemble_input(long_sent, build_label_prompt(label_set, ckpt.label_map),
                                    ckpt.vocab, max_len=ckpt.encoder_config.max_len).gold_tags)
         assert n_ctx < 40
@@ -408,13 +408,13 @@ class TestDecodeSentences:
             return original(params, enc_config, batch, *args, **kwargs)
 
         monkeypatch.setattr(inference, "encode", recording)
-        bank = build_support_bank(ckpt, support, max_len=320)
+        bank = build_support_bank(ckpt, support)
         passes.clear()
-        packed = decode_sentences(ckpt, queries, bank, max_len=320)
+        packed = decode_sentences(ckpt, queries, bank)
         # the long sentence has a pass of its own; the others share packs under the cap
         assert max(passes) > pack_rows and sorted(passes)[-2] <= pack_rows
         assert 1 < len(passes) < len(queries)
-        assert packed == [decode_sentence(ckpt, s, bank, max_len=320) for s in queries]
+        assert packed == [decode_sentence(ckpt, s, bank) for s in queries]
         assert [len(tags) for tags in packed] == [len(s.tokens) for s in queries]
 
     def test_empty_query_list_decodes_to_nothing(self):
@@ -449,7 +449,7 @@ def test_decoding_120_sentences_stays_under_its_traced_peak():
 def test_nn_decode_of_120_sentences_stays_under_its_traced_peak():
     ckpt, support, test = gen_task(8, 120)
     bank = build_support_bank(ckpt, support)
-    hidden = [rows for rows, _ in inference._context_hiddens(ckpt, test, 128)]
+    hidden = [rows for rows, _ in inference._context_hiddens(ckpt, test)]
     nn_decode(hidden[0], bank)
     tracemalloc.start()
     try:
@@ -564,7 +564,7 @@ class TestDumpEmbeddings:
     def test_rows_and_columns(self, trained, tmp_path):
         ckpt, config, corpus, _ = trained
         path = tmp_path / "emb.tsv"
-        n = dump_embeddings(ckpt, corpus[:3], str(path), max_len=config.max_len)
+        n = dump_embeddings(ckpt, corpus[:3], str(path))
         lines = path.read_text().splitlines()
         d = ckpt.encoder_config.d
         header = lines[0].split("\t")
@@ -580,9 +580,9 @@ class TestDumpEmbeddings:
     def test_values_roundtrip(self, trained, tmp_path):
         ckpt, config, corpus, _ = trained
         path = tmp_path / "emb.tsv"
-        dump_embeddings(ckpt, corpus[:1], str(path), max_len=config.max_len)
+        dump_embeddings(ckpt, corpus[:1], str(path))
         from fewtag.inference import _context_hiddens
-        [(rows, _)] = _context_hiddens(ckpt, corpus[:1], config.max_len)
+        [(rows, _)] = _context_hiddens(ckpt, corpus[:1])
         first = path.read_text().splitlines()[1].split("\t")
         got = np.array(first[2:], dtype=np.float64)
         np.testing.assert_allclose(got, rows[0], rtol=1e-9)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from fewtag import losses as ls
 from fewtag import training
 from fewtag.autodiff import Tensor
-from fewtag.data import DataError, Sentence
+from fewtag.data import DataError, Episode, Sentence
+from fewtag.inference import evaluate_episodes, low_resource_eval
 from fewtag.training import (Checkpoint, CheckpointError, NumericError,
                              OptimizerState, TrainConfig, adamw_step, finetune,
                              load_checkpoint, save_checkpoint, train_source)
@@ -209,6 +211,28 @@ class TestFinetune:
         finetune(ckpt, support, target_set, target_map, config)
         for k in before:
             np.testing.assert_array_equal(ckpt.params[k].data, before[k])
+
+    def test_nothing_after_train_reads_train_config_max_len(self):
+        # 11-12 token sentences, entities last: the checkpoint's 24 positions
+        # hold them whole, a 16-position budget (less the 8-token prompt and
+        # 3 specials) would cut their entities away
+        ckpt, config = trained_fixture()
+        assert ckpt.encoder_config.max_len == 24
+        label_set, label_map = label_setup(("A", "B"))
+        corpus = [Sentence(("filler2",) * 8 + s.tokens, ("O",) * 8 + s.tags)
+                  for s in separable_corpus(n_sentences=10, seed=9)]
+        episodes = [Episode(support=corpus[:4], query=corpus[4:7], n_way=2, k_shot=2)]
+        results = []
+        for max_len in (16, 24, 128):
+            budget = replace(config, max_len=max_len, max_finetune_iters=5)
+            _, tuned = finetune(ckpt, corpus[:4], label_set, label_map, budget)
+            episode = evaluate_episodes(ckpt, episodes, budget)
+            lowres = low_resource_eval(ckpt, label_set, corpus, corpus[4:], n_way=2, k_shot=1,
+                                       seeds=[0, 1], config=budget)
+            assert episode.tp + episode.fn > 0 and lowres.tp + lowres.fn > 0
+            results.append((tuned.loss_trace, (episode.tp, episode.fp, episode.fn),
+                            (lowres.tp, lowres.fp, lowres.fn)))
+        assert results[0] == results[1] == results[2]
 
 
 class TestCheckpointIO:
