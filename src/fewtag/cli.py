@@ -13,6 +13,13 @@ Subcommands that load a checkpoint take the model settings (`encoder`,
 `embed_dim`, `max_len`) from it: the snapshot records the checkpoint's, and
 a value given that differs from the checkpoint's is a usage error.
 
+`main` alone runs the steps every subcommand shares, in this order: resolve
+the config, check every setting the subcommand's `_COMMANDS` entry requires,
+load the checkpoint and check the model settings against it, write the
+snapshot, call the subcommand.  So no usage error leaves output behind: an
+out-of-memory error, the one a subcommand can meet, removes the snapshot,
+and the output directory if the run created it and wrote nothing else there.
+
 Exit codes: 0 success, 2 usage or configuration error (a size setting too
 large to allocate included), 3 data error (unreadable corpora, label maps,
 checkpoints), 4 numeric error (non-finite losses or gradients, failed
@@ -28,7 +35,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 from .autodiff import NumericError
 from .data import (DataError, LabelSet, Sentence, fits_json, greedy_sample_support,
@@ -37,7 +44,7 @@ from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
 from .inference import (build_support_bank, decode_sentences, dump_embeddings,
                         evaluate_episodes, low_resource_eval)
-from .training import (CheckpointError, TrainConfig, finetune, load_checkpoint,
+from .training import (Checkpoint, CheckpointError, TrainConfig, finetune, load_checkpoint,
                        save_checkpoint, train_source)
 
 log = logging.getLogger("fewtag")
@@ -45,6 +52,7 @@ log = logging.getLogger("fewtag")
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+SNAPSHOT = "resolved_config.json"
 
 
 @dataclass(frozen=True)
@@ -186,10 +194,12 @@ def resolve_config(args: argparse.Namespace) -> tuple[TrainConfig, RunConfig, di
     return train, run, encoder, given
 
 
-def _require(run: RunConfig, command: str, *keys: str) -> None:
-    missing = [k for k in keys if not getattr(run, k)]
+def _require(run: RunConfig, name: str, command: Command) -> None:
+    missing = [k for k in command.requires + command.protocol_requires.get(run.protocol, ())
+               if not getattr(run, k)]
     if missing:
-        raise UsageError(f"{command} requires: {', '.join(missing)}")
+        what = f"{name} ({run.protocol} protocol)" if command.protocol_requires else name
+        raise UsageError(f"{what} requires: {', '.join(missing)}")
 
 
 def _model_from_checkpoint(train: TrainConfig, run: RunConfig, given: dict):
@@ -213,16 +223,19 @@ def _model_from_checkpoint(train: TrainConfig, run: RunConfig, given: dict):
     return ckpt, replace(train, **model), encoder
 
 
-def _snapshot(command: str, train: TrainConfig, run: RunConfig, encoder: dict) -> None:
-    resolved = {"command": command, **asdict(train), **asdict(run), "encoder": encoder}
-    path = os.path.join(run.out, "resolved_config.json")
+def _snapshot(name: str, train: TrainConfig, run: RunConfig, encoder: dict) -> bool:
+    """Write the resolved-config snapshot into run.out; True if this created run.out."""
+    resolved = {"command": name, **asdict(train), **asdict(run), "encoder": encoder}
+    path = os.path.join(run.out, SNAPSHOT)
     try:
+        created = not os.path.isdir(run.out)
         os.makedirs(run.out, exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
             json.dump(resolved, f, indent=2, sort_keys=True)
     except OSError as e:
         raise UsageError(f"out {run.out!r} is not a usable output directory ({e})")
     log.info("resolved config written to %s", path)
+    return created
 
 
 def _classes_from(sentences: list[Sentence], role: str, path: str) -> LabelSet:
@@ -241,15 +254,13 @@ def _sampled_classes(corpus: list[Sentence], run: RunConfig) -> LabelSet:
     return label_set
 
 
-def cmd_train(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
-    _require(run, "train", "train_corpus", "label_map")
-    _snapshot("train", train, run, encoder)
+def cmd_train(train: TrainConfig, run: RunConfig, encoder: dict, ckpt: None) -> int:
     sentences = read_conll(run.train_corpus)
     label_set = _classes_from(sentences, "source", run.train_corpus)
     label_map = load_label_map(run.label_map, label_set)
-    ckpt, log_entries = train_source(sentences, label_set, label_map, train,
-                                     encoder_overrides=encoder or None)
-    save_checkpoint(ckpt, os.path.join(run.out, "checkpoint.ckpt"))
+    trained, log_entries = train_source(sentences, label_set, label_map, train,
+                                        encoder_overrides=encoder or None)
+    save_checkpoint(trained, os.path.join(run.out, "checkpoint.ckpt"))
     with open(os.path.join(run.out, "loss_log.txt"), "w", encoding="utf-8") as f:
         f.writelines(entry.format() + "\n" for entry in log_entries)
     log.info("trained on %d sentences, %d steps, final loss %.6f",
@@ -257,10 +268,7 @@ def cmd_train(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) ->
     return 0
 
 
-def cmd_finetune(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
-    _require(run, "finetune", "checkpoint", "support")
-    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
-    _snapshot("finetune", train, run, encoder)
+def cmd_finetune(train: TrainConfig, run: RunConfig, encoder: dict, ckpt: Checkpoint) -> int:
     support = read_conll(run.support)
     label_set = _classes_from(support, "target", run.support)
     if run.label_map:
@@ -278,10 +286,7 @@ def cmd_finetune(train: TrainConfig, run: RunConfig, encoder: dict, given: dict)
     return 0
 
 
-def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
-    _require(run, "predict", "checkpoint", "support", "input")
-    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
-    _snapshot("predict", train, run, encoder)
+def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, ckpt: Checkpoint) -> int:
     support = read_conll(run.support)
     if not support:
         raise DataError(f"{run.support}: support corpus holds no sentences")
@@ -294,18 +299,13 @@ def cmd_predict(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) 
     return 0
 
 
-def cmd_evaluate(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
-    _require(run, "evaluate", "checkpoint")
-    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
-    _snapshot("evaluate", train, run, encoder)
+def cmd_evaluate(train: TrainConfig, run: RunConfig, encoder: dict, ckpt: Checkpoint) -> int:
     if run.protocol == "episode":
-        _require(run, "evaluate (episode protocol)", "episodes")
         episodes = read_fewnerd_episodes(run.episodes)
         if not episodes:
             raise DataError(f"{run.episodes}: no episodes to evaluate")
         report = evaluate_episodes(ckpt, episodes, train)
     else:
-        _require(run, "evaluate (low-resource protocol)", "support", "test_corpus")
         support_corpus = read_conll(run.support)
         test_corpus = read_conll(run.test_corpus)
         label_set = _sampled_classes(support_corpus, run)
@@ -329,9 +329,7 @@ def cmd_evaluate(train: TrainConfig, run: RunConfig, encoder: dict, given: dict)
     return 0
 
 
-def cmd_sample(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
-    _require(run, "sample", "support")
-    _snapshot("sample", train, run, encoder)
+def cmd_sample(train: TrainConfig, run: RunConfig, encoder: dict, ckpt: None) -> int:
     corpus = read_conll(run.support)
     label_set = _sampled_classes(corpus, run)
     sample = greedy_sample_support(corpus, label_set, run.n_way, run.k_shot,
@@ -345,8 +343,7 @@ def cmd_sample(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -
     return 0
 
 
-def cmd_gradcheck(train: TrainConfig, run: RunConfig, encoder: dict, given: dict) -> int:
-    _snapshot("gradcheck", train, run, encoder)
+def cmd_gradcheck(train: TrainConfig, run: RunConfig, encoder: dict, ckpt: None) -> int:
     report = run_gradcheck(n_batches=run.gradcheck_batches, seed=train.seed)
     for line in report.lines():
         print(line)
@@ -354,10 +351,7 @@ def cmd_gradcheck(train: TrainConfig, run: RunConfig, encoder: dict, given: dict
 
 
 def cmd_dump_embeddings(train: TrainConfig, run: RunConfig, encoder: dict,
-                        given: dict) -> int:
-    _require(run, "dump-embeddings", "checkpoint", "input")
-    ckpt, train, encoder = _model_from_checkpoint(train, run, given)
-    _snapshot("dump-embeddings", train, run, encoder)
+                        ckpt: Checkpoint) -> int:
     sentences = read_conll(run.input)
     path = os.path.join(run.out, "embeddings.tsv")
     n = dump_embeddings(ckpt, sentences, path)
@@ -365,25 +359,24 @@ def cmd_dump_embeddings(train: TrainConfig, run: RunConfig, encoder: dict,
     return 0
 
 
+class Command(NamedTuple):
+    func: Callable[..., int]  # called as func(train, run, encoder, checkpoint or None)
+    requires: tuple[str, ...] = ()  # with `checkpoint`, it runs on that checkpoint's model
+    protocol_requires: Mapping[str, tuple[str, ...]] = {}  # what each protocol adds
+    flags: tuple[str, ...] = ()  # besides those it requires, the --flags of its own
+
+
 _COMMANDS = {
-    "train": cmd_train,
-    "finetune": cmd_finetune,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "sample": cmd_sample,
-    "gradcheck": cmd_gradcheck,
-    "dump-embeddings": cmd_dump_embeddings,
-}
-# the settings each subcommand takes as --flags of its own
-_FLAGS = {
-    "train": ["train_corpus", "label_map"],
-    "finetune": ["checkpoint", "support", "label_map"],
-    "predict": ["checkpoint", "support", "input"],
-    "evaluate": ["checkpoint", "episodes", "support", "test_corpus",
-                 "protocol", "n_way", "k_shot", "n_runs"],
-    "sample": ["support", "n_way", "k_shot"],
-    "gradcheck": ["gradcheck_batches"],
-    "dump-embeddings": ["checkpoint", "input"],
+    "train": Command(cmd_train, requires=("train_corpus", "label_map")),
+    "finetune": Command(cmd_finetune, requires=("checkpoint", "support"), flags=("label_map",)),
+    "predict": Command(cmd_predict, requires=("checkpoint", "support", "input")),
+    "evaluate": Command(cmd_evaluate, requires=("checkpoint",),
+                        protocol_requires={"episode": ("episodes",),
+                                           "low-resource": ("support", "test_corpus")},
+                        flags=("protocol", "n_way", "k_shot", "n_runs")),
+    "sample": Command(cmd_sample, requires=("support",), flags=("n_way", "k_shot")),
+    "gradcheck": Command(cmd_gradcheck, flags=("gradcheck_batches",)),
+    "dump-embeddings": Command(cmd_dump_embeddings, requires=("checkpoint", "input")),
 }
 
 
@@ -404,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flag(parser, "seed", help="root random seed")
     _add_flag(parser, "out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        for key in _FLAGS[name]:
+        inputs = [key for keys in command.protocol_requires.values() for key in keys]
+        for key in (*command.requires, *inputs, *command.flags):
             _add_flag(p, key)
     return parser
 
@@ -415,15 +409,27 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("FEWTAG_LOG_LEVEL", "INFO").upper(),
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    snapshot = None  # (out, whether the snapshot created it) once it is written
     try:
-        return _COMMANDS[args.command](*resolve_config(args))
+        train, run, encoder, given = resolve_config(args)
+        _require(run, args.command, command)
+        ckpt = None
+        if "checkpoint" in command.requires:
+            ckpt, train, encoder = _model_from_checkpoint(train, run, given)
+        snapshot = run.out, _snapshot(args.command, train, run, encoder)
+        return command.func(train, run, encoder, ckpt)
     except UsageError as e:
         log.error("usage error: %s", e)
         return EXIT_USAGE
     except MemoryError as e:
         log.error("usage error: out of memory, a size setting is too large: %s", e)
+        if snapshot:  # written by this run
+            out, created = snapshot
+            os.remove(os.path.join(out, SNAPSHOT))
+            if created and not os.listdir(out):
+                os.rmdir(out)
         return EXIT_USAGE
     except (DataError, CheckpointError, OSError) as e:
         log.error("data error: %s", e)

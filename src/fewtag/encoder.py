@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .prompt import PackedBatch
-from .rngutil import make_rng
+from .rngutil import init_tensor, make_rng
 
 
 @dataclass(frozen=True)
@@ -48,50 +48,38 @@ class EncoderConfig:
         return self.d // self.n_heads
 
 
-def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
-    """Scaled-uniform matrices, zero biases, unit norm gains; seeded.
-
-    The attention q/k/v weights are drawn head by head, as (H, 3, d, dh)
-    blocks, and stored as one (d, d) matrix per kind whose column block h
-    is head h.
-    """
-    rng = make_rng(config.seed, "encoder_init")
-    d, ff, H = config.d, config.ff, config.n_heads
-    params: dict[str, Tensor] = {}
-
-    def uniform(rows, shape):
-        bound = 1.0 / np.sqrt(rows)
-        return rng.uniform(-bound, bound, size=shape)
-
-    def matrix(name, rows, cols):
-        params[name] = Tensor(uniform(rows, (rows, cols)), requires_grad=True)
-
-    def bias(name, n):
-        params[name] = Tensor(np.zeros(n), requires_grad=True)
+def encoder_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every encoder tensor, in drawing order."""
+    d, ff = config.d, config.ff
 
     def norm(prefix):
-        params[f"{prefix}.norm_gain"] = Tensor(np.ones(d), requires_grad=True)
-        params[f"{prefix}.norm_bias"] = Tensor(np.zeros(d), requires_grad=True)
+        return {f"{prefix}.norm_gain": (d,), f"{prefix}.norm_bias": (d,)}
 
-    matrix("emb.token", config.vocab_size, d)
-    matrix("emb.pos", config.max_len, d)
-    norm("emb")
-    for i in range(config.n_layers):
-        p = f"layer{i}"
-        qkv = uniform(d, (H, 3, d, config.head_dim))
-        for j, kind in enumerate("qkv"):
-            params[f"{p}.attn.{kind}.w"] = Tensor(np.concatenate(list(qkv[:, j]), axis=1),
-                                                  requires_grad=True)
-            bias(f"{p}.attn.{kind}.bias", d)
-        matrix(f"{p}.attn.out.w", d, d)
-        bias(f"{p}.attn.out.bias", d)
-        norm(f"{p}.attn")
-        matrix(f"{p}.ff.w1", d, ff)
-        bias(f"{p}.ff.bias1", ff)
-        matrix(f"{p}.ff.w2", ff, d)
-        bias(f"{p}.ff.bias2", d)
-        norm(f"{p}.ff")
-    return params
+    shapes = {"emb.token": (config.vocab_size, d), "emb.pos": (config.max_len, d), **norm("emb")}
+    for p in (f"layer{i}" for i in range(config.n_layers)):
+        for kind in ("q", "k", "v", "out"):
+            shapes.update({f"{p}.attn.{kind}.w": (d, d), f"{p}.attn.{kind}.bias": (d,)})
+        shapes.update({**norm(f"{p}.attn"), f"{p}.ff.w1": (d, ff), f"{p}.ff.bias1": (ff,),
+                       f"{p}.ff.w2": (ff, d), f"{p}.ff.bias2": (d,), **norm(f"{p}.ff")})
+    return shapes
+
+
+def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
+    """The tensors of `encoder_shapes`, each drawn in turn by
+    `rngutil.init_tensor`, except that each layer's q/k/v weights are one
+    draw, head by head, of (H, 3, d, dh) blocks, stored as one (d, d) matrix
+    per kind whose column block h is head h; seeded."""
+    rng = make_rng(config.seed, "encoder_init")
+    shapes = encoder_shapes(config)
+    drawn: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if name.endswith(".attn.q.w"):
+            qkv = init_tensor(rng, name, (config.n_heads, 3, config.d, config.head_dim))
+            for j, kind in enumerate("qkv"):
+                drawn[f"{name[:-3]}{kind}.w"] = np.concatenate(list(qkv[:, j]), axis=1)
+        elif name not in drawn:
+            drawn[name] = init_tensor(rng, name, shape)
+    return {name: Tensor(drawn[name], requires_grad=True) for name in shapes}
 
 
 def encode(params: dict[str, Tensor], config: EncoderConfig, batch: PackedBatch,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tensor
-from .rngutil import make_rng
+from .rngutil import init_tensor, make_rng
 
 # Added to the softplus output so variances stay strictly positive.
 SIGMA_FLOOR = 1e-6
@@ -41,17 +41,19 @@ class GaussianEmbedding:
         return self.mu.shape[-1]
 
 
+def projection_shapes(d: int, l: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every projection-head tensor, in drawing order:
+    one hidden layer of width d per head."""
+    return {f"proj.{head}.{name}": shape for head in ("mu", "sigma")
+            for name, shape in (("w1", (d, d)), ("w2", (d, l)), ("b1", (d,)), ("b2", (l,)))}
+
+
 def init_projection_params(d: int, l: int, seed: int = 0) -> dict[str, Tensor]:
-    """One hidden layer of width d per head; weights scaled-uniform, biases zero."""
+    """The tensors of `projection_shapes`, drawn in its order by
+    `rngutil.init_tensor`; seeded."""
     rng = make_rng(seed, "projection_init")
-    params: dict[str, Tensor] = {}
-    for head in ("mu", "sigma"):
-        for name, shape in ((f"proj.{head}.w1", (d, d)), (f"proj.{head}.w2", (d, l))):
-            bound = 1.0 / np.sqrt(shape[0])
-            params[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-        params[f"proj.{head}.b1"] = Tensor(np.zeros(d), requires_grad=True)
-        params[f"proj.{head}.b2"] = Tensor(np.zeros(l), requires_grad=True)
-    return params
+    return {name: Tensor(init_tensor(rng, name, shape), requires_grad=True)
+            for name, shape in projection_shapes(d, l).items()}
 
 
 def _head(params: dict[str, Tensor], head: str, h: Tensor) -> Tensor:

@@ -22,8 +22,8 @@ import numpy as np
 from .autodiff import NumericError, Tensor
 from .data import (RESERVED, DataError, LabelMap, LabelSet, Sentence, Vocabulary, build_vocab,
                    fits_json)
-from .encoder import EncoderConfig, encode, init_encoder_params
-from .gaussian import init_projection_params
+from .encoder import EncoderConfig, encode, encoder_shapes, init_encoder_params
+from .gaussian import init_projection_params, projection_shapes
 from .losses import METRIC_SQEUCLID, LossConfig, MixedLoss, build_batch_view, mixed_loss
 from .prompt import assemble_input, build_label_prompt, pack
 from .rngutil import make_rng
@@ -141,24 +141,10 @@ def init_params(config: EncoderConfig, embed_dim: int) -> dict[str, Tensor]:
 
 
 def param_shapes(config: EncoderConfig, embed_dim: int) -> dict[str, tuple[int, ...]]:
-    """The name and shape of every tensor `init_params` makes, without drawing them."""
-    d, ff, l = config.d, config.ff, embed_dim
-    shapes = {"emb.token": (config.vocab_size, d), "emb.pos": (config.max_len, d)}
-    norms = ["emb"]
-    for i in range(config.n_layers):
-        p = f"layer{i}"
-        for kind in ("q", "k", "v", "out"):
-            shapes[f"{p}.attn.{kind}.w"] = (d, d)
-            shapes[f"{p}.attn.{kind}.bias"] = (d,)
-        shapes.update({f"{p}.ff.w1": (d, ff), f"{p}.ff.bias1": (ff,),
-                       f"{p}.ff.w2": (ff, d), f"{p}.ff.bias2": (d,)})
-        norms += [f"{p}.attn", f"{p}.ff"]
-    for prefix in norms:
-        shapes[f"{prefix}.norm_gain"] = shapes[f"{prefix}.norm_bias"] = (d,)
-    for head in ("mu", "sigma"):
-        shapes.update({f"proj.{head}.w1": (d, d), f"proj.{head}.b1": (d,),
-                       f"proj.{head}.w2": (d, l), f"proj.{head}.b2": (l,)})
-    return shapes
+    """The name and shape of every tensor `init_params` makes, without drawing
+    them: the union of `encoder.encoder_shapes` and `gaussian.projection_shapes`,
+    which each declare their module's layout."""
+    return {**encoder_shapes(config), **projection_shapes(config.d, embed_dim)}
 
 
 CHECKPOINT_MAGIC = b"FEWTAG\x00\x01"

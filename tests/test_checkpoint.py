@@ -19,6 +19,7 @@ from fewtag.cli import main
 from fewtag.data import Sentence
 from fewtag.encoder import EncoderConfig, encode
 from fewtag.prompt import assemble_input, build_label_prompt, pack
+from fewtag.rngutil import make_rng
 from fewtag.training import (CHECKPOINT_MAGIC, CheckpointError, init_params, load_checkpoint,
                              param_shapes, save_checkpoint)
 
@@ -215,6 +216,59 @@ def test_param_shapes_equal_the_shapes_init_params_draws(overrides, embed_dim):
     config = EncoderConfig(vocab_size=11, max_len=9, **overrides)
     drawn = {name: t.shape for name, t in init_params(config, embed_dim).items()}
     assert param_shapes(config, embed_dim) == drawn
+
+
+def _draws_in_order(config, embed_dim):
+    """init_params's tensors rebuilt in plain numpy, each matrix drawn from
+    its stream in this order: emb.token, emb.pos; per layer one (H, 3, d, dh)
+    q/k/v block, out.w, ff.w1, ff.w2; then proj.mu.w1, mu.w2, sigma.w1,
+    sigma.w2.  Norm gains are ones, every other vector zeros."""
+    d, ff, heads = config.d, config.ff, config.n_heads
+
+    def uniform(rng, shape):
+        bound = 1.0 / np.sqrt(shape[-2])
+        return rng.uniform(-bound, bound, size=shape)
+
+    rng = make_rng(config.seed, "encoder_init")
+    want = {"emb.token": uniform(rng, (config.vocab_size, d)),
+            "emb.pos": uniform(rng, (config.max_len, d))}
+    norms = ["emb"]
+    for i in range(config.n_layers):
+        p = f"layer{i}"
+        qkv = uniform(rng, (heads, 3, d, d // heads))
+        for j, kind in enumerate("qkv"):
+            # head h in column block h
+            want[f"{p}.attn.{kind}.w"] = qkv[:, j].transpose(1, 0, 2).reshape(d, d)
+            want[f"{p}.attn.{kind}.bias"] = np.zeros(d)
+        want[f"{p}.attn.out.w"] = uniform(rng, (d, d))
+        want[f"{p}.ff.w1"] = uniform(rng, (d, ff))
+        want[f"{p}.ff.w2"] = uniform(rng, (ff, d))
+        want.update({f"{p}.attn.out.bias": np.zeros(d), f"{p}.ff.bias1": np.zeros(ff),
+                     f"{p}.ff.bias2": np.zeros(d)})
+        norms += [f"{p}.attn", f"{p}.ff"]
+    for prefix in norms:
+        want[f"{prefix}.norm_gain"], want[f"{prefix}.norm_bias"] = np.ones(d), np.zeros(d)
+    rng = make_rng(config.seed, "projection_init")
+    for head in ("mu", "sigma"):
+        want[f"proj.{head}.w1"] = uniform(rng, (d, d))
+        want[f"proj.{head}.w2"] = uniform(rng, (d, embed_dim))
+        want[f"proj.{head}.b1"], want[f"proj.{head}.b2"] = np.zeros(d), np.zeros(embed_dim)
+    return want
+
+
+@pytest.mark.parametrize("overrides,embed_dim", [
+    ({"d": 8, "n_heads": 1, "seed": 3}, 4),
+    ({"d": 8, "n_heads": 4, "n_layers": 3}, 4),
+    ({"d": 16, "n_heads": 4, "ff_dim": 24, "seed": 5}, 4),
+    ({"d": 16, "n_heads": 2, "ff_dim": 8, "n_layers": 2, "seed": 1}, 32),
+])
+def test_init_params_draws_each_tensor_in_its_order(overrides, embed_dim):
+    config = EncoderConfig(vocab_size=11, max_len=9, **overrides)
+    drawn = init_params(config, embed_dim)
+    want = _draws_in_order(config, embed_dim)
+    assert drawn.keys() == want.keys()
+    for name, t in drawn.items():
+        assert t.data.dtype == np.float64 and t.data.tobytes() == want[name].tobytes(), name
 
 
 def test_cli_maps_mismatched_tensors_to_data_error(tmp_path, caplog):

@@ -519,12 +519,34 @@ def test_every_command_after_train_takes_the_checkpoints_max_len(workspace, capl
            (predict / "predictions.conll").read_bytes()
 
 
+@pytest.mark.parametrize("checkpoint", ["trained", "missing"])
+@pytest.mark.parametrize("protocol,inputs,missing", [
+    ("episode", [], "episodes"),
+    ("low-resource", [], "support, test_corpus"),
+    ("low-resource", ["--support", "{support}"], "test_corpus"),
+    ("low-resource", ["--test-corpus", "{support}", "--episodes", "{support}"], "support"),
+])
+def test_evaluate_without_its_protocols_inputs_is_usage_error(trained, tmp_path, caplog,
+                                                              checkpoint, protocol, inputs,
+                                                              missing):
+    # checked before the checkpoint is read, so a missing one is no data error
+    (_, _, support_path, _), ckpt = trained
+    ckpt = ckpt if checkpoint == "trained" else tmp_path / "missing.ckpt"
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "evaluate", "--checkpoint", str(ckpt),
+                 "--protocol", protocol] + [a.format(support=support_path) for a in inputs])
+    assert code == 2
+    assert f"evaluate ({protocol} protocol) requires: {missing}" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["max_len", "embed_dim", "encoder.d", "encoder.ff_dim"])
 def test_size_too_large_to_allocate_is_usage_error(workspace, capsys, caplog, key):
     # 10**15 float64 rows or columns, past any address space: the allocation
     # fails before a page is touched
-    code, _ = run_train(workspace, extra=["--set", f"{key}={10 ** 15}"])
+    code, out = run_train(workspace, extra=["--set", f"{key}={10 ** 15}"])
     assert code == 2
+    assert not out.exists()
     assert "out of memory" in caplog.text and "Unable to allocate" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
 
