@@ -128,20 +128,20 @@ def _halves_vjp(mu, r, mr, gp, gq, gc):
 
 def _segments(bounds, n_a: int, n_b: int, op: str):
     """The (rows of a, rows of b) slices of each segment that holds rows of
-    a, and the widest segment's row count in b.  `bounds` is a pair of
-    sequences that rise, not necessarily strictly, from 0 to n_a and from 0
-    to n_b, one entry more than there are segments; None is one segment of
-    all rows."""
+    a, and the rows of b per segment.  `bounds` rises, not necessarily
+    strictly, from 0 to n_a, one entry more than there are segments S, and
+    b holds w = n_b / S rows per segment, in segment order; None is one
+    segment of all rows."""
     if bounds is None:
         return [(slice(0, n_a), slice(0, n_b))], n_b
-    ta, tb = (np.asarray(x).tolist() for x in bounds)
-    if (len(ta) < 2 or len(tb) != len(ta) or ta[0] != 0 or tb[0] != 0
-            or ta[-1] != n_a or tb[-1] != n_b
-            or any(lo > hi for t in (ta, tb) for lo, hi in zip(t[:-1], t[1:]))):
-        raise ShapeError(op, (n_a, n_b), tuple(ta), tuple(tb))
-    segs = [(slice(alo, ahi), slice(blo, bhi))
-            for alo, ahi, blo, bhi in zip(ta[:-1], ta[1:], tb[:-1], tb[1:]) if ahi > alo]
-    return segs, max(hi - lo for lo, hi in zip(tb[:-1], tb[1:]))
+    ta = np.asarray(bounds).tolist()
+    n_segs = len(ta) - 1
+    if (n_segs < 1 or ta[0] != 0 or ta[-1] != n_a or n_b % n_segs
+            or any(lo > hi for lo, hi in zip(ta[:-1], ta[1:]))):
+        raise ShapeError(op, (n_a, n_b), tuple(ta))
+    w = n_b // n_segs
+    return [(slice(lo, hi), slice(s * w, (s + 1) * w))
+            for s, (lo, hi) in enumerate(zip(ta[:-1], ta[1:])) if hi > lo], w
 
 
 def _block_vjp(segs, g, left, right):
@@ -152,7 +152,7 @@ def _block_vjp(segs, g, left, right):
     g_left, g_right = np.empty_like(left), np.zeros_like(right)
     row_sums, col_sums = np.empty(len(left)), np.zeros(len(right))
     for sa, sb in segs:
-        gs = g[sa, :sb.stop - sb.start]
+        gs = g[sa]
         np.matmul(gs, right[sb], out=g_left[sa])
         np.matmul(gs.T, left[sa], out=g_right[sb])
         row_sums[sa] = gs.sum(axis=1)
@@ -170,12 +170,12 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding, bounds=None) -> T
       D = 0.25 * (P_a Q_b^T + Q_a P_b^T + c_a + c_b^T) - l/2.
 
     Without `bounds`, w = nB and every row of a meets every row of b.  With
-    `bounds` = (bounds_a, bounds_b), as `_segments` reads them, the matrix
-    is block-diagonal: the rows of a in segment s meet only the rows of b in
-    segment s, row i's column j holds its distance to the segment's j-th
-    row of b, w is the widest segment of b, and the columns past a
-    segment's own width hold zero and take no gradient.  Each segment
-    takes one product, [P_a, Q_a]_s @ [Q_b, P_b]_s^T, and its VJP two.
+    `bounds`, the row bounds of a's segments as `_segments` reads them, b
+    holds w rows per segment and the matrix is block-diagonal: the rows of
+    a in segment s meet only the w rows of b in segment s, and row i's
+    column j holds its distance to the segment's j-th row of b.  Each
+    segment takes one product, [P_a, Q_a]_s @ [Q_b, P_b]_s^T, and its VJP
+    two; a row of b whose segment holds no row of a gets zero gradient.
 
     An embedding against itself (`a is b`) without bounds takes X = P Q^T + c
     once and D from X + X^T, which is exactly symmetric; its vector-Jacobian
@@ -209,9 +209,9 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding, bounds=None) -> T
         segs, w = _segments(bounds, len(pqa), len(b.mu.data), "pairwise_symkl")
         pqb, cb = _halves_and_offsets(b)
         qpb = _swap_halves(pqb, l)
-        d = np.zeros((len(pqa), w))
+        d = np.empty((len(pqa), w))
         for sa, sb in segs:
-            x = d[sa, :sb.stop - sb.start]
+            x = d[sa]
             np.matmul(pqa[sa], qpb[sb].T, out=x)
             x += ca[sa, None]
             x += cb[sb]
@@ -236,9 +236,9 @@ def pairwise_sq_euclidean(a: Tensor, b: Tensor, bounds=None) -> Tensor:
     x, y = a.data, b.data
     segs, w = _segments(bounds, len(x), len(y), "pairwise_sq_euclidean")
     xx, yy = np.square(x).sum(axis=1), np.square(y).sum(axis=1)
-    d = np.zeros((len(x), w))
+    d = np.empty((len(x), w))
     for sa, sb in segs:
-        blk = d[sa, :sb.stop - sb.start]
+        blk = d[sa]
         np.matmul(x[sa], y[sb].T, out=blk)
         blk *= -2.0
         blk += yy[sb]

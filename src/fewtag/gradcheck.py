@@ -90,9 +90,7 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
                 g = project(proj, Tensor(rep_hidden))
                 reps = GaussianEmbedding(Tensor(g.mu.data), Tensor(g.sigma2.data))
                 view = BatchView(embeddings=e, tags=tags, sentence_index=np.zeros(n, dtype=int),
-                                 label_reps=reps,
-                                 rep_sentence=np.zeros(len(class_order), dtype=int),
-                                 rep_class=class_order)
+                                 label_reps=reps, rep_class=class_order)
             else:
                 view = view.with_embeddings(e)
             m = mixed_loss(view, icl)

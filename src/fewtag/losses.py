@@ -8,9 +8,10 @@ Two objectives are combined:
     form (ICL) averages the per-positive logs.
   * context-label: each token's single positive is its gold class's prompt
     representative from its own sentence; the softmax runs over all class
-    representatives of that sentence, O included.  Its distances are
-    per-sentence blocks: each token is compared only with its own
-    sentence's representatives, never with the whole batch's.
+    representatives of that sentence, O included.  Every sentence's prompt
+    holds the same C classes in one order, so its distances are one (tokens,
+    C) matrix: each token is compared only with its own sentence's
+    representatives, never with the whole batch's.
 
 The training metric is the symmetrized KL between Gaussian embeddings; the
 squared Euclidean distance on the mu projections is used in 1-shot mode.
@@ -71,23 +72,21 @@ class LossConfig:
 class BatchView:
     """Projected embeddings of all valid context tokens across a batch.
 
-    The label representatives of every sentence's prompt are stacked into
-    one (m, l) embedding, with each row's sentence and class alongside.
-    `sentence_index` and `rep_sentence` number the sentences from 0 and
-    never decrease, so each sentence's tokens and representatives are
-    contiguous rows (`segments`); the context-label loss rejects a batch
-    that breaks this with a ValueError naming the field.  The tag masks,
-    the label masks and, per metric, the tokens' distances to each other
-    are computed once per batch and shared by every loss that reads them.
+    Every sentence's prompt holds the same C class representatives, in the
+    order `rep_class`; `label_reps` stacks them sentence by sentence, C rows
+    each.  `sentence_index` numbers the sentences from 0 and never
+    decreases, so each sentence's tokens are contiguous rows (`segments`);
+    the context-label loss rejects a batch that breaks this with a
+    ValueError naming the field.  The tag masks, the gold-label mask and,
+    per metric, the tokens' distances to each other are computed once per
+    batch and shared by every loss that reads them.
     """
 
     embeddings: GaussianEmbedding          # (n, l)
     tags: tuple[str, ...]                  # per token, IO form
     sentence_index: np.ndarray             # (n,) which sentence each token came from
-    label_reps: Optional[GaussianEmbedding] = None  # (m, l)
-    # (m,) which sentence's prompt each representative came from, and its class
-    rep_sentence: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    rep_class: tuple[str, ...] = ()
+    label_reps: Optional[GaussianEmbedding] = None  # (S * C, l)
+    rep_class: tuple[str, ...] = ()        # (C,) each sentence's representatives' classes
     _self_distances: dict[str, Tensor] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -100,33 +99,29 @@ class BatchView:
         return _masks(self.tags)
 
     @cached_property
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row bounds (t, r) of each sentence: sentence s holds tokens
-        t[s]:t[s + 1] and representatives r[s]:r[s + 1]."""
-        n = 1 + max(self.sentence_index.max(initial=-1), self.rep_sentence.max(initial=-1))
-        return (_bounds(self.sentence_index, n, "sentence_index"),
-                _bounds(self.rep_sentence, n, "rep_sentence"))
+    def segments(self) -> np.ndarray:
+        """Token row bounds t of each sentence: sentence s holds tokens
+        t[s]:t[s + 1] and representatives s * C:(s + 1) * C."""
+        index = self.sentence_index
+        if index.size and (index[0] < 0 or (index[1:] < index[:-1]).any()):
+            raise ValueError("sentence_index must number sentences from 0 in "
+                             "non-decreasing order")
+        n_sentences = len(self.label_reps.mu.data) // len(self.rep_class)
+        return np.searchsorted(index, np.arange(n_sentences + 1))
 
     @cached_property
-    def label_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gold, own) masks over the context-label distances' (n, w) blocks
-        (see `context_label_loss`): column j of token i is representative
-        r[s] + j of its sentence s, which is its own while j < r[s + 1] - r[s].
-        A token whose own representatives lack its gold class is a ValueError."""
-        _, r = self.segments
-        first = r[self.sentence_index]
-        cols = np.arange(np.diff(r).max())
-        own = cols < (r[self.sentence_index + 1] - first)[:, None]
+    def label_gold(self) -> np.ndarray:
+        """(n, C) mask of each token's gold class in `rep_class`; a gold class
+        with no representative is a ValueError."""
         codes: dict[str, int] = {}
-        rep_code = np.append(_codes(self.rep_class, codes), -1)  # -1 past a sentence's own
+        rep_code = _codes(self.rep_class, codes)
         token_class = [t if t == "O" else t[2:] for t in self.tags]
-        token_code = _codes(token_class, codes)
-        gold = rep_code[np.where(own, first[:, None] + cols, -1)] == token_code[:, None]
+        gold = _codes(token_class, codes)[:, None] == rep_code
         missing = np.nonzero(~gold.any(axis=1))[0]
         if missing.size:
             raise ValueError(f"gold class {token_class[missing[0]]!r} has no label "
                              f"representative")
-        return gold, own
+        return gold
 
     def with_embeddings(self, embeddings: GaussianEmbedding) -> BatchView:
         """This batch with other token embeddings of the same shape: the masks
@@ -170,21 +165,12 @@ def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, 
     if not keep.any():  # every sentence has a context token, so O subsampling took them all
         raise DataError(f"o_keep_fraction={o_keep_fraction} dropped every context token "
                         f"of a batch of {len(batch.seqs)} sentence(s)")
-    n_seqs, n_classes = batch.rep_rows.shape
-    sentence_index = np.repeat(np.arange(n_seqs), [seq.n_context for seq in batch.seqs])
+    sentence_index = np.repeat(np.arange(len(batch.seqs)), [seq.n_context for seq in batch.seqs])
     embeddings = project(proj_params, ad.row_gather(hidden, batch.context_rows[keep]))
     label_reps = project(proj_params, ad.row_gather(hidden, batch.rep_rows.ravel()))
     return BatchView(embeddings=embeddings, tags=tuple(compress(gold, keep)),
                      sentence_index=sentence_index[keep], label_reps=label_reps,
-                     rep_sentence=np.repeat(np.arange(n_seqs), n_classes),
-                     rep_class=prompt.class_order * n_seqs)
-
-
-def _bounds(index: np.ndarray, n_sentences: int, name: str) -> np.ndarray:
-    """Row bounds of sentences 0..n_sentences-1 in a per-row sentence index."""
-    if index.size and (index[0] < 0 or (index[1:] < index[:-1]).any()):
-        raise ValueError(f"{name} must number sentences from 0 in non-decreasing order")
-    return np.searchsorted(index, np.arange(n_sentences + 1))
+                     rep_class=prompt.class_order)
 
 
 def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str,
@@ -292,22 +278,21 @@ def context_label_loss(batch: BatchView, config: LossConfig) -> LossValue:
     """Softmax-contrastive pull toward each token's gold class representative.
 
     The denominator ranges over all classes (O included) of the token's own
-    sentence's prompt.  The distances are one (n, w) node of per-sentence
+    sentence's prompt.  The distances are one (n, C) node of per-sentence
     blocks (see `pairwise_symkl`): row i holds token i's distances to its
-    own sentence's representatives, and w is the most any sentence has.
-    Each token is an ICL anchor whose only positive is its gold
-    representative and whose candidates are its row's first columns, one
-    per representative of its sentence.
+    own sentence's C representatives.  Each token is an ICL anchor whose
+    only positive is its gold representative and whose candidates are all
+    C of them.
     """
     call_counts["context_label"] += 1
     if batch.n_tokens == 0:
         return LossValue(Tensor(0.0), warned=True)
     if batch.label_reps is None:
         raise ValueError("batch has no label representatives")
-    gold, own = batch.label_masks
+    gold = batch.label_gold
     d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric, batch.segments),
                  1.0 / config.tau)
-    terms = _anchor_terms(d, None, gold, own, VARIANT_ICL)
+    terms = _anchor_terms(d, None, gold, np.ones_like(gold), VARIANT_ICL)
     return LossValue(ad.tmean(terms), n_anchors=batch.n_tokens)
 
 

@@ -25,7 +25,7 @@ from .data import (RESERVED, DataError, LabelMap, LabelSet, Sentence, Vocabulary
 from .encoder import EncoderConfig, encode, encoder_shapes, init_encoder_params
 from .gaussian import init_projection_params, projection_shapes
 from .losses import METRIC_SQEUCLID, LossConfig, MixedLoss, build_batch_view, mixed_loss
-from .prompt import assemble_input, build_label_prompt, pack
+from .prompt import PackedBatch, assemble_input, build_label_prompt, pack
 from .rngutil import make_rng
 
 
@@ -329,10 +329,13 @@ class LogEntry:
         return f"step={self.step} loss={self.loss:.6f} cc={cc} cl={cl}"
 
 
-def _batch_loss(ckpt: Checkpoint, sentences: list[Sentence], prompt, config: TrainConfig,
+def _pack(ckpt: Checkpoint, sentences: list[Sentence], prompt) -> PackedBatch:
+    return pack([assemble_input(s, prompt, ckpt.vocab, max_len=ckpt.encoder_config.max_len)
+                 for s in sentences])
+
+
+def _batch_loss(ckpt: Checkpoint, packed: PackedBatch, config: TrainConfig,
                 dropout_rng, subsample_rng) -> MixedLoss:
-    packed = pack([assemble_input(s, prompt, ckpt.vocab, max_len=ckpt.encoder_config.max_len)
-                   for s in sentences])
     hidden = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=True, rng=dropout_rng)
     batch = build_batch_view(hidden, packed, ckpt.params,
                              o_keep_fraction=config.o_keep_fraction, rng=subsample_rng)
@@ -399,8 +402,9 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
     for _epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(sentences))
         for lo in range(0, len(order), config.batch_size):
-            batch_sents = [sentences[i] for i in order[lo:lo + config.batch_size]]
-            out = _batch_loss(ckpt, batch_sents, prompt, config, dropout_rng, subsample_rng)
+            packed = _pack(ckpt, [sentences[i] for i in order[lo:lo + config.batch_size]],
+                           prompt)
+            out = _batch_loss(ckpt, packed, config, dropout_rng, subsample_rng)
             log.append(_log_entry(out, len(log),
                                   "non-finite training loss at step {step}: {loss}"))
             _update(ckpt, out, opt)
@@ -430,16 +434,17 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
              config: TrainConfig) -> tuple[Checkpoint, FinetuneResult]:
     """Adapt a source checkpoint to a target label set on one support batch.
 
-    Each iteration evaluates the loss on the whole support batch.  The loop
-    stops, without updating, at the first loss above the previous one; any
-    other iteration takes one gradient step, up to the iteration cap.  The
-    parameters the risen loss was computed at are returned; `keep_best`
-    returns the snapshot from just before the update that raised it instead.
+    The support is packed once, and each iteration evaluates the loss on
+    that whole batch.  The loop stops, without updating, at the first loss
+    above the previous one; any other iteration takes one gradient step, up
+    to the iteration cap.  The parameters the risen loss was computed at are
+    returned; `keep_best` returns the snapshot from just before the update
+    that raised it instead.
     """
     if not support:
         raise DataError("support set is empty")
     ckpt = retarget(checkpoint, target_label_set, target_label_map)
-    prompt = build_label_prompt(target_label_set, target_label_map)
+    packed = _pack(ckpt, support, build_label_prompt(target_label_set, target_label_map))
     loss_config = config.loss_config()
     opt = OptimizerState(lr=config.lr, weight_decay=config.weight_decay)
     dropout_rng = make_rng(config.seed, "finetune_dropout")
@@ -450,7 +455,7 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
     best: Optional[dict[str, np.ndarray]] = None
     hit_cap = False
     while True:
-        out = _batch_loss(ckpt, support, prompt, config, dropout_rng, subsample_rng)
+        out = _batch_loss(ckpt, packed, config, dropout_rng, subsample_rng)
         log.append(_log_entry(out, len(log), "non-finite fine-tuning loss at iteration {step}"))
         trace.append(log[-1].loss)
         if len(trace) > 1 and trace[-1] > trace[-2]:

@@ -309,11 +309,12 @@ def test_pairwise_symkl_of_an_embedding_with_itself_is_symmetric_and_matches_two
 
 # -- per-segment blocks -----------------------------------------------------------
 
-# (bounds_a, bounds_b): two_sentence_batch's widths 3 and 2, and five segments
-# holding 3, 2, 1, 0 and 3 rows of a against 3, 2, 3, 2 and 3 rows of b; the
-# fourth is a sentence whose tokens O-subsampling dropped entirely
-LAYOUTS = {"uneven": ([0, 3, 5], [0, 3, 5]),
-           "one_row_and_empty": ([0, 3, 5, 6, 6, 9], [0, 3, 5, 8, 10, 13])}
+# (bounds of a, rows of b per segment): two_sentence_batch's sentences of 3
+# and 2 tokens against 3 representatives each, and five segments holding 3,
+# 2, 1, 0 and 3 rows of a against 2 rows of b each; the fourth is a sentence
+# whose tokens O-subsampling dropped entirely
+LAYOUTS = {"uneven": ([0, 3, 5], 3),
+           "one_row_and_empty": ([0, 3, 5, 6, 6, 9], 2)}
 KERNELS = {
     "symkl": (lambda t, bounds=None: gs.pairwise_symkl(GaussianEmbedding(t[0], t[1]),
                                                        GaussianEmbedding(t[2], t[3]), bounds),
@@ -324,26 +325,23 @@ KERNELS = {
 
 
 def layout_parts(layout, seed):
-    ta, tb = LAYOUTS[layout]
-    return random_parts(seed, n_a=ta[-1], n_b=tb[-1], l=4)
+    ta, w = LAYOUTS[layout]
+    return random_parts(seed, n_a=ta[-1], n_b=w * (len(ta) - 1), l=4)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("metric", KERNELS)
 def test_segment_blocks_equal_the_full_matrix_own_entries(metric, layout):
     kernel, op = KERNELS[metric]
-    ta, tb = LAYOUTS[layout]
+    ta, w = LAYOUTS[layout]
     parts = [Tensor(p) for p in layout_parts(layout, 19)]
     full = kernel(parts).data
-    d = kernel(parts, LAYOUTS[layout])
-    widths = np.diff(tb)
-    assert d._op == op and d.shape == (ta[-1], widths.max())
+    d = kernel(parts, ta)
+    assert d._op == op and d.shape == (ta[-1], w)
     for s, (lo, hi) in enumerate(zip(ta[:-1], ta[1:])):
-        w = widths[s]
         # each block is its own BLAS product, so it rounds differently from the full one
-        np.testing.assert_allclose(d.data[lo:hi, :w], full[lo:hi, tb[s]:tb[s + 1]],
+        np.testing.assert_allclose(d.data[lo:hi], full[lo:hi, s * w:(s + 1) * w],
                                    rtol=0, atol=1e-13 * np.abs(full).max())
-        assert not d.data[lo:hi, w:].any()
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -353,15 +351,14 @@ def test_segment_blocks_equal_the_full_matrix_own_entries(metric, layout):
                               "sqeuclid-a", "sqeuclid-b"])
 def test_segment_blocks_gradients_match_finite_differences(metric, which, layout):
     kernel, _ = KERNELS[metric]
-    ta, tb = LAYOUTS[layout]
+    ta, w = LAYOUTS[layout]
     parts = layout_parts(layout, 20)
-    # weights on the padding columns too, which must take no gradient
-    weights = np.random.default_rng(21).normal(size=(ta[-1], np.diff(tb).max()))
+    weights = np.random.default_rng(21).normal(size=(ta[-1], w))
 
     def fn(x):
         t = [Tensor(p) for p in parts]
         t[which] = x
-        return ad.tsum(ad.mul(kernel(t, LAYOUTS[layout]), Tensor(weights)))
+        return ad.tsum(ad.mul(kernel(t, ta), Tensor(weights)))
 
     assert ad.finite_diff_check(fn, parts[which]) <= 1e-6
 
@@ -369,21 +366,20 @@ def test_segment_blocks_gradients_match_finite_differences(metric, which, layout
 @pytest.mark.parametrize("metric", KERNELS)
 def test_rows_of_b_in_a_segment_without_rows_of_a_get_exact_zero_gradients(metric):
     kernel, _ = KERNELS[metric]
-    ta, tb = LAYOUTS["one_row_and_empty"]
+    ta, w = LAYOUTS["one_row_and_empty"]
     leaves = [Tensor(p, requires_grad=True) for p in layout_parts("one_row_and_empty", 22)]
-    d = kernel(leaves, (ta, tb))
+    d = kernel(leaves, ta)
     weights = np.random.default_rng(23).normal(size=d.shape)
     ad.tsum(ad.mul(d, Tensor(weights))).backward(leaves=leaves)
     # b's mu, and its sigma2 if the metric reads it
     for leaf in leaves[2:4 if metric == "symkl" else 3]:
-        assert (leaf.grad[tb[3]:tb[4]] == 0).all()
-        assert (leaf.grad[tb[2]:tb[3]] != 0).all() and (leaf.grad[tb[4]:] != 0).all()
+        assert (leaf.grad[3 * w:4 * w] == 0).all()
+        assert (leaf.grad[2 * w:3 * w] != 0).all() and (leaf.grad[4 * w:] != 0).all()
 
 
-@pytest.mark.parametrize("bounds", [([0, 5, 3, 9], [0, 3, 8, 13]), ([0, 3, 9], [0, 8, 12]),
-                                    ([0, 3, 9], [0, 5, 8, 13]), ([1, 9], [0, 13]),
-                                    ([9], [13])],
-                         ids=["decreasing", "short_of_b", "unequal_counts", "not_from_0",
+# against 9 rows of a and 10 of b; "unequal_counts" splits b into no equal blocks
+@pytest.mark.parametrize("bounds", [[0, 3, 2, 6, 6, 9], [0, 3, 8], [0, 3, 6, 9], [1, 9], [9]],
+                         ids=["decreasing", "short_of_a", "unequal_counts", "not_from_0",
                               "no_segment"])
 @pytest.mark.parametrize("metric", KERNELS)
 def test_segment_bounds_that_do_not_partition_the_rows_are_rejected(metric, bounds):

@@ -28,9 +28,7 @@ def _separate_checks(n_batches, seed, d=16, l=8, step=gradcheck.STEP):
         def view(x):
             return BatchView(embeddings=project(proj, x), tags=tags,
                              sentence_index=np.zeros(len(tags), dtype=int),
-                             label_reps=reps,
-                             rep_sentence=np.zeros(len(class_order), dtype=int),
-                             rep_class=class_order)
+                             label_reps=reps, rep_class=class_order)
 
         checks = {
             "anchor_original": lambda x: anchor_loss_in(0, view(x), ocl),

@@ -29,7 +29,6 @@ def make_batch(mu, sigma2=None, tags=(), reps_mu=None, reps_sigma2=None,
         reps_s2 = (np.ones_like(reps_mu) if reps_sigma2 is None
                    else np.asarray(reps_sigma2, dtype=float))
         batch.label_reps = GaussianEmbedding(Tensor(reps_mu), Tensor(reps_s2))
-        batch.rep_sentence = np.zeros(len(rep_classes), dtype=int)
         batch.rep_class = tuple(rep_classes)
     return batch
 
@@ -220,14 +219,19 @@ def encoded_fixture():
 
 def test_batch_view_excludes_prompt_and_padding():
     packed, config, enc_params, proj_params = encoded_fixture()
-    batch = build_batch_view(encode(enc_params, config, packed), packed, proj_params)
+    hidden = encode(enc_params, config, packed)
+    batch = build_batch_view(hidden, packed, proj_params)
     assert batch.n_tokens == 5
     assert batch.tags == ("I-A", "O", "I-B", "I-A", "O")
     assert batch.embeddings.mu.shape == (5, 4)
-    # both sentences' prompts: classes A, B and O each
+    # both sentences' prompts: classes A, B and O each, sentence by sentence
+    assert batch.rep_class == ("A", "B", "O")
+    n_seqs, n_classes = packed.rep_rows.shape
+    rows = [packed.rep_rows[s, j] for s in range(n_seqs) for j in range(n_classes)]
+    want = project(proj_params, ad.row_gather(hidden, rows))
     assert batch.label_reps.mu.shape == (6, 4)
-    assert batch.rep_sentence.tolist() == [0, 0, 0, 1, 1, 1]
-    assert batch.rep_class == ("A", "B", "O") * 2
+    np.testing.assert_array_equal(batch.label_reps.mu.data, want.mu.data)
+    np.testing.assert_array_equal(batch.label_reps.sigma2.data, want.sigma2.data)
 
 
 def test_positive_sets_match_definition():
@@ -322,7 +326,8 @@ def test_losses_finite_and_nonnegative_random():
 
 
 def two_sentence_batch(seed):
-    """Tokens of two sentences whose prompts hold different representatives."""
+    """Tokens of two sentences, each with its own prompt's representatives of
+    classes A, B and O."""
     rng = np.random.default_rng(seed)
 
     def embedding(n):
@@ -330,9 +335,8 @@ def two_sentence_batch(seed):
                                  Tensor(rng.uniform(0.3, 2.0, size=(n, 3))))
 
     return BatchView(embeddings=embedding(5), tags=("I-A", "O", "I-B", "O", "I-A"),
-                     sentence_index=np.array([0, 0, 0, 1, 1]), label_reps=embedding(5),
-                     rep_sentence=np.array([0, 0, 0, 1, 1]),
-                     rep_class=("A", "B", "O", "A", "O"))
+                     sentence_index=np.array([0, 0, 0, 1, 1]), label_reps=embedding(6),
+                     rep_class=("A", "B", "O"))
 
 
 @pytest.mark.parametrize("metric", ["symkl", "sqeuclid"])
@@ -342,15 +346,16 @@ def test_context_label_uses_only_own_sentence_representatives(metric):
     got = context_label_loss(batch, config).value.item()
     # oracle: each token against its own sentence's representatives only
     expected = []
+    n_classes = len(batch.rep_class)
     for ti, tag in enumerate(batch.tags):
         cls = tag if tag == "O" else tag[2:]
         token = GaussianEmbedding(ad.row_gather(batch.embeddings.mu, [ti]),
                                   ad.row_gather(batch.embeddings.sigma2, [ti]))
-        own = np.nonzero(batch.rep_sentence == batch.sentence_index[ti])[0]
+        own = batch.sentence_index[ti] * n_classes + np.arange(n_classes)
         reps = GaussianEmbedding(ad.row_gather(batch.label_reps.mu, own),
                                  ad.row_gather(batch.label_reps.sigma2, own))
         d = ls._pairwise(token, reps, metric).data[0] / config.tau
-        gold = [batch.rep_class[r] for r in own].index(cls)
+        gold = batch.rep_class.index(cls)
         expected.append(d[gold] + math.log(np.exp(-d).sum()))
     assert got == pytest.approx(np.mean(expected), rel=1e-12)
 
@@ -363,7 +368,7 @@ def test_two_sentence_mixed_loss_gradients_match_finite_differences(variant):
     def loss(x):
         return mixed_loss(BatchView(GaussianEmbedding(x, batch.embeddings.sigma2), batch.tags,
                                     batch.sentence_index, batch.label_reps,
-                                    batch.rep_sentence, batch.rep_class), config).total
+                                    batch.rep_class), config).total
 
     assert ad.finite_diff_check(loss, batch.embeddings.mu.data) <= 1e-6
 
@@ -425,11 +430,10 @@ def test_all_rows_anchor_terms_equal_the_explicit_rows_bitwise(variant):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("name", ["sentence_index", "rep_sentence"])
-def test_context_label_rejects_sentence_indices_out_of_order(name):
+def test_context_label_rejects_sentence_indices_out_of_order():
     batch = two_sentence_batch(9)
-    setattr(batch, name, getattr(batch, name)[::-1].copy())
-    with pytest.raises(ValueError, match=f"{name} must number sentences from 0 in "
+    batch.sentence_index = batch.sentence_index[::-1].copy()
+    with pytest.raises(ValueError, match="sentence_index must number sentences from 0 in "
                                          "non-decreasing order"):
         context_label_loss(batch, LossConfig())
 
@@ -467,10 +471,10 @@ def test_a_view_with_other_embeddings_keeps_masks_and_segments_but_not_distances
     context_label_loss(batch, LossConfig())
     embeddings = two_sentence_batch(11).embeddings
     view = batch.with_embeddings(embeddings)
-    for name in ("masks", "segments", "label_masks"):
+    for name in ("masks", "segments", "label_gold"):
         assert getattr(view, name) is getattr(batch, name)
     other = BatchView(embeddings, batch.tags, batch.sentence_index, batch.label_reps,
-                      batch.rep_sentence, batch.rep_class)
+                      batch.rep_class)
     for config in (LossConfig(), LossConfig(metric="sqeuclid")):
         for loss in (context_context_loss, context_label_loss):
             assert loss(view, config).value.item() == loss(other, config).value.item()

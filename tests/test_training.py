@@ -203,6 +203,21 @@ class TestFinetune:
         for k, p in tuned.params.items():
             np.testing.assert_array_equal(p.data, expected[k])
 
+    def test_support_is_assembled_and_packed_once(self, monkeypatch):
+        ckpt, config = trained_fixture()
+        support = separable_corpus(n_sentences=4, seed=5)
+        target_set, target_map = label_setup(("A", "B"))
+        packs = []
+        original = training.pack
+
+        def recording(seqs):
+            packs.append(len(seqs))
+            return original(seqs)
+
+        monkeypatch.setattr(training, "pack", recording)
+        _, result = finetune(ckpt, support, target_set, target_map, config)
+        assert result.iterations >= 2 and packs == [len(support)]
+
     def test_source_checkpoint_not_mutated(self):
         ckpt, config = trained_fixture()
         before = {k: v.data.copy() for k, v in ckpt.params.items()}
