@@ -14,6 +14,7 @@ the Jeffreys formula is what is implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .rngutil import init_tensor, make_rng
 SIGMA_FLOOR = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianEmbedding:
-    """mu and diagonal variance, (l,) for one token or (n, l) for a batch."""
+    """mu and diagonal variance, (l,) for one token or (n, l) for a batch;
+    frozen, so the operand it caches stays its own."""
 
     mu: Tensor
     sigma2: Tensor
@@ -39,6 +41,13 @@ class GaussianEmbedding:
     @property
     def dim(self) -> int:
         return self.mu.shape[-1]
+
+    @cached_property
+    def operand(self) -> Tensor:
+        """This batch's sym-KL operand (`_operand`), built once and read by
+        every distance from it.  The node holds mu and sigma2, not this
+        embedding, so no reference cycle keeps a dropped graph alive."""
+        return _operand(self.mu, self.sigma2)
 
 
 def projection_shapes(d: int, l: int) -> dict[str, tuple[int, ...]]:
@@ -69,10 +78,10 @@ def project(params: dict[str, Tensor], h: Tensor) -> GaussianEmbedding:
     return GaussianEmbedding(mu=mu, sigma2=sigma2)
 
 
-def _check_valid(g: GaussianEmbedding) -> None:
-    if np.any(g.sigma2.data <= 0):
+def _check_valid(mu: Tensor, sigma2: Tensor) -> None:
+    if np.any(sigma2.data <= 0):
         raise ValueError("gaussian embedding has non-positive variance")
-    if not (np.all(np.isfinite(g.mu.data)) and np.all(np.isfinite(g.sigma2.data))):
+    if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(sigma2.data))):
         raise NumericError("gaussian embedding has non-finite components")
 
 
@@ -82,8 +91,8 @@ def kl(p: GaussianEmbedding, q: GaussianEmbedding) -> Tensor:
     Closed form per dimension:
       0.5 * [ log(s2_q / s2_p) + (s2_p + (mu_p - mu_q)^2) / s2_q - 1 ]
     """
-    _check_valid(p)
-    _check_valid(q)
+    _check_valid(p.mu, p.sigma2)
+    _check_valid(q.mu, q.sigma2)
     if p.mu.shape != q.mu.shape:
         raise ShapeError("kl", p.mu.shape, q.mu.shape)
     log_ratio = ad.log(q.sigma2) - ad.log(p.sigma2)
@@ -97,33 +106,34 @@ def js(p: GaussianEmbedding, q: GaussianEmbedding) -> Tensor:
     return ad.scale(kl(p, q) + kl(q, p), 0.5)
 
 
-def _halves(g: GaussianEmbedding):
-    """[P, Q] = [s2 + mu^2, mu, 1/s2, -2 mu/s2], with mu, 1/s2 and mu/s2 for
-    the offsets c and the vector-Jacobian product."""
-    mu, s2 = g.mu.data, g.sigma2.data
+def _operand(mu: Tensor, sigma2: Tensor) -> Tensor:
+    """The (n, 4l + 2) operand H = [P, c | Q, 1] of a batch's sym-KL
+    distances, as one node: two halves of width 2l + 1 with
+    P = [s2 + mu^2, mu], Q = [1/s2, -2 mu/s2] and c = sum_d mu^2/s2, so that
+    [P, c] [Q, 1]^T = P Q^T + c.  Its VJP computes 1/s2 and mu/s2 again
+    from the inputs."""
+    _check_valid(mu, sigma2)
+    m, s2 = mu.data, sigma2.data
+    l = m.shape[1]
     r = 1.0 / s2
-    mr = mu * r
-    return np.concatenate([s2 + mu * mu, mu, r, -2.0 * mr], axis=1), mu, r, mr
+    mr = m * r
+    h = np.concatenate([s2 + m * m, m, (m * mr).sum(axis=1)[:, None], r, -2.0 * mr,
+                        np.ones((len(m), 1))], axis=1)
+
+    def vjp(g):
+        m, r = mu.data, 1.0 / sigma2.data
+        mr = m * r
+        gp1, gp2, gc = g[:, :l], g[:, l:2 * l], g[:, 2 * l, None]
+        gq1, gq2 = g[:, 2 * l + 1:3 * l + 1], g[:, 3 * l + 1:4 * l + 1]
+        return (2.0 * m * gp1 + gp2 - 2.0 * r * gq2 + 2.0 * mr * gc,
+                gp1 - r * (r * gq1 - 2.0 * mr * gq2) - mr * mr * gc)
+    return ad._make(h, (mu, sigma2), "gaussian_operand", vjp)
 
 
-def _halves_and_offsets(g: GaussianEmbedding):
-    """[P, Q] (see `_halves`) and c = sum_d mu^2/s2 of each row, which only
-    the forward pass reads."""
-    pq, mu, _, mr = _halves(g)
-    return pq, (mu * mr).sum(axis=1)
-
-
-def _swap_halves(pq: np.ndarray, l: int) -> np.ndarray:
-    """[Q, P] from [P, Q], each half 2l columns wide."""
-    return np.concatenate([pq[:, 2 * l:], pq[:, :2 * l]], axis=1)
-
-
-def _halves_vjp(mu, r, mr, gp, gq, gc):
-    """Gradients at mu and s2 from those at P, Q and c (see `_halves`)."""
-    l = mu.shape[1]
-    gp1, gp2, gq1, gq2, gc = gp[:, :l], gp[:, l:], gq[:, :l], gq[:, l:], gc[:, None]
-    return (2.0 * mu * gp1 + gp2 - 2.0 * r * gq2 + 2.0 * mr * gc,
-            gp1 - r * (r * gq1 - 2.0 * mr * gq2) - mr * mr * gc)
+def _swap(h: np.ndarray) -> np.ndarray:
+    """[Q, 1 | P, c] from an operand [P, c | Q, 1]."""
+    w = h.shape[1] // 2
+    return np.concatenate([h[:, w:], h[:, :w]], axis=1)
 
 
 def _segments(bounds, n_a: int, n_b: int, op: str):
@@ -165,66 +175,52 @@ def pairwise_symkl(a: GaussianEmbedding, b: GaussianEmbedding, bounds=None) -> T
 
     Per pair, d(p,q) = 0.25 * sum_d [ s2p/s2q + s2q/s2p
                                       + (mup-muq)^2 * (1/s2p + 1/s2q) ] - l/2,
-    which expands over the halves P = [s2 + mu^2, mu] and Q = [1/s2, -2 mu/s2]
-    of each batch, with c = sum_d mu^2/s2, into
-      D = 0.25 * (P_a Q_b^T + Q_a P_b^T + c_a + c_b^T) - l/2.
+    which expands over each batch's operand H = [P, c | Q, 1] (see
+    `_operand`), with the offsets c folded into the product, into
+      D = 0.25 * H_a swap(H_b)^T - l/2,   swap(H) = [Q, 1 | P, c].
 
     Without `bounds`, w = nB and every row of a meets every row of b.  With
     `bounds`, the row bounds of a's segments as `_segments` reads them, b
     holds w rows per segment and the matrix is block-diagonal: the rows of
     a in segment s meet only the w rows of b in segment s, and row i's
     column j holds its distance to the segment's j-th row of b.  Each
-    segment takes one product, [P_a, Q_a]_s @ [Q_b, P_b]_s^T, and its VJP
-    two; a row of b whose segment holds no row of a gets zero gradient.
+    segment takes one product and its VJP two; a row of b whose segment
+    holds no row of a gets zero gradient.
 
-    An embedding against itself (`a is b`) without bounds takes X = P Q^T + c
-    once and D from X + X^T, which is exactly symmetric; its vector-Jacobian
-    product depends only on gs = g + g^T, and hands the same half of the
-    gradient, from one product gs [P, Q], to both of the node's (mu, s2)
-    input pairs.  The VJP computes the halves again from the inputs instead
-    of keeping them.
+    An embedding against itself (`a is b`) without bounds takes
+    X = [P, c] [Q, 1]^T = P Q^T + c once and D = 0.25 (X + X^T) - l/2,
+    which is exactly symmetric; its VJP is the one product
+    swap(0.25 (g + g^T) H).  Each embedding builds its operand once
+    (`GaussianEmbedding.operand`), and every distance from it reads it.
     """
-    _check_valid(a)
-    if b is not a:
-        _check_valid(b)
     if a.dim != b.dim:
         raise ShapeError("pairwise_symkl", a.mu.shape, b.mu.shape)
     l = a.dim
-    pqa, ca = _halves_and_offsets(a)
+    ha = a.operand
     if b is a and bounds is None:
-        x = pqa[:, :2 * l] @ pqa[:, 2 * l:].T
-        x += ca[:, None]
+        x = ha.data[:, :2 * l + 1] @ ha.data[:, 2 * l + 1:].T
         d = x + x.T
-        d *= 0.25
-        d -= l / 2.0
+        prev = (ha,)
 
         def vjp(g):
-            pqa, mua, ra, mra = _halves(a)
             gs = g + g.T
-            gs *= 0.125  # 0.25 from D, halved between the two input pairs
-            gpq = gs @ pqa  # [gs P, gs Q]: the gradients at Q and at P
-            grads = _halves_vjp(mua, ra, mra, gpq[:, 2 * l:], gpq[:, :2 * l], gs.sum(axis=1))
-            return grads + grads
+            gs *= 0.25
+            return (_swap(gs @ ha.data),)
     else:
-        segs, w = _segments(bounds, len(pqa), len(b.mu.data), "pairwise_symkl")
-        pqb, cb = _halves_and_offsets(b)
-        qpb = _swap_halves(pqb, l)
-        d = np.empty((len(pqa), w))
+        hb = b.operand
+        segs, w = _segments(bounds, len(ha.data), len(hb.data), "pairwise_symkl")
+        swapped = _swap(hb.data)
+        d = np.empty((len(ha.data), w))
         for sa, sb in segs:
-            x = d[sa]
-            np.matmul(pqa[sa], qpb[sb].T, out=x)
-            x += ca[sa, None]
-            x += cb[sb]
-            x *= 0.25
-            x -= l / 2.0
+            np.matmul(ha.data[sa], swapped[sb].T, out=d[sa])
+        prev = (ha, hb)
 
         def vjp(g):
-            (pqa, mua, ra, mra), (pqb, mub, rb, mrb) = _halves(a), _halves(b)
-            # the gradients at [P_a, Q_a] and at [Q_b, P_b]
-            ga, gb, gca, gcb = _block_vjp(segs, 0.25 * g, pqa, _swap_halves(pqb, l))
-            return (_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], gca)
-                    + _halves_vjp(mub, rb, mrb, gb[:, 2 * l:], gb[:, :2 * l], gcb))
-    return ad._make(d, (a.mu, a.sigma2, b.mu, b.sigma2), "pairwise_symkl", vjp)
+            ga, gb, _, _ = _block_vjp(segs, 0.25 * g, ha.data, _swap(hb.data))
+            return ga, _swap(gb)
+    d *= 0.25
+    d -= l / 2.0
+    return ad._make(d, prev, "pairwise_symkl", vjp)
 
 
 def pairwise_sq_euclidean(a: Tensor, b: Tensor, bounds=None) -> Tensor:

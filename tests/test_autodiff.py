@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from fewtag import autodiff as ad
 from fewtag import gaussian as gs
 from fewtag.autodiff import Tensor
+from fewtag.data import LabelMap, LabelSet, Sentence, build_vocab
+from fewtag.losses import LossConfig, build_batch_view, mixed_loss
+from fewtag.prompt import assemble_input, build_label_prompt, pack
 
 
 def test_matmul_hand_product():
@@ -398,19 +401,42 @@ def test_constant_inputs_get_no_grad_and_the_rest_match_finite_differences(case)
         np.testing.assert_allclose(leaf.grad, _numeric_grad(at, values[i]), rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("run_backward", [False, True])
-def test_dropped_graph_is_freed_without_the_cycle_collector(run_backward):
-    rng = np.random.default_rng(22)
+def _attention_graph(rng):
+    """A root over linear, softplus and attention nodes, and its attention node."""
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    h = ad.linear(Tensor(rng.normal(size=(5, 3))), w, Tensor(np.zeros(4)))
+    interior = ad.attention(h, h, ad.softplus(h), heads=2, bounds=[0, 2, 5])
+    return ad.tsum(ad.square(interior)), interior
+
+
+def _batch_view_graph(rng):
+    """mixed_loss over a packed batch's view, and the sym-KL operand that its
+    token embedding caches."""
+    label_map = LabelMap({"A": "alpha", "O": "other"})
+    sents = [Sentence(("x", "y", "z"), ("I-A", "O", "I-A")), Sentence(("y", "x"), ("O", "I-A"))]
+    vocab = build_vocab(sents, label_map=label_map)
+    prompt = build_label_prompt(LabelSet(("A",)), label_map)
+    packed = pack([assemble_input(s, prompt, vocab, max_len=16) for s in sents])
+    hidden = Tensor(rng.normal(size=(packed.n_occupied, 4)))
+    batch = build_batch_view(hidden, packed, gs.init_projection_params(d=4, l=3, seed=1))
+    return mixed_loss(batch, LossConfig()).total, batch.embeddings.operand
+
+
+GRAPHS = {"attention": _attention_graph, "batch_view": _batch_view_graph}
+
+
+@pytest.mark.parametrize("graph, run_backward",
+                         [("attention", False), ("attention", True),
+                          ("batch_view", False), ("batch_view", True)],
+                         ids=["False", "True", "batch_view-False", "batch_view-True"])
+def test_dropped_graph_is_freed_without_the_cycle_collector(graph, run_backward):
     gc.disable()
     try:
-        h = ad.linear(Tensor(rng.normal(size=(5, 3))), w, Tensor(np.zeros(4)))
-        interior = ad.attention(h, h, ad.softplus(h), heads=2, bounds=[0, 2, 5])
-        root = ad.tsum(ad.square(interior))
+        root, interior = GRAPHS[graph](np.random.default_rng(22))
         if run_backward:
             root.backward()
         refs = [weakref.ref(root), weakref.ref(interior)]
-        del h, interior, root
+        del root, interior
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()

@@ -272,10 +272,14 @@ def test_pairwise_kernels_are_one_node_each(monkeypatch):
     parts = [Tensor(p, requires_grad=True) for p in random_parts(16)]
     a, b = GaussianEmbedding(parts[0], parts[1]), GaussianEmbedding(parts[2], parts[3])
     monkeypatch.setattr(ad, "_make", counting)
-    gs.pairwise_symkl(a, b)
-    gs.pairwise_symkl(a, a)
+    cross = gs.pairwise_symkl(a, b)
+    own = gs.pairwise_symkl(a, a)
     gs.pairwise_sq_euclidean(a.mu, b.mu)
-    assert made == ["pairwise_symkl", "pairwise_symkl", "pairwise_sq_euclidean"]
+    # each embedding's operand is made once, at its first sym-KL distance
+    assert made == ["gaussian_operand", "gaussian_operand", "pairwise_symkl", "pairwise_symkl",
+                    "pairwise_sq_euclidean"]
+    assert cross._prev == (a.operand, b.operand) and own._prev == (a.operand,)
+    assert a.operand.shape == (4, 4 * 3 + 2) and b.operand.shape == (5, 4 * 3 + 2)
 
 
 def test_pairwise_symkl_rejects_invalid_inputs():

@@ -383,21 +383,25 @@ def test_each_loss_builds_one_distance_matrix_and_one_kernel_node(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", counting)
     context_context_loss(two_sentence_batch(8), LossConfig())
-    assert made == ["pairwise_symkl", "anchor_terms", "sum", "scale"]
+    assert made == ["gaussian_operand", "pairwise_symkl", "anchor_terms", "sum", "scale"]
     made.clear()
     context_label_loss(two_sentence_batch(8), LossConfig())
-    assert made == ["pairwise_symkl", "scale", "anchor_terms", "sum", "scale"]
+    assert made == ["gaussian_operand", "gaussian_operand", "pairwise_symkl", "scale",
+                    "anchor_terms", "sum", "scale"]
     made.clear()
     anchor_loss_in(0, two_sentence_batch(8), LossConfig())
-    assert made == ["pairwise_symkl", "anchor_terms", "reshape"]
+    assert made == ["gaussian_operand", "pairwise_symkl", "anchor_terms", "reshape"]
     made.clear()
-    # the losses over token pairs share one self-distance matrix per batch
+    # the losses over token pairs share one self-distance matrix per batch, and
+    # every loss one operand per embedding set
     batch = two_sentence_batch(8)
     context_context_loss(batch, LossConfig())
     anchor_loss_in(0, batch, LossConfig())
     anchor_loss_out(0, batch, LossConfig())
-    assert made.count("pairwise_symkl") == 1
-    assert made.count("anchor_terms") == 3
+    context_label_loss(batch, LossConfig())
+    assert made.count("gaussian_operand") == 2
+    assert made.count("pairwise_symkl") == 2
+    assert made.count("anchor_terms") == 4
 
 
 @settings(max_examples=200)
@@ -460,6 +464,11 @@ def test_context_label_distances_are_one_block_of_own_representatives_per_token(
 
     monkeypatch.setattr(ad, "_make", recording)
     context_label_loss(batch, LossConfig(metric=metric))
+    if metric == "symkl":
+        # the sym-KL operands of the tokens and of all the representatives come first
+        operands = [("gaussian_operand", (n, 4 * 4 + 2)) for n in (batch.n_tokens, 32 * n_classes)]
+        assert shapes[:2] == operands
+        shapes = shapes[2:]
     kernel = "pairwise_symkl" if metric == "symkl" else "pairwise_sq_euclidean"
     assert shapes[0] == (kernel, (batch.n_tokens, n_classes))
     assert all(32 * n_classes not in shape for _, shape in shapes)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fewtag import autodiff as ad
 from fewtag import losses as ls
 from fewtag import training
 from fewtag.autodiff import Tensor
@@ -92,6 +93,28 @@ class TestTrainSource:
         per_epoch = len(log) // 3
         final_epoch_mean = np.mean([e.loss for e in log[-per_epoch:]])
         assert final_epoch_mean < log[0].loss
+
+    @pytest.mark.parametrize("alpha, n_operands", [(0.5, 2), (1.0, 1), (0.0, 2)])
+    def test_one_step_builds_one_operand_per_embedding_set(self, monkeypatch, alpha,
+                                                           n_operands):
+        corpus = separable_corpus(n_sentences=4, seed=4)
+        label_set, label_map = label_setup(("A", "B"))
+        rows = []
+        original = ad._make
+
+        def recording(data, prev, op, vjp):
+            if op == "gaussian_operand":
+                rows.append(len(data))
+            return original(data, prev, op, vjp)
+
+        monkeypatch.setattr(ad, "_make", recording)
+        _, log = train_source(corpus, label_set, label_map,
+                              make_config(epochs=1, alpha=alpha), SMALL_ENC)
+        assert len(log) == 1
+        # the tokens' operand, then, when the context-label term runs, the
+        # representatives' (classes A, B and O of each sentence's prompt)
+        n_tokens = sum(len(s.tokens) for s in corpus)
+        assert rows == [n_tokens, len(corpus) * 3][:n_operands]
 
     def test_tag_outside_the_label_set_rejected(self):
         corpus = separable_corpus(n_sentences=4, seed=3)  # classes A and B

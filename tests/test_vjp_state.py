@@ -1,11 +1,13 @@
 """What the VJPs of the large training nodes keep, and what that saves.
 
-`dropout`, `softplus`, `layer_norm` and `pairwise_symkl` keep no array
-that can be rebuilt bit for bit from their inputs, which the graph keeps
-anyway: their VJPs recompute it.  The tests below hold them to three
-things: the same bits as the formulas that kept those arrays (kept here as
-oracles), closures without input-sized float arrays, and a traced peak of
-one training step below what the kept arrays cost.
+`dropout`, `softplus`, `layer_norm` and the sym-KL operand
+(`gaussian._operand`) keep no array that can be rebuilt bit for bit from
+their inputs, which the graph keeps anyway: their VJPs recompute it.
+`pairwise_symkl` keeps nothing but its operands, which are its inputs.  The
+tests below hold them to three things: the same bits as the formulas that
+kept those arrays (kept here as oracles), closures without input-sized
+float arrays, and a traced peak of one training step below what the kept
+arrays cost.
 """
 
 import tracemalloc
@@ -49,45 +51,46 @@ def oracle_layer_norm(x, gain, bias, g, eps=1e-5):
     return y * gain + bias, (inv * (gy - gm - y * gym), (g * y).sum(axis=0), g.sum(axis=0))
 
 
-def oracle_halves(mu, s2):
+def oracle_operand(mu, s2):
     r = 1.0 / s2
     mr = mu * r
-    pq = np.concatenate([s2 + mu * mu, mu, r, -2.0 * mr], axis=1)
-    return pq, (mu * mr).sum(axis=1), mu, r, mr
+    return np.concatenate([s2 + mu * mu, mu, (mu * mr).sum(axis=1)[:, None], r, -2.0 * mr,
+                           np.ones((len(mu), 1))], axis=1)
 
 
-def oracle_halves_vjp(mu, r, mr, gp, gq, gc):
+def oracle_operand_vjp(mu, s2, g):
+    """Gradients at mu and s2 from the one at [P, c | Q, 1], with 1/s2 and
+    mu/s2 as the operand's forward pass had them."""
     l = mu.shape[1]
-    gp1, gp2, gq1, gq2, gc = gp[:, :l], gp[:, l:], gq[:, :l], gq[:, l:], gc[:, None]
+    r = 1.0 / s2
+    mr = mu * r
+    gp1, gp2, gc = g[:, :l], g[:, l:2 * l], g[:, 2 * l, None]
+    gq1, gq2 = g[:, 2 * l + 1:3 * l + 1], g[:, 3 * l + 1:4 * l + 1]
     return (2.0 * mu * gp1 + gp2 - 2.0 * r * gq2 + 2.0 * mr * gc,
             gp1 - r * (r * gq1 - 2.0 * mr * gq2) - mr * mr * gc)
+
+
+def oracle_swap(h):
+    w = h.shape[1] // 2
+    return np.concatenate([h[:, w:], h[:, :w]], axis=1)
 
 
 def oracle_symkl(mua, s2a, mub, s2b, g):
     """Values and the gradients at (mua, s2a, mub, s2b); mub None for a against itself."""
     l = mua.shape[1]
-    pqa, ca, mua, ra, mra = oracle_halves(mua, s2a)
+    ha = oracle_operand(mua, s2a)
     if mub is None:
-        pa, qa = pqa[:, :2 * l], pqa[:, 2 * l:]
-        x = pa @ qa.T
-        x += ca[:, None]
+        x = ha[:, :2 * l + 1] @ ha[:, 2 * l + 1:].T
         d = x + x.T
         gs = g + g.T
-        gs *= 0.125
-        ga = oracle_halves_vjp(mua, ra, mra, gs @ qa, gs @ pa, gs.sum(axis=1))
-        # the leaves sum the two halves the node hands them
-        grads = (ga[0] + ga[0], ga[1] + ga[1])
+        gs *= 0.25
+        grads = oracle_operand_vjp(mua, s2a, oracle_swap(gs @ ha))
     else:
-        pqb, cb, mub, rb, mrb = oracle_halves(mub, s2b)
-        qpb = np.concatenate([pqb[:, 2 * l:], pqb[:, :2 * l]], axis=1)
-        d = pqa @ qpb.T
-        d += ca[:, None]
-        d += cb
+        qpb = oracle_swap(oracle_operand(mub, s2b))
+        d = ha @ qpb.T
         g = 0.25 * g
-        ga, gb = g @ qpb, g.T @ pqa
-        grads = (oracle_halves_vjp(mua, ra, mra, ga[:, :2 * l], ga[:, 2 * l:], g.sum(axis=1))
-                 + oracle_halves_vjp(mub, rb, mrb, gb[:, 2 * l:], gb[:, :2 * l],
-                                     g.sum(axis=0)))
+        grads = (oracle_operand_vjp(mua, s2a, g @ qpb)
+                 + oracle_operand_vjp(mub, s2b, oracle_swap(g.T @ ha)))
     d *= 0.25
     d -= l / 2.0
     return d, grads
@@ -231,15 +234,18 @@ def _held_arrays(node: Tensor) -> list[np.ndarray]:
 def test_vjps_of_the_training_graph_keep_nothing_they_can_rebuild():
     nodes = [t for t in _nodes(_train_graph()) if t._vjp is not None]
     by_op = {op: [t for t in nodes if t._op == op]
-             for op in ("dropout", "softplus", "layer_norm", "pairwise_symkl")}
+             for op in ("dropout", "softplus", "layer_norm", "gaussian_operand", "pairwise_symkl")}
     assert all(by_op.values()), {op: len(ts) for op, ts in by_op.items()}
-    # both forms of the sym-KL node: the tokens against themselves and against the labels
-    assert {t._prev[0] is t._prev[2] for t in by_op["pairwise_symkl"]} == {True, False}
+    # both forms of the sym-KL node: the tokens against themselves, over their one
+    # operand, and against the labels; the two operands are the only ones
+    own, cross = sorted(by_op["pairwise_symkl"], key=lambda t: len(t._prev))
+    assert own._prev == cross._prev[:1] and len(cross._prev) == 2
+    assert {id(t) for t in by_op["gaussian_operand"]} == {id(t) for t in cross._prev}
 
     for t in by_op["dropout"]:
         held = _held_arrays(t)
         assert len(held) == 1 and held[0].dtype == bool and held[0].shape == t.shape
-    for op in ("softplus", "layer_norm", "pairwise_symkl"):
+    for op in ("softplus", "layer_norm", "gaussian_operand", "pairwise_symkl"):
         for t in by_op[op]:
             rows = t._prev[0].shape[0]
             # at most one float per input row: layer_norm's 1/std
@@ -249,10 +255,11 @@ def test_vjps_of_the_training_graph_keep_nothing_they_can_rebuild():
 
 # -- traced memory of one training step -------------------------------------------
 
-# Traced peak (tracemalloc) of the step below: 22.26 MB, against 28.37 MB while
-# dropout kept a float factor, softplus its exponential, layer_norm its
-# normalized rows and pairwise_symkl its halves.  The bound adds a 2.7 MB margin
-# for allocator and numpy-version differences and stays under the latter.
+# Traced peak (tracemalloc) of the step below: 22.08 MB with one sym-KL operand
+# per embedding set in the graph, against 28.37 MB while dropout kept a float
+# factor, softplus its exponential, layer_norm its normalized rows and
+# pairwise_symkl its halves.  The bound adds a margin for allocator and
+# numpy-version differences and stays under the latter.
 STEP_PEAK_BOUND_MB = 25.0
 
 
