@@ -90,9 +90,9 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, batch: PackedBatch,
     Each layer is one fused multi-head attention, within each sequence, over
     its q/k/v projections and a softplus feed-forward, each followed by a
     residual add and an affine layer norm; every other op runs once over
-    all rows.  Dropout is active only in train mode; its masks come from one
-    draw from `rng`, read as if each sequence drew its sites in turn, so a
-    pack draws the same masks as its sequences encoded one at a time.
+    all rows.  Dropout is active only in train mode; its masks are one
+    (sites, n_occupied, d) draw from `rng`, whose entry [s, r] is row r's
+    mask at dropout site s.
     """
     ids = batch.token_ids
     if ids.max() >= config.vocab_size or ids.min() < 0:
@@ -101,13 +101,7 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, batch: PackedBatch,
     if train_mode and config.dropout > 0:
         if rng is None:
             raise ValueError("train-mode encoding needs a dropout rng")
-        # site s of the row at `position` among n rows from `first` reads draw row
-        # sites * first + s * n + position, as when each sequence draws in turn
-        sites = 1 + 2 * config.n_layers
-        lengths = np.diff(batch.bounds)
-        first, n = np.repeat(batch.bounds[:-1], lengths), np.repeat(lengths, lengths)
-        rows = sites * first + np.arange(sites)[:, None] * n + batch.positions
-        masks = iter(rng.random((sites * batch.n_occupied, config.d))[rows])
+        masks = iter(rng.random((1 + 2 * config.n_layers, batch.n_occupied, config.d)))
 
     def drop(x: Tensor) -> Tensor:
         return x if masks is None else ad.dropout(x, config.dropout, next(masks))

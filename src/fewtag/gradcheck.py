@@ -80,7 +80,7 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
         hidden, tags, rep_hidden = _random_case(rng, d, classes)
         proj = init_projection_params(d=d, l=l, seed=seed + b)
         n = hidden.shape[0]
-        view = None  # the last evaluation's: the next one reuses its masks and segments
+        view = None  # the last evaluation's: the next one reuses its masks
 
         def losses(x: Tensor) -> tuple[Tensor, ...]:  # in CHECK_NAMES order
             nonlocal view
@@ -89,7 +89,7 @@ def run_gradcheck(n_batches: int = 20, seed: int = 0, d: int = 16, l: int = 8,
                 # independent of x: projected once, as constants with no graph
                 g = project(proj, Tensor(rep_hidden))
                 reps = GaussianEmbedding(Tensor(g.mu.data), Tensor(g.sigma2.data))
-                view = BatchView(embeddings=e, tags=tags, sentence_index=np.zeros(n, dtype=int),
+                view = BatchView(embeddings=e, tags=tags, bounds=np.array([0, n]),
                                  label_reps=reps, rep_class=class_order)
             else:
                 view = view.with_embeddings(e)

@@ -150,9 +150,9 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence]
             hi += 1
         packed = pack(seqs[lo:hi])
         h = encode(params, ckpt.encoder_config, packed, train_mode=False).data
-        h, ends = h[packed.context_rows], np.cumsum([seq.n_context for seq in packed.seqs])
-        for seq, end in zip(packed.seqs, ends.tolist()):
-            yield h[end - seq.n_context:end], seq.gold_tags
+        h, c = h[packed.context_rows], packed.context_bounds.tolist()
+        for i, seq in enumerate(packed.seqs):
+            yield h[c[i]:c[i + 1]], seq.gold_tags
         lo = hi
 
 

@@ -74,17 +74,17 @@ class BatchView:
 
     Every sentence's prompt holds the same C class representatives, in the
     order `rep_class`; `label_reps` stacks them sentence by sentence, C rows
-    each.  `sentence_index` numbers the sentences from 0 and never
-    decreases, so each sentence's tokens are contiguous rows (`segments`);
-    the context-label loss rejects a batch that breaks this with a
-    ValueError naming the field.  The tag masks, the gold-label mask and,
-    per metric, the tokens' distances to each other are computed once per
-    batch and shared by every loss that reads them.
+    each.  Sentence s holds tokens bounds[s]:bounds[s + 1] and
+    representatives s * C:(s + 1) * C; the pairwise kernels reject bounds
+    that fall, miss the tokens' ends or split the representatives unevenly.
+    The tag masks, the gold-label mask and, per metric, the tokens'
+    distances to each other are computed once per batch and shared by every
+    loss that reads them.
     """
 
     embeddings: GaussianEmbedding          # (n, l)
     tags: tuple[str, ...]                  # per token, IO form
-    sentence_index: np.ndarray             # (n,) which sentence each token came from
+    bounds: np.ndarray                     # (S + 1,) each sentence's first token, then n
     label_reps: Optional[GaussianEmbedding] = None  # (S * C, l)
     rep_class: tuple[str, ...] = ()        # (C,) each sentence's representatives' classes
     _self_distances: dict[str, Tensor] = field(default_factory=dict, init=False, repr=False)
@@ -97,17 +97,6 @@ class BatchView:
     def masks(self) -> tuple[np.ndarray, np.ndarray]:
         """`_masks` of the batch's tags."""
         return _masks(self.tags)
-
-    @cached_property
-    def segments(self) -> np.ndarray:
-        """Token row bounds t of each sentence: sentence s holds tokens
-        t[s]:t[s + 1] and representatives s * C:(s + 1) * C."""
-        index = self.sentence_index
-        if index.size and (index[0] < 0 or (index[1:] < index[:-1]).any()):
-            raise ValueError("sentence_index must number sentences from 0 in "
-                             "non-decreasing order")
-        n_sentences = len(self.label_reps.mu.data) // len(self.rep_class)
-        return np.searchsorted(index, np.arange(n_sentences + 1))
 
     @cached_property
     def label_gold(self) -> np.ndarray:
@@ -125,7 +114,7 @@ class BatchView:
 
     def with_embeddings(self, embeddings: GaussianEmbedding) -> BatchView:
         """This batch with other token embeddings of the same shape: the masks
-        and segments computed so far carry over, the distances do not."""
+        computed so far carry over, the distances do not."""
         view = copy.copy(self)
         view.embeddings = embeddings
         view._self_distances = {}
@@ -165,12 +154,11 @@ def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, 
     if not keep.any():  # every sentence has a context token, so O subsampling took them all
         raise DataError(f"o_keep_fraction={o_keep_fraction} dropped every context token "
                         f"of a batch of {len(batch.seqs)} sentence(s)")
-    sentence_index = np.repeat(np.arange(len(batch.seqs)), [seq.n_context for seq in batch.seqs])
     embeddings = project(proj_params, ad.row_gather(hidden, batch.context_rows[keep]))
     label_reps = project(proj_params, ad.row_gather(hidden, batch.rep_rows.ravel()))
     return BatchView(embeddings=embeddings, tags=tuple(compress(gold, keep)),
-                     sentence_index=sentence_index[keep], label_reps=label_reps,
-                     rep_class=prompt.class_order)
+                     bounds=np.concatenate([[0], np.cumsum(keep)])[batch.context_bounds],
+                     label_reps=label_reps, rep_class=prompt.class_order)
 
 
 def _pairwise(a: GaussianEmbedding, b: GaussianEmbedding, metric: str,
@@ -260,17 +248,14 @@ class LossValue:
 def context_context_loss(batch: BatchView, config: LossConfig) -> LossValue:
     """Mean anchor loss over batch tokens; anchors without positives are skipped."""
     call_counts["context_context"] += 1
-    n = batch.n_tokens
-    if n < 2:
-        return LossValue(Tensor(0.0), warned=True)
     pos, offdiag = batch.masks
     usable = np.nonzero(pos.any(axis=1))[0]
     if usable.size == 0:
         return LossValue(Tensor(0.0), warned=True)
 
     d = batch.self_distance(config.metric)
-    per_anchor = _anchor_terms(d, None if usable.size == n else usable, pos, offdiag,
-                               config.loss_variant)
+    anchors = None if usable.size == batch.n_tokens else usable
+    per_anchor = _anchor_terms(d, anchors, pos, offdiag, config.loss_variant)
     return LossValue(ad.tmean(per_anchor), n_anchors=usable.size)
 
 
@@ -290,7 +275,7 @@ def context_label_loss(batch: BatchView, config: LossConfig) -> LossValue:
     if batch.label_reps is None:
         raise ValueError("batch has no label representatives")
     gold = batch.label_gold
-    d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric, batch.segments),
+    d = ad.scale(_pairwise(batch.embeddings, batch.label_reps, config.metric, batch.bounds),
                  1.0 / config.tau)
     terms = _anchor_terms(d, None, gold, np.ones_like(gold), VARIANT_ICL)
     return LossValue(ad.tmean(terms), n_anchors=batch.n_tokens)

@@ -87,14 +87,17 @@ def assemble_input(sentence: Sentence, prompt: LabelPrompt, vocab: Vocabulary,
 class PackedBatch:
     """Input sequences stacked row-wise for one encoder pass.
 
-    Rows bounds[i]:bounds[i + 1] hold sequence i; attention stays within them.
+    Rows bounds[i]:bounds[i + 1] hold sequence i, and attention stays within
+    them; context_rows[context_bounds[i]:context_bounds[i + 1]] are its
+    context tokens' rows.
     """
     seqs: tuple[InputSequence, ...]
-    token_ids: np.ndarray     # (n_occupied,) int, every sequence's ids in order
-    positions: np.ndarray     # (n_occupied,) int, each row's position within its own sequence
-    bounds: np.ndarray        # (len(seqs) + 1,) int, each sequence's first row, then n_occupied
-    context_rows: np.ndarray  # (sum of n_context,) int, every context token's row in order
-    rep_rows: np.ndarray      # (len(seqs), n_classes) int, representative rows in class order
+    token_ids: np.ndarray       # (n_occupied,) int, every sequence's ids in order
+    positions: np.ndarray       # (n_occupied,) int, each row's position within its own sequence
+    bounds: np.ndarray          # (len(seqs) + 1,) int, each sequence's first row, then n_occupied
+    context_rows: np.ndarray    # (sum of n_context,) int, every context token's row in order
+    context_bounds: np.ndarray  # (len(seqs) + 1,) int, each sequence's first context token
+    rep_rows: np.ndarray        # (len(seqs), n_classes) int, representative rows in class order
 
     @property
     def n_occupied(self) -> int:
@@ -120,5 +123,6 @@ def pack(seqs: list[InputSequence]) -> PackedBatch:
     return PackedBatch(seqs=tuple(seqs), token_ids=np.concatenate([s.token_ids for s in seqs]),
                        positions=positions, bounds=bounds,
                        context_rows=np.nonzero(in_context)[0],
+                       context_bounds=np.concatenate([[0], np.cumsum(n_ctx)]),
                        # each prompt starts after its sequence's [CLS], context and [SEP]
                        rep_rows=(bounds[:-1] + n_ctx + 2)[:, None] + offsets)

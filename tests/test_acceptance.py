@@ -60,7 +60,7 @@ def _random_anchor_batch(rng):
     emb = GaussianEmbedding(Tensor(rng.normal(size=(n, l))),
                             Tensor(rng.uniform(0.2, 2.0, size=(n, l))))
     return ls.BatchView(embeddings=emb, tags=tuple(tags),
-                        sentence_index=np.zeros(n, dtype=int))
+                        bounds=np.array([0, n]))
 
 
 def test_criterion_2_variant_ordering(capsys):

@@ -226,15 +226,11 @@ def packed_setup(n_sentences, d=8, n_layers=2, n_heads=2, dropout=0.1):
     return seqs, config
 
 
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_packed_encode_equals_packs_of_one_bit_for_bit(train_mode):
+def test_packed_eval_encode_equals_packs_of_one_bit_for_bit():
     seqs, config = packed_setup(9)
     params = _perturbed_params(config)
-    packed = enc.encode(params, config, pack(seqs), train_mode=train_mode,
-                        rng=make_rng(4, "drop"))
-    rng = make_rng(4, "drop")
-    one_by_one = [enc.encode(params, config, pack([s]), train_mode=train_mode, rng=rng).data
-                  for s in seqs]
+    packed = enc.encode(params, config, pack(seqs))
+    one_by_one = [enc.encode(params, config, pack([s])).data for s in seqs]
     np.testing.assert_array_equal(packed.data, np.concatenate(one_by_one))
 
 
@@ -291,17 +287,28 @@ def test_train_encode_keeps_a_graph_of_its_nodes_down_to_the_parameters():
     assert leaves == {id(p) for p in params.values()}
 
 
-def test_train_encode_draws_every_dropout_mask_at_once():
+def test_train_encode_draws_every_dropout_mask_at_once(monkeypatch):
     seqs, config = packed_setup(5)
     params = enc.init_encoder_params(config)
     rng = make_rng(0, "drop")
-    shapes = []
+    blocks, received = [], []
 
     class Recording:
         def random(self, size):
-            shapes.append(size)
-            return rng.random(size)
+            blocks.append(rng.random(size))
+            return blocks[-1]
 
+    original = ad.dropout
+
+    def recording(a, rate, draws):
+        received.append(draws)
+        return original(a, rate, draws)
+
+    monkeypatch.setattr(ad, "dropout", recording)
     enc.encode(params, config, pack(seqs), train_mode=True, rng=Recording())
     sites = 1 + 2 * config.n_layers
-    assert shapes == [(sites * sum(s.n_occupied for s in seqs), config.d)]
+    assert [b.shape for b in blocks] == [(sites, sum(s.n_occupied for s in seqs), config.d)]
+    # dropout site s reads block s, whose row r is the pack's row r
+    assert len(received) == sites
+    for s, draws in enumerate(received):
+        np.testing.assert_array_equal(draws, blocks[0][s])

@@ -27,7 +27,7 @@ def _separate_checks(n_batches, seed, d=16, l=8, step=gradcheck.STEP):
 
         def view(x):
             return BatchView(embeddings=project(proj, x), tags=tags,
-                             sentence_index=np.zeros(len(tags), dtype=int),
+                             bounds=np.array([0, len(tags)]),
                              label_reps=reps, rep_class=class_order)
 
         checks = {

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fewtag import autodiff as ad
 from fewtag import losses as ls
-from fewtag.autodiff import Tensor
+from fewtag.autodiff import ShapeError, Tensor
 from fewtag.data import DataError, LabelMap, LabelSet, Sentence, build_vocab
 from fewtag.encoder import EncoderConfig, encode, init_encoder_params
 from fewtag.gaussian import GaussianEmbedding, init_projection_params, project
@@ -22,8 +22,7 @@ def make_batch(mu, sigma2=None, tags=(), reps_mu=None, reps_sigma2=None,
     mu = np.asarray(mu, dtype=float)
     sigma2 = np.ones_like(mu) if sigma2 is None else np.asarray(sigma2, dtype=float)
     emb = GaussianEmbedding(Tensor(mu), Tensor(sigma2))
-    batch = BatchView(embeddings=emb, tags=tuple(tags),
-                      sentence_index=np.zeros(len(tags), dtype=int))
+    batch = BatchView(embeddings=emb, tags=tuple(tags), bounds=np.array([0, len(tags)]))
     if reps_mu is not None:
         reps_mu = np.asarray(reps_mu, dtype=float)
         reps_s2 = (np.ones_like(reps_mu) if reps_sigma2 is None
@@ -94,10 +93,11 @@ class TestContextContext:
         assert not out.warned
 
     def test_no_positives_warns_zero(self):
-        batch = make_batch([[0.0], [1.0]], tags=("I-A", "I-B"))
-        out = context_context_loss(batch, EUCLID)
-        assert out.value.item() == 0.0
-        assert out.warned
+        for mu, tags in (([], ()), ([[0.0]], ("I-A",)), ([[0.0], [1.0]], ("I-A", "I-B"))):
+            batch = make_batch(np.reshape(mu, (-1, 1)), tags=tags)
+            out = context_context_loss(batch, EUCLID)
+            assert out.value.item() == 0.0
+            assert out.warned
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
@@ -264,18 +264,18 @@ def test_o_subsampling_keeps_the_tokens_a_per_token_draw_keeps(seed, keep, lengt
     proj_params = init_projection_params(d=8, l=4, seed=4)
     # reference: one rng.random() per O token, sentence by sentence
     ref = np.random.default_rng(seed)
-    rows, tags, sentence_index = [], [], []
-    for si, (s, first) in enumerate(zip(sents, packed.bounds)):
+    rows, tags, bounds = [], [], [0]
+    for s, first in zip(sents, packed.bounds):
         for j, tag in enumerate(s.tags):
             if tag == "O" and ref.random() >= keep:
                 continue
             rows.append(first + 1 + j)
             tags.append(tag)
-            sentence_index.append(si)
+        bounds.append(len(rows))
     rng = np.random.default_rng(seed)
     batch = build_batch_view(hidden, packed, proj_params, o_keep_fraction=keep, rng=rng)
     assert batch.tags == tuple(tags)
-    assert batch.sentence_index.tolist() == sentence_index
+    assert batch.bounds.tolist() == bounds
     np.testing.assert_array_equal(batch.embeddings.mu.data,
                                   project(proj_params, ad.row_gather(hidden, rows)).mu.data)
     assert rng.random() == ref.random()  # both drew once per O token
@@ -335,7 +335,7 @@ def two_sentence_batch(seed):
                                  Tensor(rng.uniform(0.3, 2.0, size=(n, 3))))
 
     return BatchView(embeddings=embedding(5), tags=("I-A", "O", "I-B", "O", "I-A"),
-                     sentence_index=np.array([0, 0, 0, 1, 1]), label_reps=embedding(6),
+                     bounds=np.array([0, 3, 5]), label_reps=embedding(6),
                      rep_class=("A", "B", "O"))
 
 
@@ -347,11 +347,11 @@ def test_context_label_uses_only_own_sentence_representatives(metric):
     # oracle: each token against its own sentence's representatives only
     expected = []
     n_classes = len(batch.rep_class)
-    for ti, tag in enumerate(batch.tags):
+    for ti, (tag, si) in enumerate(zip(batch.tags, (0, 0, 0, 1, 1))):
         cls = tag if tag == "O" else tag[2:]
         token = GaussianEmbedding(ad.row_gather(batch.embeddings.mu, [ti]),
                                   ad.row_gather(batch.embeddings.sigma2, [ti]))
-        own = batch.sentence_index[ti] * n_classes + np.arange(n_classes)
+        own = si * n_classes + np.arange(n_classes)
         reps = GaussianEmbedding(ad.row_gather(batch.label_reps.mu, own),
                                  ad.row_gather(batch.label_reps.sigma2, own))
         d = ls._pairwise(token, reps, metric).data[0] / config.tau
@@ -367,7 +367,7 @@ def test_two_sentence_mixed_loss_gradients_match_finite_differences(variant):
 
     def loss(x):
         return mixed_loss(BatchView(GaussianEmbedding(x, batch.embeddings.sigma2), batch.tags,
-                                    batch.sentence_index, batch.label_reps,
+                                    batch.bounds, batch.label_reps,
                                     batch.rep_class), config).total
 
     assert ad.finite_diff_check(loss, batch.embeddings.mu.data) <= 1e-6
@@ -434,11 +434,10 @@ def test_all_rows_anchor_terms_equal_the_explicit_rows_bitwise(variant):
         np.testing.assert_array_equal(got, want)
 
 
-def test_context_label_rejects_sentence_indices_out_of_order():
+def test_context_label_rejects_falling_bounds():
     batch = two_sentence_batch(9)
-    batch.sentence_index = batch.sentence_index[::-1].copy()
-    with pytest.raises(ValueError, match="sentence_index must number sentences from 0 in "
-                                         "non-decreasing order"):
+    batch.bounds = np.array([0, 3, 2, 5])  # the second of three sentences ends before it starts
+    with pytest.raises(ShapeError):
         context_label_loss(batch, LossConfig())
 
 
@@ -480,9 +479,9 @@ def test_a_view_with_other_embeddings_keeps_masks_and_segments_but_not_distances
     context_label_loss(batch, LossConfig())
     embeddings = two_sentence_batch(11).embeddings
     view = batch.with_embeddings(embeddings)
-    for name in ("masks", "segments", "label_gold"):
+    for name in ("masks", "bounds", "label_gold"):
         assert getattr(view, name) is getattr(batch, name)
-    other = BatchView(embeddings, batch.tags, batch.sentence_index, batch.label_reps,
+    other = BatchView(embeddings, batch.tags, batch.bounds, batch.label_reps,
                       batch.rep_class)
     for config in (LossConfig(), LossConfig(metric="sqeuclid")):
         for loss in (context_context_loss, context_label_loss):

@@ -93,7 +93,8 @@ def test_assembly_pure():
     sent, prompt, vocab = fixture()
     a = pack([assemble_input(sent, prompt, vocab, max_len=20)])
     b = pack([assemble_input(sent, prompt, vocab, max_len=20)])
-    for name in ("token_ids", "positions", "bounds", "context_rows", "rep_rows"):
+    for name in ("token_ids", "positions", "bounds", "context_rows", "context_bounds",
+                 "rep_rows"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.seqs[0].gold_tags == b.seqs[0].gold_tags
 
@@ -180,17 +181,19 @@ def test_pack_rows_match_a_walk_over_each_sequence(case):
     cls_id, sep_id = vocab.id("[CLS]"), vocab.id("[SEP]")
     # oracle: walk each sequence's ids; its context runs from after the leading
     # [CLS] to the first [SEP], and every later [CLS] is the next class's
-    positions, context, reps, first = [], [], [], 0
+    positions, context, context_bounds, reps, first = [], [], [0], [], 0
     for seq in seqs:
         ids = seq.token_ids.tolist()
         sep = ids.index(sep_id)
         positions += range(len(ids))
         context += [first + k for k in range(1, sep)]
+        context_bounds.append(len(context))
         reps.append([first + k for k in range(sep + 1, len(ids)) if ids[k] == cls_id])
         first += len(ids)
     packed = pack(seqs)
     assert packed.positions.tolist() == positions
     assert packed.context_rows.tolist() == context
+    assert packed.context_bounds.tolist() == context_bounds
     assert packed.rep_rows.tolist() == reps
     assert packed.bounds.tolist() == [0] + np.cumsum([s.n_occupied for s in seqs]).tolist()
     assert len(packed.context_rows) == sum(s.n_context for s in seqs)

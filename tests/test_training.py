@@ -74,12 +74,14 @@ class TestAdamW:
 
 
 class TestTrainSource:
-    def test_deterministic_checkpoints(self, tmp_path):
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_deterministic_checkpoints(self, tmp_path, dropout):
         corpus = separable_corpus(n_sentences=8, seed=1)
         label_set, label_map = label_setup(("A", "B"))
         config = make_config(epochs=1)
-        c1, _ = train_source(corpus, label_set, label_map, config, SMALL_ENC)
-        c2, _ = train_source(corpus, label_set, label_map, config, SMALL_ENC)
+        encoder = {**SMALL_ENC, "dropout": dropout}
+        c1, _ = train_source(corpus, label_set, label_map, config, encoder)
+        c2, _ = train_source(corpus, label_set, label_map, config, encoder)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(c1, str(p1))
         save_checkpoint(c2, str(p2))
@@ -246,8 +248,15 @@ class TestFinetune:
         before = {k: v.data.copy() for k, v in ckpt.params.items()}
         support = separable_corpus(n_sentences=4, seed=8)
         target_set, target_map = label_setup(("A", "B"))
-        finetune(ckpt, support, target_set, target_map, config)
+        _, plain = finetune(ckpt, support, target_set, target_map, config)
         for k in before:
+            np.testing.assert_array_equal(ckpt.params[k].data, before[k])
+        # and at the default encoder dropout, the same seed fine-tunes the same bits
+        dropped = replace(ckpt, encoder_config=replace(ckpt.encoder_config, dropout=0.1))
+        runs = [finetune(dropped, support, target_set, target_map, config) for _ in range(2)]
+        assert runs[0][1].loss_trace == runs[1][1].loss_trace != plain.loss_trace
+        for k in before:
+            np.testing.assert_array_equal(runs[0][0].params[k].data, runs[1][0].params[k].data)
             np.testing.assert_array_equal(ckpt.params[k].data, before[k])
 
     def test_nothing_after_train_reads_train_config_max_len(self):
