@@ -83,24 +83,22 @@ def init_encoder_params(config: EncoderConfig) -> dict[str, Tensor]:
 
 
 def encode(params: dict[str, Tensor], config: EncoderConfig, batch: PackedBatch,
-           train_mode: bool = False,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Hidden states of the batch's rows, shape (n_occupied, d).
 
     Each layer is one fused multi-head attention, within each sequence, over
     its q/k/v projections and a softplus feed-forward, each followed by a
     residual add and an affine layer norm; every other op runs once over
-    all rows.  Dropout is active only in train mode; its masks are one
-    (sites, n_occupied, d) draw from `rng`, whose entry [s, r] is row r's
-    mask at dropout site s.
+    all rows.  A pass given `rng` is a training pass: its dropout masks are
+    one (sites, n_occupied, d) draw from `rng`, whose entry [s, r] is row
+    r's mask at dropout site s.  A pass without `rng` is an eval pass, with
+    no dropout.
     """
     ids = batch.token_ids
     if ids.max() >= config.vocab_size or ids.min() < 0:
         raise ValueError(f"token id out of range for vocab size {config.vocab_size}")
     masks = None
-    if train_mode and config.dropout > 0:
-        if rng is None:
-            raise ValueError("train-mode encoding needs a dropout rng")
+    if rng is not None and config.dropout > 0:
         masks = iter(rng.random((1 + 2 * config.n_layers, batch.n_occupied, config.d)))
 
     def drop(x: Tensor) -> Tensor:

@@ -149,7 +149,7 @@ def _context_hiddens(ckpt: Checkpoint, sentences: list[Sentence]
             rows += seqs[hi].n_occupied
             hi += 1
         packed = pack(seqs[lo:hi])
-        h = encode(params, ckpt.encoder_config, packed, train_mode=False).data
+        h = encode(params, ckpt.encoder_config, packed).data
         h, c = h[packed.context_rows], packed.context_bounds.tolist()
         for i, seq in enumerate(packed.seqs):
             yield h[c[i]:c[i + 1]], seq.gold_tags

@@ -97,14 +97,13 @@ class OptimizerState:
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
-    """Decoupled-decay update in place; decay skips excluded parameters."""
+    """Decoupled-decay update in place; decay skips excluded parameters.  Every
+    parameter must carry a gradient, as `_update`'s `backward(leaves=...)` ensures."""
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
@@ -336,7 +335,7 @@ def _pack(ckpt: Checkpoint, sentences: list[Sentence], prompt) -> PackedBatch:
 
 def _batch_loss(ckpt: Checkpoint, packed: PackedBatch, config: TrainConfig,
                 dropout_rng, subsample_rng) -> MixedLoss:
-    hidden = encode(ckpt.params, ckpt.encoder_config, packed, train_mode=True, rng=dropout_rng)
+    hidden = encode(ckpt.params, ckpt.encoder_config, packed, dropout_rng)
     batch = build_batch_view(hidden, packed, ckpt.params,
                              o_keep_fraction=config.o_keep_fraction, rng=subsample_rng)
     return mixed_loss(batch, config.loss_config())

@@ -6,7 +6,9 @@ callers look them up in, and `bench/workloads.py`'s `DecodeChecker` wraps
 `src/` would drop calls out of the benchmark's trace and output checks.
 This runs a tiny train, fine-tune, bank and decode pipeline under both and
 checks that every wrapper was installed and reached once per encoder pass,
-and that packed query decoding still hands every query to the checker.
+that the tracer files each pass under train or eval time by the path that
+made it, and that packed query decoding still hands every query to the
+checker.
 """
 
 import math
@@ -56,32 +58,44 @@ def test_tracer_and_checker_see_every_stage(hooks):
     def encode_calls():
         return trace.calls["encoder.encode"]
 
+    def encode_split():
+        return trace.seconds["encoder.encode_train"], trace.seconds["encoder.encode_eval"]
+
+    def grew(before):
+        """Which of the tracer's (train, eval) encode seconds grew since `before`."""
+        return tuple(now > then for now, then in zip(encode_split(), before))
+
+    split = encode_split()
     source = gen.corpus(rng, list(gen.SOURCE_PHRASES), 6, gen.SOURCE_MAX_MENTIONS)
     ckpt, log = training.train_source(source, gen.source_label_set(), gen.label_map(),
                                       config, encoder_overrides=ENC)
     steps = math.ceil(len(source) / config.batch_size)
     assert len(log) == steps
     assert encode_calls() == steps
+    assert grew(split) == (True, False)
     assert trace.calls["losses.build_batch_view"] == steps
     assert trace.calls["training.adamw_step"] == steps
     assert trace.calls["autodiff.backward"] == steps
 
     ep = gen.episode(rng, 2, 1, 3)
     label_set = LabelSet(tuple(ep.classes), role="target")
-    before = encode_calls()
+    before, split = encode_calls(), encode_split()
     tuned, result = inference.finetune(ckpt, ep.support, label_set, ckpt.label_map, config)
     assert trace.calls["training.finetune"] == 1
     assert encode_calls() - before == result.iterations
+    assert grew(split) == (True, False)
 
-    before = encode_calls()
+    before, split = encode_calls(), encode_split()
     bank = inference.build_support_bank(tuned, ep.support)
     assert encode_calls() - before == 1  # the whole support fits one pack
     assert trace.counts["inference.bank_rows"] == len(bank.tags)
+    assert grew(split) == (False, True)
 
-    before = encode_calls()
+    before, split = encode_calls(), encode_split()
     for sent in ep.query:
         inference.decode_sentence(tuned, sent, bank)
     assert encode_calls() - before == len(ep.query)
+    assert grew(split) == (False, True)
     assert trace.calls["inference.decode_sentence"] == len(ep.query)
     assert trace.calls["inference.nn_decode"] == len(ep.query)
     assert checker.checked == len(ep.query) and checker.problems == []

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fewtag import training
+from fewtag.autodiff import Tensor
 from fewtag.cli import RunConfig, main
 from fewtag.data import UNK, Sentence, read_conll, write_conll
+from fewtag.losses import MixedLoss
 from fewtag.training import TrainConfig, load_checkpoint, save_checkpoint
 
 from synthdata import label_setup, separable_corpus
@@ -115,6 +118,15 @@ class TestTrain:
         assert code == 2
         assert not out.exists()
         assert key in caplog.text
+
+    def test_nonfinite_batch_loss_is_numeric_error_without_checkpoint(self, workspace, caplog,
+                                                                        monkeypatch):
+        monkeypatch.setattr(training, "mixed_loss",
+                            lambda batch, config: MixedLoss(Tensor(float("nan")), None, None))
+        code, out = run_train(workspace, "nan")
+        assert code == 4
+        assert "non-finite training loss at step 0" in caplog.text
+        assert not (out / "checkpoint.ckpt").exists()
 
     def test_o_subsampling_that_empties_a_batch_is_data_error(self, workspace, caplog):
         tmp_path, train_path, _, _ = workspace
@@ -247,6 +259,16 @@ class TestSample:
         sampled = read_conll(str(tmp_path / "s1" / "support.conll"))
         assert sampled  # non-empty and re-readable
 
+    def test_prints_the_classes_pushed_past_the_bound(self, tmp_path, capsys):
+        # every sentence holding A holds three A mentions, past the 2K bound at K=1
+        support = tmp_path / "support.conll"
+        write_conll([Sentence(("a", "x", "a", "x", "a"), ("I-A", "O", "I-A", "O", "I-A")),
+                     Sentence(("b", "x"), ("I-B", "O"))] * 2, str(support))
+        code = main(["--seed", "0", "--out", str(tmp_path / "s"), "sample",
+                     "--support", str(support), "--n-way", "2", "--k-shot", "1"])
+        assert code == 0
+        assert "overshoot classes: A\n" in capsys.readouterr().out
+
 
 class TestGradcheck:
     def test_passes_and_prints_max_error(self, workspace, capsys):
@@ -339,6 +361,32 @@ def test_malformed_input_exits_with_its_code_and_names_the_file(trained, tmp_pat
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
     assert str(bad) in caplog.text
+
+
+def _longer_first_support_sentence(record):
+    record["support"]["word"][0].append("extra")
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda r: r.update(types=["A", "C"]),
+                 "support classes ['A', 'B'] do not match declared types ['A', 'C']",
+                 id="types-differ-by-name"),
+    pytest.param(lambda r: r.update(types=["A", "B", "C"]),
+                 "support has 2 entity classes, declared N=3", id="types-differ-by-count"),
+    pytest.param(_longer_first_support_sentence, "sentence needs equal, non-zero token/tag counts",
+                 id="sentence-word-and-label-lengths-differ"),
+])
+def test_bad_episode_record_is_data_error_naming_file_and_episode(trained, tmp_path, caplog,
+                                                                  edit, message):
+    ckpt = trained[1]
+    bad = episode_record()
+    edit(bad)
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(episode_record()) + "\n" + json.dumps(bad) + "\n")
+    code = main(SMALL + ["--out", str(tmp_path / "out"), "evaluate", "--checkpoint", str(ckpt),
+                         "--protocol", "episode", "--episodes", str(path)])
+    assert code == 3
+    assert f"{path}: episode 1: {message}" in caplog.text
 
 
 def test_support_class_the_checkpoints_label_map_lacks_names_both_files(trained, tmp_path,
@@ -549,6 +597,31 @@ def test_size_too_large_to_allocate_is_usage_error(workspace, capsys, caplog, ke
     assert not out.exists()
     assert "out of memory" in caplog.text and "Unable to allocate" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text, flags, message", [
+    pytest.param(None, ["--config", "{config}"], "cannot be read", id="config-unreadable"),
+    pytest.param("{seed: 1}", ["--config", "{config}"], "is not valid JSON",
+                 id="config-not-json"),
+    pytest.param("[1, 2]", ["--config", "{config}"], "must hold a JSON object",
+                 id="config-a-json-list"),
+    pytest.param(None, ["--set", "seed"], "--set expects key=value, got 'seed'",
+                 id="set-without-equals"),
+    pytest.param(None, ["--set", "protocol=bogus"], "unknown protocol 'bogus'",
+                 id="unknown-protocol"),
+    pytest.param(None, ["--set", "shot_mode=2-shot"], "shot_mode must be",
+                 id="unknown-shot-mode"),
+])
+def test_bad_config_file_or_set_flag_is_usage_error(tmp_path, caplog, config_text, flags,
+                                                    message):
+    config = tmp_path / "config.json"
+    if config_text is not None:
+        config.write_text(config_text)
+    out = tmp_path / "out"
+    code = main([f.format(config=config) for f in flags] + ["--out", str(out), "gradcheck"])
+    assert code == 2
+    assert message in caplog.text
+    assert not out.exists()
 
 
 # every key a config may set: the fields of TrainConfig and RunConfig, and the

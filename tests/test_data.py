@@ -80,6 +80,12 @@ class TestEpisodes:
     def test_empty_file(self, tmp_path):
         assert read_fewnerd_episodes(write(tmp_path, "ep.jsonl", "")) == []
 
+    def test_blank_lines_between_records_skipped(self, tmp_path):
+        line = json.dumps(self.record())
+        path = write(tmp_path, "ep.jsonl", f"\n{line}\n\n  \n{line}\n")
+        eps = read_fewnerd_episodes(path)
+        assert len(eps) == 2 and eps[0] == eps[1]
+
 
 class TestLabelMap:
     def test_parse_with_comments(self, tmp_path):

@@ -91,9 +91,9 @@ def test_id_out_of_range_rejected():
 def test_train_mode_dropout_reproducible_per_seed():
     seq, config, _ = small_setup(dropout=0.2)
     params = enc.init_encoder_params(config)
-    a = enc.encode(params, config, seq, train_mode=True, rng=make_rng(0, "drop"))
-    b = enc.encode(params, config, seq, train_mode=True, rng=make_rng(0, "drop"))
-    c = enc.encode(params, config, seq, train_mode=True, rng=make_rng(1, "drop"))
+    a = enc.encode(params, config, seq, rng=make_rng(0, "drop"))
+    b = enc.encode(params, config, seq, rng=make_rng(0, "drop"))
+    c = enc.encode(params, config, seq, rng=make_rng(1, "drop"))
     np.testing.assert_array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
@@ -138,11 +138,11 @@ def _reference_norm(x, gain, bias, eps=1e-5):
     return ad.add(ad.mul(ad.mul(centred, inv_std), gain), bias)
 
 
-def _reference_encode(params, config, seq, train_mode=False, rng=None):
+def _reference_encode(params, config, seq, rng=None):
     """`encode` built from unfused primitives: one graph node per matmul,
     bias add, transpose, reshape and softmax, heads viewed as (H, dh, L)."""
     def drop(x):
-        return ad.dropout(x, config.dropout, next(draws)) if train_mode else x
+        return x if draws is None else ad.dropout(x, config.dropout, next(draws))
 
     def dense(x, w, b):
         return ad.add(ad.matmul(x, params[w]), params[b])
@@ -184,7 +184,7 @@ def test_fused_encode_matches_unfused_reference(train_mode):
     results = []
     for fn in (enc.encode, _reference_encode):
         params = _perturbed_params(config)
-        h = fn(params, config, seq, train_mode=train_mode, rng=make_rng(3, "drop"))
+        h = fn(params, config, seq, rng=make_rng(3, "drop") if train_mode else None)
         weights = Tensor(np.linspace(-1.0, 1.0, h.size).reshape(h.shape))
         ad.tsum(ad.mul(h, weights)).backward(leaves=list(params.values()))
         results.append((h.data, {name: t.grad for name, t in params.items()}))
@@ -259,7 +259,7 @@ def test_train_encode_builds_as_many_nodes_for_32_sequences_as_for_one(monkeypat
     counts = []
     for batch in (seqs[:1], seqs):
         made.clear()
-        enc.encode(params, config, pack(batch), train_mode=True, rng=make_rng(0, "drop"))
+        enc.encode(params, config, pack(batch), rng=make_rng(0, "drop"))
         counts.append(list(made))
     assert counts[0] == counts[1]
     # the eval-mode nodes plus one dropout after the embedding norm and two per layer
@@ -269,7 +269,7 @@ def test_train_encode_builds_as_many_nodes_for_32_sequences_as_for_one(monkeypat
 def test_train_encode_keeps_a_graph_of_its_nodes_down_to_the_parameters():
     seqs, config = packed_setup(32)
     params = enc.init_encoder_params(config)
-    out = enc.encode(params, config, pack(seqs), train_mode=True, rng=make_rng(0, "drop"))
+    out = enc.encode(params, config, pack(seqs), rng=make_rng(0, "drop"))
     seen, stack, inner, leaves = set(), [out], [], set()
     while stack:
         t = stack.pop()
@@ -305,7 +305,7 @@ def test_train_encode_draws_every_dropout_mask_at_once(monkeypatch):
         return original(a, rate, draws)
 
     monkeypatch.setattr(ad, "dropout", recording)
-    enc.encode(params, config, pack(seqs), train_mode=True, rng=Recording())
+    enc.encode(params, config, pack(seqs), rng=Recording())
     sites = 1 + 2 * config.n_layers
     assert [b.shape for b in blocks] == [(sites, sum(s.n_occupied for s in seqs), config.d)]
     # dropout site s reads block s, whose row r is the pack's row r

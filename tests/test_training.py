@@ -138,6 +138,17 @@ class TestTrainSource:
         with pytest.raises(NumericError):
             finetune(ckpt, corpus, label_set, label_map, make_config())
 
+    def test_nonfinite_batch_loss_names_its_step(self, monkeypatch):
+        ckpt, config = trained_fixture()
+        corpus = separable_corpus(n_sentences=4, seed=3)
+        label_set, label_map = label_setup(("A", "B"))
+        monkeypatch.setattr(training, "mixed_loss",
+                            lambda batch, config: ls.MixedLoss(Tensor(np.nan), None, None))
+        with pytest.raises(NumericError, match="non-finite training loss at step 0: nan"):
+            train_source(corpus, label_set, label_map, config, SMALL_ENC)
+        with pytest.raises(NumericError, match="non-finite fine-tuning loss at iteration 0"):
+            finetune(ckpt, corpus, label_set, label_map, config)
+
     def test_default_config_matches_documented_values(self):
         config = TrainConfig()
         assert config.lr == 5e-5

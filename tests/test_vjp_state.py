@@ -200,8 +200,7 @@ def _train_graph():
     packed = pack([assemble_input(s, prompt, vocab, max_len=16) for s in sents])
     config = EncoderConfig(vocab_size=vocab.size, d=8, n_layers=1, n_heads=2,
                            dropout=0.25, max_len=16, seed=5)
-    hidden = encode(init_encoder_params(config), config, packed, train_mode=True,
-                    rng=np.random.default_rng(6))
+    hidden = encode(init_encoder_params(config), config, packed, rng=np.random.default_rng(6))
     batch = build_batch_view(hidden, packed, init_projection_params(d=8, l=4, seed=7))
     return mixed_loss(batch, LossConfig()).total
 
