@@ -138,9 +138,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, self.token_to_id[UNK])
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
 
 def _text_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 text file; DataError naming `path` if it is not UTF-8."""
@@ -226,9 +223,10 @@ def _record_sentences(part: dict) -> list[Sentence]:
 def read_fewnerd_episodes(path: str) -> list[Episode]:
     """One JSON record per line: support/query word+label arrays plus `types`."""
     episodes: list[Episode] = []
-    for idx, raw in enumerate(_text_lines(path)):
+    for raw in _text_lines(path):
         if not raw.strip():
             continue
+        idx = len(episodes)
         try:
             rec = json.loads(raw)
             types = rec["types"]

@@ -1,4 +1,4 @@
-"""Nearest-neighbor decoding, span extraction, micro-F1, and the two
+"""Nearest-neighbor decoding, span extraction, span counts, and the two
 evaluation protocols (episode evaluation and low-resource evaluation).
 
 Decoding runs on raw encoder hidden states; the projection heads are not
@@ -14,14 +14,15 @@ raise NumericError.
 Support banks, query decoding and embedding dumps all encode through
 `_context_hiddens`: consecutive sentences share one eval-mode encoder pass
 of up to PACK_ROWS rows, over the parameters wrapped as constants, so a
-pass builds no autodiff graph.  `decode_sentences` decodes the queries of
-each pass sentence by sentence, through `decode_sentence`.
+pass builds no autodiff graph.  `decode_sentences` is the one encoder of
+queries; it decodes each pass's sentences one by one from their rows, through
+`decode_sentence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -235,14 +236,10 @@ def nn_decode(query_hidden: np.ndarray, bank: SupportBank) -> list[str]:
 
 
 def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
-                    rows: Optional[np.ndarray] = None) -> list[str]:
-    """Predicted IO tags for a sentence; tokens past the length budget default to O.
-
-    `rows` are the sentence's context hidden states, as `_context_hiddens`
-    yields them; without them the sentence is encoded alone.
-    """
-    if rows is None:
-        [(rows, _)] = _context_hiddens(ckpt, [sentence])
+                    rows: np.ndarray) -> list[str]:
+    """Predicted IO tags for a sentence from its rows, the context hidden
+    states `_context_hiddens` yields for it; tokens past the length budget
+    default to O."""
     tags = nn_decode(rows, bank)
     return tags + ["O"] * (len(sentence.tokens) - len(tags))
 
@@ -278,6 +275,7 @@ def extract_spans(tags) -> list[Span]:
 
 
 def span_counts(gold: list[list[Span]], pred: list[list[Span]]) -> tuple[int, int, int]:
+    """Exact-match (start, end, class) span tp, fp, fn, pooled over sentences."""
     if len(gold) != len(pred):
         raise DataError("gold and predicted sentence lists must align")
     tp = fp = fn = 0
@@ -287,12 +285,6 @@ def span_counts(gold: list[list[Span]], pred: list[list[Span]]) -> tuple[int, in
         fp += len(ps - gs)
         fn += len(gs - ps)
     return tp, fp, fn
-
-
-def micro_f1(gold: list[list[Span]], pred: list[list[Span]]) -> EvalReport:
-    """Exact-match (start, end, class) span scoring, pooled over sentences."""
-    tp, fp, fn = span_counts(gold, pred)
-    return EvalReport(tp=tp, fp=fp, fn=fn)
 
 
 def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: LabelSet,

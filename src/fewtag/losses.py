@@ -39,15 +39,6 @@ METRIC_SQEUCLID = "sqeuclid"
 VARIANT_OCL = "ocl"
 VARIANT_ICL = "icl"
 
-# instrumentation: how many times each loss body actually ran
-call_counts: dict[str, int] = {"context_context": 0, "context_label": 0}
-
-
-def reset_call_counts() -> None:
-    for k in call_counts:
-        call_counts[k] = 0
-
-
 @dataclass(frozen=True)
 class LossConfig:
     alpha: float = 0.5
@@ -125,9 +116,6 @@ class BatchView:
         if metric not in self._self_distances:
             self._self_distances[metric] = _pairwise(self.embeddings, self.embeddings, metric)
         return self._self_distances[metric]
-
-    def positive_set(self, p: int) -> list[int]:
-        return [q for q, t in enumerate(self.tags) if q != p and t == self.tags[p]]
 
 
 def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, Tensor],
@@ -247,7 +235,6 @@ class LossValue:
 
 def context_context_loss(batch: BatchView, config: LossConfig) -> LossValue:
     """Mean anchor loss over batch tokens; anchors without positives are skipped."""
-    call_counts["context_context"] += 1
     pos, offdiag = batch.masks
     usable = np.nonzero(pos.any(axis=1))[0]
     if usable.size == 0:
@@ -267,11 +254,8 @@ def context_label_loss(batch: BatchView, config: LossConfig) -> LossValue:
     blocks (see `pairwise_symkl`): row i holds token i's distances to its
     own sentence's C representatives.  Each token is an ICL anchor whose
     only positive is its gold representative and whose candidates are all
-    C of them.
+    C of them.  `build_batch_view` never makes a view without tokens.
     """
-    call_counts["context_label"] += 1
-    if batch.n_tokens == 0:
-        return LossValue(Tensor(0.0), warned=True)
     if batch.label_reps is None:
         raise ValueError("batch has no label representatives")
     gold = batch.label_gold

@@ -248,8 +248,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             name = take(name_len).decode()
             (rank,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-            count = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+            data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
             if not np.isfinite(data).all():
                 # training refuses non-finite losses and gradients, so no save holds these
                 raise CheckpointError(f"{path}: tensor {name} holds non-finite values")

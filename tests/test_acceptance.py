@@ -17,8 +17,7 @@ from fewtag.data import LabelMap, LabelSet, Sentence, greedy_sample_support
 from fewtag.gaussian import GaussianEmbedding, js, kl
 from fewtag.gradcheck import run_gradcheck
 from fewtag.inference import (EvalReport, Span, SupportBank, build_support_bank,
-                              decode_sentence, extract_spans, micro_f1, nn_decode,
-                              span_counts)
+                              decode_sentences, extract_spans, nn_decode, span_counts)
 from fewtag.losses import LossConfig, anchor_loss_in, anchor_loss_out
 from fewtag.encoder import EncoderConfig
 from fewtag.training import (TrainConfig, finetune, load_checkpoint, retarget,
@@ -77,7 +76,7 @@ def test_criterion_2_variant_ordering(capsys):
         outer = anchor_loss_out(0, batch, config)
         gap = inner.item() - outer.item()  # must be <= 0 up to roundoff
         worst_gap = max(worst_gap, gap)
-        if len(batch.positive_set(0)) == 1:
+        if batch.masks[0][0].sum() == 1:
             singles += 1
             worst_single = max(worst_single, abs(gap))
         checked += 1
@@ -159,9 +158,8 @@ def _memo_support():
 def _decode_f1(ckpt, support, queries):
     bank = build_support_bank(ckpt, support)
     gold = [extract_spans(s.tags) for s in queries]
-    pred = [extract_spans(decode_sentence(ckpt, s, bank))
-            for s in queries]
-    return micro_f1(gold, pred).f1
+    pred = [extract_spans(tags) for tags in decode_sentences(ckpt, queries, bank)]
+    return EvalReport(*span_counts(gold, pred)).f1
 
 
 def test_criterion_4_memorization(capsys):
@@ -214,7 +212,7 @@ def _transfer_run(seed):
             _decode_f1(tuned, support, query), ckpt, support, target_set)
 
 
-def test_criterion_5_transfer(capsys):
+def test_criterion_5_transfer(capsys, loss_calls):
     deltas = []
     last = None
     for seed in range(5):
@@ -227,12 +225,12 @@ def test_criterion_5_transfer(capsys):
     ckpt, support, target_set = last
     one_shot = TrainConfig(lr=0.02, batch_size=8, epochs=1, max_len=24,
                            embed_dim=8, seed=0, shot_mode="1-shot")
-    ls.reset_call_counts()
+    loss_calls.clear()
     _, result = finetune(ckpt, support, target_set, XFER_MAP, one_shot)
     one_shot_ok = (result.metric == "sqeuclid"
                    and not result.used_context_context
-                   and ls.call_counts["context_context"] == 0
-                   and ls.call_counts["context_label"] == result.iterations)
+                   and loss_calls["context_context"] == 0
+                   and loss_calls["context_label"] == result.iterations)
 
     med_delta = float(np.median(deltas))
     ok = med_delta > 0 and one_shot_ok
@@ -307,7 +305,7 @@ def test_criterion_8_scoring_oracle(capsys):
         n = int(rng.integers(1, 20))
         gold = [extract_spans([choices[i] for i in rng.integers(0, 3, size=n)])]
         pred = [extract_spans([choices[i] for i in rng.integers(0, 3, size=n)])]
-        rep = micro_f1(gold, pred)
+        rep = EvalReport(*span_counts(gold, pred))
         gs, ps = set(gold[0]), set(pred[0])
         tp = len(gs & ps)
         prec = tp / len(ps) if ps else 0.0
@@ -355,10 +353,10 @@ def test_criterion_9_reproducibility(capsys, tmp_path):
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 
     bank = build_support_bank(ckpts[0], support)
-    before = [decode_sentence(ckpts[0], s, bank) for s in queries]
+    before = decode_sentences(ckpts[0], queries, bank)
     loaded = load_checkpoint(str(paths[0]))
     bank2 = build_support_bank(loaded, support)
-    after = [decode_sentence(loaded, s, bank2) for s in queries]
+    after = decode_sentences(loaded, queries, bank2)
     roundtrip = before == after
 
     ok = identical and roundtrip

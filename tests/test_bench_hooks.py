@@ -92,9 +92,8 @@ def test_tracer_and_checker_see_every_stage(hooks):
     assert grew(split) == (False, True)
 
     before, split = encode_calls(), encode_split()
-    for sent in ep.query:
-        inference.decode_sentence(tuned, sent, bank)
-    assert encode_calls() - before == len(ep.query)
+    inference.decode_sentences(tuned, ep.query, bank)
+    assert encode_calls() - before == 1  # the queries fit one pack
     assert grew(split) == (False, True)
     assert trace.calls["inference.decode_sentence"] == len(ep.query)
     assert trace.calls["inference.nn_decode"] == len(ep.query)

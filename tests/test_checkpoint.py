@@ -291,6 +291,28 @@ def test_cli_maps_bad_metadata_to_data_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("shape", [
+    pytest.param((2**40, 2**40), id="count-wraps-to-zero-in-int64"),
+    pytest.param((2**64 - 1, 1) * 16, id="count-overflows-float64"),
+])
+def test_tensor_shape_larger_than_the_file_is_data_error(tmp_path, capsys, shape):
+    _, meta, _ = v1_parts()
+    path = tmp_path / "shape.ckpt"
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<IQ", 2, len(meta)) + meta)
+        f.write(struct.pack("<IH", 1, 9) + b"emb.token")
+        f.write(struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + bytes(64))
+    with pytest.raises(CheckpointError, match="truncated") as raised:
+        load_checkpoint(str(path))
+    assert str(path) in str(raised.value)
+    conll = tmp_path / "in.conll"
+    conll.write_text("alice\tI-person\n")
+    code = main(["--out", str(tmp_path / "out"), "predict", "--checkpoint", str(path),
+                 "--support", str(conll), "--input", str(conll)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_failed_save_leaves_previous_file_intact(tmp_path):
     ckpt = load_checkpoint(V1_CKPT)
     path = tmp_path / "a.ckpt"

@@ -86,6 +86,13 @@ class TestEpisodes:
         eps = read_fewnerd_episodes(path)
         assert len(eps) == 2 and eps[0] == eps[1]
 
+    def test_bad_record_is_numbered_by_episode_not_line(self, tmp_path):
+        good = json.dumps(self.record())
+        bad = json.dumps(self.record(types=["person"]))
+        path = write(tmp_path, "ep.jsonl", f"{good}\n\n{bad}\n")
+        with pytest.raises(DataError, match="episode 1:"):
+            read_fewnerd_episodes(path)
+
 
 class TestLabelMap:
     def test_parse_with_comments(self, tmp_path):
@@ -209,7 +216,7 @@ class TestVocab:
     def test_label_phrase_words_always_present(self):
         lm = LabelMap({"creative-work": "creative work", "O": "other"})
         v = build_vocab([Sentence(("x",), ("O",))], label_map=lm)
-        assert "creative" in v and "work" in v and "other" in v
+        assert {"creative", "work", "other"} <= v.token_to_id.keys()
 
     def test_reserved_ids(self):
         v = build_vocab([Sentence(("a",), ("O",))])

@@ -1,14 +1,20 @@
-"""The package imports nothing but the standard library and numpy.
+"""What the package depends on, and what depends on the package.
 
 README promises "Runtime dependency is numpy only".  Every import statement
 in every module under `src/fewtag`, at any depth of the module, must name a
 standard-library module, numpy or fewtag itself; relative imports are
 fewtag's own.
+
+Every function and class the package defines is named by the package or by
+the benchmark under `bench/`: a definition that only tests name is code no
+program path needs.
 """
 
 import ast
 import pathlib
+import re
 import sys
+from collections import Counter
 
 import fewtag
 
@@ -30,3 +36,22 @@ def test_modules_import_only_the_standard_library_and_numpy():
     assert len(modules) > 1
     outside = {f"{m.name}: {root}" for m in modules for root in imported_roots(m) - ALLOWED}
     assert not outside
+
+
+# Defined only as the tests' reference: criterion 3 and test_gaussian check
+# the closed-form divergences against `js` by quadrature.
+TEST_ONLY = {"js"}
+
+
+def test_every_definition_is_named_outside_the_tests():
+    package = pathlib.Path(fewtag.__file__).parent
+    bench = package.parents[1] / "bench"
+    modules = sorted(package.glob("*.py"))
+    defined = Counter(
+        node.name for m in modules for node in ast.walk(ast.parse(m.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("__"))
+    text = "\n".join(p.read_text() for p in modules + sorted(bench.glob("*.py")))
+    unnamed = {name for name, n in defined.items()
+               if len(re.findall(rf"\b{name}\b", text)) <= n}
+    assert unnamed == TEST_ONLY

@@ -18,9 +18,8 @@ from fewtag.data import (DataError, Episode, LabelSet, Sentence, build_vocab,
                          greedy_sample_support)
 from fewtag.encoder import EncoderConfig
 from fewtag.inference import (EvalReport, Span, SupportBank, build_support_bank,
-                              decode_sentence, decode_sentences, dump_embeddings,
-                              evaluate_episodes, extract_spans, low_resource_eval, micro_f1,
-                              nn_decode, span_counts)
+                              decode_sentences, dump_embeddings, evaluate_episodes,
+                              extract_spans, low_resource_eval, nn_decode, span_counts)
 from fewtag.prompt import assemble_input, build_label_prompt
 from fewtag.training import Checkpoint, TrainConfig, finetune, init_params, train_source
 
@@ -246,7 +245,7 @@ class TestMicroF1:
         # the first, so precision 1, recall 0.5, F1 2/3
         gold = [[Span(1, 2, "A"), Span(4, 4, "B")]]
         pred = [[Span(1, 2, "A")]]
-        rep = micro_f1(gold, pred)
+        rep = EvalReport(*span_counts(gold, pred))
         assert (rep.tp, rep.fp, rep.fn) == (1, 0, 1)
         assert rep.precision == 1.0
         assert rep.recall == 0.5
@@ -255,14 +254,14 @@ class TestMicroF1:
     def test_boundary_or_class_error_counts_twice(self):
         gold = [[Span(1, 2, "A")]]
         pred = [[Span(1, 1, "A")]]
-        rep = micro_f1(gold, pred)
+        rep = EvalReport(*span_counts(gold, pred))
         assert (rep.tp, rep.fp, rep.fn) == (0, 1, 1)
         assert rep.f1 == 0.0
 
     def test_pooled_over_sentences(self):
         gold = [[Span(0, 0, "A")], [Span(0, 0, "B"), Span(2, 2, "B")]]
         pred = [[Span(0, 0, "A")], [Span(0, 0, "B")]]
-        rep = micro_f1(gold, pred)
+        rep = EvalReport(*span_counts(gold, pred))
         assert (rep.tp, rep.fp, rep.fn) == (2, 0, 1)
         assert rep.f1 == pytest.approx(0.8)
 
@@ -274,7 +273,7 @@ class TestMicroF1:
             g_tags = [choices[i] for i in rng.integers(0, 3, size=n)]
             p_tags = [choices[i] for i in rng.integers(0, 3, size=n)]
             gold, pred = [extract_spans(g_tags)], [extract_spans(p_tags)]
-            rep = micro_f1(gold, pred)
+            rep = EvalReport(*span_counts(gold, pred))
             gs, ps = set(gold[0]), set(pred[0])
             tp = len(gs & ps)
             prec = tp / len(ps) if ps else 0.0
@@ -307,15 +306,13 @@ class TestDecoding:
         ckpt, config, corpus, _ = trained
         support = corpus[:6]
         bank = build_support_bank(ckpt, support)
-        for sent in support:
-            pred = decode_sentence(ckpt, sent, bank)
-            assert pred == list(sent.tags)
+        assert decode_sentences(ckpt, support, bank) == [list(s.tags) for s in support]
 
     def test_truncated_positions_default_to_o(self, trained):
         ckpt, config, corpus, _ = trained
         bank = build_support_bank(ckpt, corpus[:2])
         long_sent = Sentence(tuple(f"w{i}" for i in range(40)), ("O",) * 40)
-        pred = decode_sentence(ckpt, long_sent, bank)
+        [pred] = decode_sentences(ckpt, [long_sent], bank)
         assert len(pred) == 40
         assert pred[-1] == "O"
 
@@ -378,7 +375,7 @@ class TestDecoding:
         support = corpus[:4] + [long_sent]
         tuned, _ = finetune(ckpt, support, label_set, ckpt.label_map, wide)
         bank = build_support_bank(tuned, support)
-        pred = decode_sentence(tuned, long_sent, bank)
+        [pred] = decode_sentences(tuned, [long_sent], bank)
         n_ctx = len(assemble_input(long_sent, build_label_prompt(label_set, ckpt.label_map),
                                    ckpt.vocab, max_len=ckpt.encoder_config.max_len).gold_tags)
         assert n_ctx < 40
@@ -423,7 +420,7 @@ class TestDecodeSentences:
         # the long sentence has a pass of its own; the others share packs under the cap
         assert max(passes) > pack_rows and sorted(passes)[-2] <= pack_rows
         assert 1 < len(passes) < len(queries)
-        assert packed == [decode_sentence(ckpt, s, bank) for s in queries]
+        assert packed == [decode_sentences(ckpt, [s], bank)[0] for s in queries]
         assert [len(tags) for tags in packed] == [len(s.tokens) for s in queries]
 
     def test_empty_query_list_decodes_to_nothing(self):

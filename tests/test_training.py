@@ -180,17 +180,17 @@ class TestFinetune:
                 assert cur <= prev
             assert trace[-1] > trace[-2] or len(trace) == 1
 
-    def test_one_shot_mode_skips_context_context(self):
+    def test_one_shot_mode_skips_context_context(self, loss_calls):
         ckpt, config = trained_fixture()
         support = separable_corpus(n_sentences=4, seed=6)
         target_set, target_map = label_setup(("A", "B"))
         one_shot = TrainConfig(**{**config.__dict__, "shot_mode": "1-shot"})
-        ls.reset_call_counts()
+        loss_calls.clear()
         _, result = finetune(ckpt, support, target_set, target_map, one_shot)
         assert result.metric == "sqeuclid"
         assert not result.used_context_context
-        assert ls.call_counts["context_context"] == 0
-        assert ls.call_counts["context_label"] == result.iterations
+        assert loss_calls["context_context"] == 0
+        assert loss_calls["context_label"] == result.iterations
 
     def test_empty_support_rejected(self):
         ckpt, config = trained_fixture()
