@@ -405,6 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(e: BaseException) -> str:
+    """str(e) after its notes, outermost (last added) first."""
+    return ": ".join([*reversed(getattr(e, "__notes__", ())), str(e)])
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("FEWTAG_LOG_LEVEL", "INFO").upper(),
@@ -421,10 +426,10 @@ def main(argv: list[str] | None = None) -> int:
         snapshot = run.out, _snapshot(args.command, train, run, encoder)
         return command.func(train, run, encoder, ckpt)
     except UsageError as e:
-        log.error("usage error: %s", e)
+        log.error("usage error: %s", _message(e))
         return EXIT_USAGE
     except MemoryError as e:
-        log.error("usage error: out of memory, a size setting is too large: %s", e)
+        log.error("usage error: out of memory, a size setting is too large: %s", _message(e))
         if snapshot:  # written by this run
             out, created = snapshot
             os.remove(os.path.join(out, SNAPSHOT))
@@ -432,10 +437,10 @@ def main(argv: list[str] | None = None) -> int:
                 os.rmdir(out)
         return EXIT_USAGE
     except (DataError, CheckpointError, OSError) as e:
-        log.error("data error: %s", e)
+        log.error("data error: %s", _message(e))
         return EXIT_DATA
     except (NumericError, FloatingPointError) as e:
-        log.error("numeric error: %s", e)
+        log.error("numeric error: %s", _message(e))
         return EXIT_NUMERIC
 
 

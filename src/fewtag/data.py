@@ -328,16 +328,11 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
     return SupportSample(sentences=selected, counts=dict(counts), overshoot=overshoot)
 
 
-def build_vocab(sentences: Iterable[Sentence],
-                label_map: Optional[LabelMap] = None) -> Vocabulary:
-    """Reserved tokens, then label phrase words, then corpus tokens in sorted order."""
-    token_to_id = {tok: i for i, tok in enumerate(RESERVED)}
-    if label_map is not None:
-        for phrase in label_map.phrases.values():
-            for word in phrase.split():
-                if word not in token_to_id:
-                    token_to_id[word] = len(token_to_id)
-    for tok in sorted({tok for sent in sentences for tok in sent.tokens}):
-        if tok not in token_to_id:
-            token_to_id[tok] = len(token_to_id)
-    return Vocabulary(token_to_id)
+def build_vocab(sentences: Iterable[Sentence], label_map: Optional[LabelMap] = None,
+                extra_words: Iterable[str] = ()) -> Vocabulary:
+    """Reserved tokens, then label phrase words, then corpus tokens in sorted
+    order, then `extra_words` in their order; a word repeated keeps its first id."""
+    phrases = label_map.phrases.values() if label_map is not None else ()
+    words = (*RESERVED, *(w for phrase in phrases for w in phrase.split()),
+             *sorted({tok for sent in sentences for tok in sent.tokens}), *extra_words)
+    return Vocabulary({tok: i for i, tok in enumerate(dict.fromkeys(words))})

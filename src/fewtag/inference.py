@@ -247,13 +247,14 @@ def decode_sentence(ckpt: Checkpoint, sentence: Sentence, bank: SupportBank,
 def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence],
                      bank: SupportBank) -> list[list[str]]:
     """`decode_sentence` of each sentence, from packed encoder passes; a
-    NumericError names the sentence."""
+    NumericError is re-raised with the note `query sentence i`."""
     out = []
     for i, (sentence, (rows, _)) in enumerate(zip(sentences, _context_hiddens(ckpt, sentences))):
         try:
             out.append(decode_sentence(ckpt, sentence, bank, rows=rows))
         except NumericError as e:
-            raise _prefixed(e, f"query sentence {i}: ") from e
+            _noted(e, f"query sentence {i}")
+            raise
     return out
 
 
@@ -297,33 +298,16 @@ def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: L
     return span_counts(gold, pred)
 
 
-def _prefixed(e: Exception, prefix: str) -> Exception:
-    """A copy of `e` whose message is `prefix` + str(e).
-
-    The copy is an instance of a subclass of type(e) that only overrides
-    __str__, so every handler of e's class (and the CLI's exit code for it)
-    still applies, and it keeps e's args and attributes.  Calling type(e)
-    with the new message would not do: constructors differ (UnicodeDecodeError
-    takes five arguments) and some classes format their message themselves
-    (KeyError quotes it).
-    """
-    message = prefix + str(e)
-    cls = type(type(e).__name__, (type(e),),
-               {"__str__": lambda self: message, "__module__": type(e).__module__})
-    copy = cls.__new__(cls, *e.args)
-    try:
-        copy.__init__(*e.args)  # fills fields such as UnicodeDecodeError.reason
-    except TypeError:
-        pass  # a constructor that takes other arguments than its args; args still kept
-    copy.__dict__.update(vars(e))
-    return copy
+def _noted(e: BaseException, note: str) -> None:
+    """Add `note` to e's notes, as BaseException.add_note does on Python 3.11+."""
+    e.__notes__ = [*getattr(e, "__notes__", ()), note]
 
 
 def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                       config: TrainConfig) -> EvalReport:
     """Per episode: re-start from the source checkpoint, fine-tune on the
     support, decode the queries; counts are pooled over all episodes before
-    F1 is computed."""
+    F1 is computed.  An error is re-raised with the note `episode i`."""
     if not episodes:
         raise DataError("no episodes to evaluate")
     tp = fp = fn = 0
@@ -333,7 +317,8 @@ def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                                      LabelSet(tuple(ep.classes), role="target"),
                                      config, ep.query)
         except Exception as e:
-            raise _prefixed(e, f"episode {idx}: ") from e
+            _noted(e, f"episode {idx}")
+            raise
         tp, fp, fn = tp + a, fp + b, fn + c
     return EvalReport(tp=tp, fp=fp, fn=fn)
 
@@ -347,7 +332,9 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
 
     Reports per-run F1 plus mean and sample standard deviation.  A sampling
     failure aborts unless skip_failed_runs is set, in which case the run's
-    seed is recorded in `skipped_seeds`; DataError when no run remains.
+    seed is recorded in `skipped_seeds`; DataError when no run remains.  An
+    error that ends a run, an unskipped sampling failure included, is
+    re-raised with the note `low-resource run seed s`.
     """
     if not seeds:
         raise DataError("low-resource evaluation needs at least one seed")
@@ -356,15 +343,19 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
     pooled = (0, 0, 0)
     for seed in seeds:
         try:
-            sample = greedy_sample_support(support_corpus, target_label_set,
-                                           n_way, k_shot, seed=seed, strict_k=strict_k)
-        except DataError:
-            if not skip_failed_runs:
-                raise
-            skipped.append(seed)
-            continue
-        counts = _fit_and_score(checkpoint, sample.sentences, target_label_set,
-                                replace(config, seed=seed), test_corpus)
+            try:
+                sample = greedy_sample_support(support_corpus, target_label_set,
+                                               n_way, k_shot, seed=seed, strict_k=strict_k)
+            except DataError:
+                if not skip_failed_runs:
+                    raise
+                skipped.append(seed)
+                continue
+            counts = _fit_and_score(checkpoint, sample.sentences, target_label_set,
+                                    replace(config, seed=seed), test_corpus)
+        except Exception as e:
+            _noted(e, f"low-resource run seed {seed}")
+            raise
         per_run.append(EvalReport(*counts).f1)
         pooled = tuple(a + b for a, b in zip(pooled, counts))
     if not per_run:

@@ -267,7 +267,8 @@ def load_checkpoint(path: str) -> Checkpoint:
              and sorted(vocab.values()) == list(range(len(vocab)))),
             ("label_set", fits_json(classes, tuple[str, ...]) and len(classes) > 0),
             ("label_map", fits_json(meta["label_map"], dict[str, str])
-             and meta["label_map"].keys() >= {*classes, "O"})] if not ok]
+             and meta["label_map"].keys() >= {*classes, "O"}),
+            ("embed_dim", fits_json(meta["embed_dim"], int) and meta["embed_dim"] > 0)] if not ok]
         if wrong:
             raise CheckpointError(f"{path}: malformed checkpoint metadata: {', '.join(wrong)}")
         if version == 1:
@@ -375,13 +376,7 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
         raise DataError("source dataset is empty")
     label_map.check_covers(label_set)
 
-    vocab = build_vocab(sentences, label_map=label_map)
-    if extra_vocab_words:
-        token_to_id = dict(vocab.token_to_id)
-        for w in extra_vocab_words:
-            if w not in token_to_id:
-                token_to_id[w] = len(token_to_id)
-        vocab = Vocabulary(token_to_id)
+    vocab = build_vocab(sentences, label_map=label_map, extra_words=extra_vocab_words or ())
 
     encoder_config = EncoderConfig(vocab_size=vocab.size, max_len=config.max_len,
                                    seed=config.seed, **(encoder_overrides or {}))

@@ -143,6 +143,10 @@ def test_bad_metadata_rejected(tmp_path, meta, match):
     pytest.param(("label_set", "classes"), "PER", "label_set", id="classes-a-string"),
     pytest.param(("label_map",), {"O": "other"}, "label_map", id="label-map-missing-classes"),
     pytest.param(("label_map",), "other", "label_map", id="label-map-a-string"),
+    # the fixture's own embed_dim, 4, as a float matched every tensor shape
+    pytest.param(("embed_dim",), 4.0, "embed_dim", id="embed-dim-a-float"),
+    pytest.param(("embed_dim",), 0, "embed_dim", id="embed-dim-zero"),
+    pytest.param(("embed_dim",), "4", "embed_dim", id="embed-dim-a-string"),
 ])
 def test_wrongly_typed_metadata_rejected(tmp_path, path, value, field):
     save_checkpoint(load_checkpoint(V1_CKPT), str(tmp_path / "v2.ckpt"))

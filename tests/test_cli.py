@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fewtag import training
-from fewtag.autodiff import Tensor
+from fewtag import inference, training
+from fewtag.autodiff import NumericError, Tensor
 from fewtag.cli import RunConfig, main
 from fewtag.data import UNK, Sentence, read_conll, write_conll
+from fewtag.inference import decode_sentence
 from fewtag.losses import MixedLoss
 from fewtag.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -387,6 +388,36 @@ def test_bad_episode_record_is_data_error_naming_file_and_episode(trained, tmp_p
                          "--protocol", "episode", "--episodes", str(path)])
     assert code == 3
     assert f"{path}: episode 1: {message}" in caplog.text
+
+
+def test_query_decoding_error_names_its_episode_then_its_query(trained, tmp_path, caplog,
+                                                               monkeypatch):
+    ckpt = trained[1]
+    path = tmp_path / "episodes.jsonl"
+    path.write_text((json.dumps(episode_record()) + "\n") * 2)  # two queries each
+    calls = []
+
+    def fail_fourth(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise NumericError("planted")
+        return decode_sentence(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "decode_sentence", fail_fourth)
+    code = main(SMALL + ["--out", str(tmp_path / "out"), "evaluate", "--checkpoint", str(ckpt),
+                         "--protocol", "episode", "--episodes", str(path)])
+    assert code == 4
+    assert "numeric error: episode 1: query sentence 1: planted" in caplog.text
+
+
+def test_low_resource_error_names_its_seed(trained, tmp_path, caplog):
+    (_, train_path, support_path, _), ckpt = trained
+    code = main(SMALL + ["--seed", "5", "--out", str(tmp_path / "out"), "evaluate",
+                         "--checkpoint", str(ckpt), "--protocol", "low-resource",
+                         "--support", str(train_path), "--test-corpus", str(support_path),
+                         "--n-way", "2", "--k-shot", "50", "--n-runs", "3"])
+    assert code == 3
+    assert "data error: low-resource run seed 5: cannot reach k_shot=50 shots" in caplog.text
 
 
 def test_support_class_the_checkpoints_label_map_lacks_names_both_files(trained, tmp_path,

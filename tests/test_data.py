@@ -226,3 +226,16 @@ class TestVocab:
         v = build_vocab(toy_corpus())
         ids = list(v.token_to_id.values())
         assert sorted(ids) == list(range(len(ids)))
+
+    @pytest.mark.parametrize("extra", [(), ("zeta", "alpha"), ("work", "b", "[UNK]", "zeta"),
+                                       ("zeta", "zeta", "a", "eta")])
+    def test_extra_words_follow_the_corpus_once_each(self, extra):
+        lm = LabelMap({"creative-work": "creative work", "O": "other b"})
+        corpus = [Sentence(("b", "a", "work"), ("O",) * 3), Sentence(("a", "c"), ("O", "O"))]
+        # the rule spelled out: reserved tokens, phrase words, sorted corpus
+        # tokens, then extra words, each new word taking the next id
+        want: dict[str, int] = {}
+        for w in ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "creative", "work", "other", "b",
+                  "a", "b", "c", "work", *extra):
+            want.setdefault(w, len(want))
+        assert build_vocab(corpus, label_map=lm, extra_words=extra).token_to_id == want

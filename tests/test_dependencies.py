@@ -8,6 +8,9 @@ fewtag's own.
 Every function and class the package defines is named by the package or by
 the benchmark under `bench/`: a definition that only tests name is code no
 program path needs.
+
+Every module parses at the oldest Python that `pyproject.toml` declares in
+`requires-python`, so syntax of a later version (`except*`, say) fails here.
 """
 
 import ast
@@ -55,3 +58,11 @@ def test_every_definition_is_named_outside_the_tests():
     unnamed = {name for name, n in defined.items()
                if len(re.findall(rf"\b{name}\b", text)) <= n}
     assert unnamed == TEST_ONLY
+
+
+def test_modules_parse_at_the_declared_python_floor():
+    package = pathlib.Path(fewtag.__file__).parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    minor = int(re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.M).group(1))
+    for module in sorted(package.glob("*.py")):
+        ast.parse(module.read_text(), filename=str(module), feature_version=(3, minor))

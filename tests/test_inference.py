@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pickle
 import sys
 import tracemalloc
 import weakref
@@ -513,9 +514,24 @@ class TestEvaluateEpisodes:
         monkeypatch.setattr(inference, "finetune", fail_second)
         with pytest.raises(type(error)) as info:
             evaluate_episodes(ckpt, episodes, config)
-        assert str(info.value) == f"episode 1: {error}"
-        assert info.value.__cause__ is error
-        assert info.value.args == error.args
+        assert info.value is error
+        assert error.__notes__ == ["episode 1"]
+
+    @pytest.mark.parametrize("error", [
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        KeyError("PER"),
+        ShapeError("add", (3, 2), (3,)),
+        DataError("support has no entity"),
+    ], ids=lambda e: type(e).__name__)
+    def test_noted_episode_errors_survive_pickle(self, trained, monkeypatch, error):
+        ckpt, config, corpus, _ = trained
+        episodes = [Episode(support=corpus[:4], query=corpus[4:5], n_way=2, k_shot=2)]
+        monkeypatch.setattr(inference, "finetune", mock.Mock(side_effect=error))
+        with pytest.raises(type(error)) as info:
+            evaluate_episodes(ckpt, episodes, config)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is type(error)
+        assert (copy.args, copy.__notes__, str(copy)) == (error.args, ["episode 0"], str(error))
 
 
 class TestLowResourceEval:
@@ -564,6 +580,37 @@ class TestLowResourceEval:
         assert len(rep.per_run) == len(seeds) - len(failing)
         assert rep.summary()["skipped_seeds"] == failing
         assert "skipped_seeds" not in EvalReport(tp=1, fp=0, fn=0, per_run=[1.0]).summary()
+
+
+    def test_errors_that_end_a_run_name_its_seed(self, trained, monkeypatch):
+        ckpt, config, corpus, label_set = trained
+        # a sampling failure not skipped
+        with pytest.raises(DataError, match="cannot reach") as info:
+            low_resource_eval(ckpt, label_set, corpus[:2], corpus[:2],
+                              n_way=2, k_shot=50, seeds=[3], config=config)
+        assert info.value.__notes__ == ["low-resource run seed 3"]
+        # an error from decoding the second run's queries
+        calls = []
+
+        def fail_second_run(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("planted")
+            return decode_sentences(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "decode_sentences", fail_second_run)
+        with pytest.raises(NumericError, match="planted") as info:
+            low_resource_eval(ckpt, label_set, corpus, corpus[:2],
+                              n_way=2, k_shot=1, seeds=[0, 1], config=config)
+        assert info.value.__notes__ == ["low-resource run seed 1"]
+
+    def test_skipped_seeds_add_no_note(self, trained):
+        ckpt, config, corpus, label_set = trained
+        with pytest.raises(DataError, match="every low-resource run failed") as info:
+            low_resource_eval(ckpt, label_set, corpus[:2], corpus[:2],
+                              n_way=2, k_shot=50, seeds=[0, 1], config=config,
+                              skip_failed_runs=True)
+        assert not hasattr(info.value, "__notes__")
 
 
 class TestDumpEmbeddings:
