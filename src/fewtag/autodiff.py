@@ -98,8 +98,21 @@ class Tensor:
             raise RuntimeError("backward already ran on this root; rebuild the graph first")
         self._backward_ran = True
 
+        # inputs before the node they feed, in the order a depth-first walk
+        # finishes them; an explicit stack, so any depth of graph will do
         topo: list[Tensor] = []
-        _postorder(self, set(), topo)
+        visited = {id(self)}
+        stack = [(self, iter(self._prev))]
+        while stack:
+            node, inputs = stack[-1]
+            for p in inputs:
+                if id(p) not in visited:
+                    visited.add(id(p))
+                    stack.append((p, iter(p._prev)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._vjp is not None:
@@ -122,21 +135,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-
-def _postorder(t: Tensor, visited: set[int], topo: list[Tensor]) -> None:
-    """Append t's unvisited ancestors to topo, each after all of its inputs.
-
-    A module function, not a closure in `backward`: a closure naming itself
-    is a reference cycle, which would keep `topo`, and with it the whole
-    graph, alive until the cycle collector runs.
-    """
-    if id(t) in visited:
-        return
-    visited.add(id(t))
-    for p in t._prev:
-        _postorder(p, visited, topo)
-    topo.append(t)
 
 
 def _as_tensor(x) -> Tensor:
@@ -317,7 +315,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _centred(x: np.ndarray) -> np.ndarray:
-    return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    # the mean as sum(x * s) / (n * s) for the power of two s <= 1 / n: a sum
+    # of finite entries cannot overflow, and scaling by s is exact, so
+    # outside the subnormal range the mean is sum(x) / n bit for bit
+    n = x.shape[-1]
+    s = 2.0 ** -math.ceil(math.log2(n))
+    return x - (x * s).sum(axis=-1, keepdims=True) / (n * s)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -441,36 +444,34 @@ def finite_diff_check(fn: Callable[[Tensor], Tensor | tuple[Tensor, ...]],
     tuple of scalar Tensors.  Relative error per coordinate is
     |analytic - numeric| / max(1, |numeric|); the result is its max over
     coordinates, one float per output (a tuple for a tuple `fn`).  Each
-    perturbed point is evaluated once for every output; each output's
-    gradient comes from a fresh graph of `fn`.  Raises FloatingPointError
-    when an output, an autodiff gradient or a finite difference is not finite.
+    perturbed point is evaluated once for every output, and every output's
+    gradient comes from one graph of `fn`, so the outputs must be distinct
+    nodes: `backward` runs once per root.  Raises FloatingPointError when
+    an output, an autodiff gradient or a finite difference is not finite.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     point = np.asarray(point, dtype=np.float64)
 
-    def gradient(k: int):
-        x = Tensor(point.copy(), requires_grad=True)
-        outs = fn(x)
-        out = outs[k] if isinstance(outs, tuple) else outs
+    x = Tensor(point.copy(), requires_grad=True)
+    outs = fn(x)
+    single = not isinstance(outs, tuple)
+    analytic = []
+    for out in (outs,) if single else outs:
         if not np.all(np.isfinite(out.data)):
             raise FloatingPointError("fn produced non-finite output")
+        x.grad = None
         out.backward(leaves=[x])
         if not np.all(np.isfinite(x.grad)):
             raise FloatingPointError("autodiff produced a non-finite gradient")
-        return x.grad.ravel(), outs
-
-    grad, outs = gradient(0)
-    single = not isinstance(outs, tuple)
-    n_out = 1 if single else len(outs)
-    analytic = [grad] + [gradient(k)[0] for k in range(1, n_out)]
+        analytic.append(x.grad.ravel())
 
     def values(flat_point: np.ndarray) -> np.ndarray:
         outs = fn(Tensor(flat_point.reshape(point.shape)))
         return np.array([o.item() for o in ((outs,) if single else outs)])
 
     flat = point.ravel()
-    numeric = np.empty((n_out, flat.size))
+    numeric = np.empty((len(analytic), flat.size))
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + step

@@ -1,7 +1,8 @@
 """Corpus readers, label sets and maps, vocabulary, and support sampling.
 
 Tags use the IO scheme throughout: "O" or "I-<class>".  BIO input is
-normalized at ingest (B-X becomes I-X).
+normalized at ingest (B-X becomes I-X); `tag_class` and `extract_spans`
+read the scheme for the sampler, the losses and the scorer.
 """
 
 from __future__ import annotations
@@ -45,6 +46,34 @@ def tag_class(tag: str) -> Optional[str]:
 
 
 @dataclass(frozen=True)
+class Span:
+    start: int
+    end: int  # inclusive
+    cls: str
+
+    def __post_init__(self):
+        if not (0 <= self.start <= self.end) or self.cls == "O":
+            raise DataError(f"invalid span ({self.start}, {self.end}, {self.cls})")
+
+
+def extract_spans(tags) -> list[Span]:
+    """Maximal runs of identical I-class tags; a class change starts a new span."""
+    tags = list(tags)
+    spans: list[Span] = []
+    start = None
+    current = None
+    for i, tag in enumerate(tags):
+        cls = tag_class(tag)
+        if cls != current:
+            if current is not None:
+                spans.append(Span(start, i - 1, current))
+            start, current = (i, cls) if cls is not None else (None, None)
+    if current is not None:
+        spans.append(Span(start, len(tags) - 1, current))
+    return spans
+
+
+@dataclass(frozen=True)
 class Sentence:
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
@@ -57,17 +86,6 @@ class Sentence:
 
     def entity_classes(self) -> set[str]:
         return {c for c in (tag_class(t) for t in self.tags) if c is not None}
-
-    def entity_span_counts(self) -> Counter:
-        """Number of maximal same-class I-runs, per class."""
-        counts: Counter = Counter()
-        prev = O_TAG
-        for tag in self.tags:
-            cls = tag_class(tag)
-            if cls is not None and tag != prev:
-                counts[cls] += 1
-            prev = tag
-        return counts
 
 
 @dataclass(frozen=True)
@@ -279,7 +297,7 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
                           strict_k: bool = False) -> SupportSample:
     """Greedy N-way K-shot support sampling over a seed-shuffled corpus.
 
-    Entity mentions (maximal I-runs) are counted per class against a bound
+    Entity mentions (`extract_spans`) are counted per class against a bound
     of 2K (K with strict_k).  While a sampled class has fewer than K
     mentions, the sampler takes the untaken sentence that helps such a class
     with the smallest total overshoot past the bound (0 when it fits), the
@@ -307,7 +325,7 @@ def greedy_sample_support(sentences: list[Sentence], label_set: LabelSet,
         best = None  # (overshoot, position in untaken)
         for j, i in enumerate(untaken):
             if i not in spans:
-                spans[i] = order[i].entity_span_counts()
+                spans[i] = Counter(m.cls for m in extract_spans(order[i].tags))
             if not any(counts[c] < k_shot for c in spans[i]):
                 continue
             over = sum(max(0, counts[c] + n - bound) for c, n in spans[i].items())

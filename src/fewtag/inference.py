@@ -1,5 +1,5 @@
-"""Nearest-neighbor decoding, span extraction, span counts, and the two
-evaluation protocols (episode evaluation and low-resource evaluation).
+"""Nearest-neighbor decoding, span counts, and the two evaluation protocols
+(episode evaluation and low-resource evaluation).
 
 Decoding runs on raw encoder hidden states; the projection heads are not
 used at inference time.  Each query token takes the tag of its nearest
@@ -27,8 +27,8 @@ from typing import Iterator
 import numpy as np
 
 from .autodiff import NumericError, Tensor
-from .data import (DataError, Episode, LabelSet, Sentence, greedy_sample_support,
-                   tag_class)
+from .data import (DataError, Episode, LabelSet, Sentence, Span, extract_spans,
+                   greedy_sample_support)
 from .encoder import encode
 from .prompt import assemble_input, build_label_prompt, pack
 from .training import Checkpoint, TrainConfig, finetune, replacing
@@ -77,17 +77,6 @@ def _require_finite(vectors: np.ndarray, what: str, name=lambda i: f"row {i}") -
         shown = ", ".join(name(i) for i in bad[:5]) + (", ..." if len(bad) > 5 else "")
         raise NumericError(f"{len(bad)} of {len(vectors)} {what} hold non-finite "
                            f"hidden states: {shown}")
-
-
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int  # inclusive
-    cls: str
-
-    def __post_init__(self):
-        if not (0 <= self.start <= self.end) or self.cls == "O":
-            raise DataError(f"invalid span ({self.start}, {self.end}, {self.cls})")
 
 
 @dataclass
@@ -256,23 +245,6 @@ def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence],
             _noted(e, f"query sentence {i}")
             raise
     return out
-
-
-def extract_spans(tags) -> list[Span]:
-    """Maximal runs of identical I-class tags; a class change starts a new span."""
-    tags = list(tags)
-    spans: list[Span] = []
-    start = None
-    current = None
-    for i, tag in enumerate(tags):
-        cls = tag_class(tag)
-        if cls != current:
-            if current is not None:
-                spans.append(Span(start, i - 1, current))
-            start, current = (i, cls) if cls is not None else (None, None)
-    if current is not None:
-        spans.append(Span(start, len(tags) - 1, current))
-    return spans
 
 
 def span_counts(gold: list[list[Span]], pred: list[list[Span]]) -> tuple[int, int, int]:

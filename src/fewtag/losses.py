@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DataError
+from .data import O_TAG, DataError, tag_class
 from .gaussian import (GaussianEmbedding, pairwise_sq_euclidean, pairwise_symkl,
                        project)
 from .prompt import PackedBatch
@@ -95,7 +95,7 @@ class BatchView:
         with no representative is a ValueError."""
         codes: dict[str, int] = {}
         rep_code = _codes(self.rep_class, codes)
-        token_class = [t if t == "O" else t[2:] for t in self.tags]
+        token_class = [tag_class(t) or O_TAG for t in self.tags]
         gold = _codes(token_class, codes)[:, None] == rep_code
         missing = np.nonzero(~gold.any(axis=1))[0]
         if missing.size:
@@ -133,7 +133,7 @@ def build_batch_view(hidden: Tensor, batch: PackedBatch, proj_params: dict[str, 
 
     gold = [tag for seq in batch.seqs for tag in seq.gold_tags]
     prompt = batch.seqs[0].prompt
-    for cls in dict.fromkeys(tag if tag == "O" else tag[2:] for tag in gold):
+    for cls in dict.fromkeys(tag_class(tag) or O_TAG for tag in gold):
         if cls not in prompt.rep_offsets:
             raise DataError(f"gold tag class {cls!r} has no label representative")
     is_o = np.array(gold) == "O"

@@ -149,6 +149,27 @@ def test_backward_rejects_double_call():
         y.backward()
 
 
+def test_backward_walks_a_graph_deeper_than_the_recursion_limit():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = x
+    for _ in range(5000):
+        y = ad.scale(y, -1.0)
+    ad.tsum(ad.scale(y, 3.0)).backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def test_layer_norm_of_rows_whose_sum_overflows_is_finite():
+    rng = np.random.default_rng(24)
+    a = Tensor(np.array([[1e308] * 8, [-1e308] * 8]), requires_grad=True)
+    gain = Tensor(rng.normal(size=8), requires_grad=True)
+    bias = Tensor(rng.normal(size=8), requires_grad=True)
+    out = ad.layer_norm(a, gain, bias)
+    # a constant row centres to 0, so its output is the bias
+    np.testing.assert_array_equal(out.data, np.broadcast_to(bias.data, (2, 8)))
+    ad.tsum(ad.mul(out, Tensor(rng.normal(size=(2, 8))))).backward()
+    assert all(np.isfinite(t.grad).all() for t in (a, gain, bias))
+
+
 def test_unconnected_leaf_gets_exact_zero_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     other = Tensor(np.ones(2), requires_grad=True)

@@ -72,6 +72,16 @@ class TestTrain:
         assert snap["seed"] == 0
         assert snap["encoder"]["d"] == 16
 
+    def test_a_deep_encoder_trains(self, workspace):
+        # backward's walk is not bounded by the interpreter's recursion limit
+        tmp_path, train_path, _, _ = workspace
+        write_conll(read_conll(str(train_path))[:2], str(train_path))
+        code, out = run_train(workspace, extra=[
+            "--set", "encoder={\"d\": 8, \"n_layers\": 400, \"n_heads\": 1, \"dropout\": 0.0}",
+            "--set", "embed_dim=4"])
+        assert code == 0
+        assert (out / "checkpoint.ckpt").exists()
+
     def test_missing_label_map_is_usage_error(self, workspace):
         tmp_path, train_path, _, _ = workspace
         code = main(["--out", str(tmp_path / "x"), "train",
@@ -452,14 +462,17 @@ def test_input_tags_of_a_class_the_model_lacks_are_not_read(trained, tmp_path, c
 
 
 def write_huge_unk_inputs(trained, tmp_path, unseen_in):
-    """A copy of the trained checkpoint whose [UNK] embedding is a finite 1e308,
-    so large that layer norm's sum overflows and every sentence with an
-    unknown word encodes to NaN, and support.conll and input.conll under
+    """A copy of the trained checkpoint whose [UNK] embedding is finite but
+    spreads wider than the float range, one entry 1.7e308 and the rest
+    -1.7e308, so that layer norm's centring overflows and every sentence with
+    an unknown word encodes to NaN, and support.conll and input.conll under
     tmp_path, the first sentence of `unseen_in` starting with an unknown word.
     Returns the checkpoint's path."""
     (_, _, support_path, _), ckpt_path = trained
     ckpt = load_checkpoint(str(ckpt_path))
-    ckpt.params["emb.token"].data[ckpt.vocab.id(UNK)] = 1e308
+    row = ckpt.params["emb.token"].data[ckpt.vocab.id(UNK)]
+    row[:] = -1.7e308
+    row[0] = 1.7e308
     huge = tmp_path / "huge.ckpt"
     save_checkpoint(ckpt, str(huge))
     files = {"support": read_conll(str(support_path)), "input": read_conll(str(support_path))}

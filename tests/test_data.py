@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fewtag import data as d
 from fewtag.data import (DataError, LabelMap, LabelSet, Sentence, build_vocab,
-                         greedy_sample_support, load_label_map, read_conll,
-                         read_fewnerd_episodes, write_conll)
+                         extract_spans, greedy_sample_support, load_label_map,
+                         read_conll, read_fewnerd_episodes, write_conll)
 
 
 def write(tmp_path, name, text):
@@ -186,7 +186,7 @@ def test_sampler_properties(case):
     available: Counter = Counter()
     for s in corpus:
         if s.entity_classes() and s.entity_classes() <= classes:
-            available.update(s.entity_span_counts())
+            available.update(m.cls for m in extract_spans(s.tags))
     if any(available[c] < k for c in classes):
         with pytest.raises(DataError):
             greedy_sample_support(corpus, label_set, len(classes), k, seed=seed, strict_k=strict)
@@ -198,9 +198,9 @@ def test_sampler_properties(case):
     for s in out.sentences:
         assert s in corpus
         assert s.entity_classes() and s.entity_classes() <= classes
-        mentions.update(s.entity_span_counts())
+        mentions.update(m.cls for m in extract_spans(s.tags))
     assert len(set(out.sentences)) == len(out.sentences)
-    assert out.counts == {c: mentions[c] for c in classes}
+    assert out.counts == {c: mentions[c] for c in classes}  # the mentions the scorer counts
     for c, n in out.counts.items():
         assert n >= k
         if n > bound:

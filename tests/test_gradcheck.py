@@ -66,9 +66,9 @@ def test_each_perturbed_point_is_projected_once(monkeypatch):
     gradcheck.run_gradcheck(n_batches=1, seed=0)
     (point,) = points
     n, d = point.shape
-    # 2*n*d perturbed points and one fresh graph per loss form, plus the
-    # label representatives, projected once per batch
-    assert len(projections) == 2 * n * d + 5 + 1
+    # 2*n*d perturbed points and the one graph every loss form's gradient
+    # comes from, plus the label representatives, projected once per batch
+    assert len(projections) == 2 * n * d + 1 + 1
 
 
 @pytest.mark.parametrize("kwargs", [{"n_batches": 0}, {"n_batches": -1},

@@ -4,7 +4,6 @@ import pickle
 import sys
 import tracemalloc
 import weakref
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -214,14 +213,6 @@ def test_extract_spans_matches_oracle(tags):
     assert [s.start for s in spans] == sorted(s.start for s in spans)
     assert {(s.start, s.end, s.cls) for s in spans} == oracle_spans(tags)
     assert len(spans) == len(oracle_spans(tags))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(IO_TAGS, min_size=1, max_size=20))
-def test_sampler_and_scorer_count_the_same_spans(tags):
-    # the sampler counts K with entity_span_counts, the scorer with extract_spans
-    sentence = Sentence(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
-    assert Counter(s.cls for s in extract_spans(tags)) == sentence.entity_span_counts()
 
 
 @settings(max_examples=300, deadline=None)
