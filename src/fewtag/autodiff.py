@@ -331,8 +331,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # sums divided by n: np.mean and np.var's results, without their Python overhead
     n = a.shape[-1]
     centred = _centred(a.data)
-    var = np.square(centred).sum(axis=-1, keepdims=True) / n
+    with np.errstate(over="ignore"):
+        var = np.square(centred).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
+    big = np.isinf(var[..., 0])
+    if big.any():
+        # a finite row whose squares overflow: scaled by the power of two s
+        # that brings its largest magnitude into [0.5, 1), exactly, so that
+        # 1/std = s / sqrt(sum((c s)^2) / n + eps s^2) is finite
+        c = centred[big]
+        s = np.ldexp(1.0, -np.frexp(np.abs(c).max(axis=-1, keepdims=True))[1])
+        inv[big] = s / np.sqrt(np.square(c * s).sum(axis=-1, keepdims=True) / n + eps * s * s)
     y = centred * inv
 
     def vjp(g):

@@ -57,8 +57,12 @@ def encoder_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
     shapes = {"emb.token": (config.vocab_size, d), "emb.pos": (config.max_len, d), **norm("emb")}
     for p in (f"layer{i}" for i in range(config.n_layers)):
+        # no key bias: it would add q_i . b to every score of query i, a
+        # shift that softmax ignores, so no output could depend on it
         for kind in ("q", "k", "v", "out"):
-            shapes.update({f"{p}.attn.{kind}.w": (d, d), f"{p}.attn.{kind}.bias": (d,)})
+            shapes[f"{p}.attn.{kind}.w"] = (d, d)
+            if kind != "k":
+                shapes[f"{p}.attn.{kind}.bias"] = (d,)
         shapes.update({**norm(f"{p}.attn"), f"{p}.ff.w1": (d, ff), f"{p}.ff.bias1": (ff,),
                        f"{p}.ff.w2": (ff, d), f"{p}.ff.bias2": (d,), **norm(f"{p}.ff")})
     return shapes
@@ -116,7 +120,8 @@ def encode(params: dict[str, Tensor], config: EncoderConfig, batch: PackedBatch,
 
     for i in range(config.n_layers):
         p = f"layer{i}"
-        q, k, v = (attn_proj(x, f"{p}.attn.{kind}") for kind in "qkv")
+        q, v = (attn_proj(x, f"{p}.attn.{kind}") for kind in "qv")
+        k = ad.matmul(x, params[f"{p}.attn.k.w"])
         attn = attn_proj(ad.attention(q, k, v, config.n_heads, batch.bounds), f"{p}.attn.out")
         x = norm(ad.add(x, drop(attn)), f"{p}.attn")
 

@@ -53,8 +53,11 @@ class GaussianEmbedding:
 def projection_shapes(d: int, l: int) -> dict[str, tuple[int, ...]]:
     """The name and shape of every projection-head tensor, in drawing order:
     one hidden layer of width d per head."""
+    # no mu output bias: it would shift every mu by one vector, and sym-KL
+    # and squared Euclidean distance read only differences of mu
     return {f"proj.{head}.{name}": shape for head in ("mu", "sigma")
-            for name, shape in (("w1", (d, d)), ("w2", (d, l)), ("b1", (d,)), ("b2", (l,)))}
+            for name, shape in (("w1", (d, d)), ("w2", (d, l)), ("b1", (d,)), ("b2", (l,)))
+            if (head, name) != ("mu", "b2")}
 
 
 def init_projection_params(d: int, l: int, seed: int = 0) -> dict[str, Tensor]:
@@ -65,15 +68,14 @@ def init_projection_params(d: int, l: int, seed: int = 0) -> dict[str, Tensor]:
             for name, shape in projection_shapes(d, l).items()}
 
 
-def _head(params: dict[str, Tensor], head: str, h: Tensor) -> Tensor:
-    hid = ad.softplus(ad.linear(h, params[f"proj.{head}.w1"], params[f"proj.{head}.b1"]))
-    return ad.linear(hid, params[f"proj.{head}.w2"], params[f"proj.{head}.b2"])
+def _hidden(params: dict[str, Tensor], head: str, h: Tensor) -> Tensor:
+    return ad.softplus(ad.linear(h, params[f"proj.{head}.w1"], params[f"proj.{head}.b1"]))
 
 
 def project(params: dict[str, Tensor], h: Tensor) -> GaussianEmbedding:
     """Map hidden states (n, d) to Gaussian embeddings (n, l)."""
-    mu = _head(params, "mu", h)
-    raw = _head(params, "sigma", h)
+    mu = ad.matmul(_hidden(params, "mu", h), params["proj.mu.w2"])
+    raw = ad.linear(_hidden(params, "sigma", h), params["proj.sigma.w2"], params["proj.sigma.b2"])
     sigma2 = ad.add(ad.softplus(raw), Tensor(np.full((), SIGMA_FLOOR)))
     return GaussianEmbedding(mu=mu, sigma2=sigma2)
 

@@ -242,7 +242,7 @@ def decode_sentences(ckpt: Checkpoint, sentences: list[Sentence],
         try:
             out.append(decode_sentence(ckpt, sentence, bank, rows=rows))
         except NumericError as e:
-            _noted(e, f"query sentence {i}")
+            e.add_note(f"query sentence {i}")
             raise
     return out
 
@@ -270,11 +270,6 @@ def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: L
     return span_counts(gold, pred)
 
 
-def _noted(e: BaseException, note: str) -> None:
-    """Add `note` to e's notes, as BaseException.add_note does on Python 3.11+."""
-    e.__notes__ = [*getattr(e, "__notes__", ()), note]
-
-
 def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                       config: TrainConfig) -> EvalReport:
     """Per episode: re-start from the source checkpoint, fine-tune on the
@@ -289,7 +284,7 @@ def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                                      LabelSet(tuple(ep.classes), role="target"),
                                      config, ep.query)
         except Exception as e:
-            _noted(e, f"episode {idx}")
+            e.add_note(f"episode {idx}")
             raise
         tp, fp, fn = tp + a, fp + b, fn + c
     return EvalReport(tp=tp, fp=fp, fn=fn)
@@ -326,7 +321,7 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
             counts = _fit_and_score(checkpoint, sample.sentences, target_label_set,
                                     replace(config, seed=seed), test_corpus)
         except Exception as e:
-            _noted(e, f"low-resource run seed {seed}")
+            e.add_note(f"low-resource run seed {seed}")
             raise
         per_run.append(EvalReport(*counts).f1)
         pooled = tuple(a + b for a, b in zip(pooled, counts))

@@ -148,8 +148,10 @@ def param_shapes(config: EncoderConfig, embed_dim: int) -> dict[str, tuple[int, 
 
 CHECKPOINT_MAGIC = b"FEWTAG\x00\x01"
 # v1 kept per-head attention weights `layer{i}.attn.{q,k,v}{h}.{w,bias}`;
-# v2 keeps one (d, d) matrix and (d,) bias per kind, head h in column block h.
-CHECKPOINT_VERSION = 2
+# v2 keeps one (d, d) matrix and (d,) bias per kind, head h in column block h;
+# v3 holds no key biases and no mu output bias (see the layouts in
+# `encoder_shapes` and `projection_shapes`), which loading drops from v1 and v2.
+CHECKPOINT_VERSION = 3
 _META_KEYS = ("encoder_config", "vocab", "label_map", "label_set", "embed_dim")
 
 
@@ -213,7 +215,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; v1 per-head attention weights are fused on load.
+    """Read a checkpoint; v1 per-head attention weights are fused on load,
+    and the tensors that v3 dropped are dropped from v1 and v2 files.
 
     Every malformed file, and every file with a NaN or an infinity in a
     tensor, raises CheckpointError naming `path`.
@@ -234,7 +237,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
         (version,) = struct.unpack("<I", take(4))
-        if version not in (1, CHECKPOINT_VERSION):
+        if not 1 <= version <= CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<Q", take(8))
         meta = json.loads(take(meta_len).decode("utf-8"))
@@ -273,6 +276,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path}: malformed checkpoint metadata: {', '.join(wrong)}")
         if version == 1:
             _fuse_v1_heads(params, enc_cfg, path)
+        if version < 3:
+            params.pop("proj.mu.b2", None)
+            for i in range(enc_cfg.n_layers):
+                params.pop(f"layer{i}.attn.k.bias", None)
         _check_tensors(params, enc_cfg, meta["embed_dim"], path)
         return Checkpoint(encoder_config=enc_cfg, params=params, vocab=Vocabulary(vocab),
                           label_map=LabelMap(meta["label_map"]),

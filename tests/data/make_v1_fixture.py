@@ -28,18 +28,24 @@ SENTENCES = [
              ("I-person", "O", "I-person", "O", "I-place", "O")),
     Sentence(("they", "visited", "lima"), ("O", "O", "I-place")),
 ]
+LABEL_SET = LabelSet(("person", "place"))
+LABEL_MAP = LabelMap({"person": "person", "place": "place", "O": "other"})
+
+
+def train():
+    """The fixture's checkpoint, as the fewtag code on the path trains it."""
+    config = TrainConfig(lr=0.05, batch_size=2, epochs=2, max_len=MAX_LEN,
+                         embed_dim=4, seed=11)
+    ckpt, _ = train_source(SENTENCES, LABEL_SET, LABEL_MAP, config,
+                           encoder_overrides={"d": 8, "n_layers": 2, "n_heads": 2})
+    return ckpt
 
 
 def main():
-    label_set = LabelSet(("person", "place"))
-    label_map = LabelMap({"person": "person", "place": "place", "O": "other"})
-    config = TrainConfig(lr=0.05, batch_size=2, epochs=2, max_len=MAX_LEN,
-                         embed_dim=4, seed=11)
-    ckpt, _ = train_source(SENTENCES, label_set, label_map, config,
-                           encoder_overrides={"d": 8, "n_layers": 2, "n_heads": 2})
+    ckpt = train()
     save_checkpoint(ckpt, os.path.join(HERE, "v1_small.ckpt"))
 
-    prompt = build_label_prompt(label_set, label_map)
+    prompt = build_label_prompt(LABEL_SET, LABEL_MAP)
     arrays = {"max_len": np.array(MAX_LEN)}
     for i, sent in enumerate(SENTENCES):
         seq = assemble_input(sent, prompt, ckpt.vocab, max_len=MAX_LEN)

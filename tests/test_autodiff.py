@@ -170,6 +170,20 @@ def test_layer_norm_of_rows_whose_sum_overflows_is_finite():
     assert all(np.isfinite(t.grad).all() for t in (a, gain, bias))
 
 
+def test_layer_norm_of_rows_whose_squares_overflow_is_exact():
+    # the centred row's squares pass the float range from about 1.3e154 on
+    a = Tensor(np.array([[1e160, -1e160, 1e160, -1e160], [1.0, -1.0, 1.0, -1.0]]),
+               requires_grad=True)
+    gain = Tensor(np.ones(4), requires_grad=True)
+    bias = Tensor(np.zeros(4), requires_grad=True)
+    out = ad.layer_norm(a, gain, bias)
+    np.testing.assert_allclose(out.data[0], [1.0, -1.0, 1.0, -1.0], rtol=1e-15, atol=0)
+    # the small row keeps the unscaled path: 1 / sqrt(1 + eps)
+    np.testing.assert_array_equal(out.data[1], np.array([1.0, -1.0, 1.0, -1.0]) / np.sqrt(1.00001))
+    ad.tsum(ad.mul(out, Tensor(np.arange(8.0).reshape(2, 4)))).backward()
+    assert all(np.isfinite(t.grad).all() for t in (a, gain, bias))
+
+
 def test_unconnected_leaf_gets_exact_zero_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     other = Tensor(np.ones(2), requires_grad=True)

@@ -3,7 +3,9 @@
 `data/v1_small.ckpt` was written by the v1 code (per-head attention weights,
 inputs padded to max_len) together with the eval-mode hidden states it
 computed at the occupied positions; `data/make_v1_fixture.py` regenerates
-both from a v1 checkout.
+both from a v1 checkout.  `data/v2_small.ckpt` and its hidden states were
+written the same way by the v2 code (with key biases and a mu output bias),
+by `data/make_v2_fixture.py`.
 """
 
 import json
@@ -26,6 +28,8 @@ from fewtag.training import (CHECKPOINT_MAGIC, CheckpointError, init_params, loa
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 V1_CKPT = os.path.join(DATA, "v1_small.ckpt")
 V1_HIDDEN = os.path.join(DATA, "v1_small_hidden.npz")
+V2_CKPT = os.path.join(DATA, "v2_small.ckpt")
+V2_HIDDEN = os.path.join(DATA, "v2_small_hidden.npz")
 
 
 def read_container(blob):
@@ -66,9 +70,13 @@ def v1_parts():
         return read_container(f.read())
 
 
-def test_v1_fixture_matches_v1_hidden_states():
-    ckpt = load_checkpoint(V1_CKPT)
-    ref = np.load(V1_HIDDEN)
+@pytest.mark.parametrize("ckpt_path,hidden_path", [
+    pytest.param(V1_CKPT, V1_HIDDEN, id="v1"),
+    pytest.param(V2_CKPT, V2_HIDDEN, id="v2"),
+])
+def test_v1_fixture_matches_v1_hidden_states(ckpt_path, hidden_path):
+    ckpt = load_checkpoint(ckpt_path)
+    ref = np.load(hidden_path)
     prompt = build_label_prompt(ckpt.label_set, ckpt.label_map)
     n = 0
     while f"hidden{n}" in ref.files:
@@ -91,10 +99,10 @@ def test_v1_heads_are_fused_in_column_blocks(tmp_path):
     np.testing.assert_array_equal(ckpt.params["layer0.attn.q.bias"].data[:dh],
                                   v1["layer0.attn.q0.bias"])
 
-    path = tmp_path / "v2.ckpt"
+    path = tmp_path / "v3.ckpt"
     save_checkpoint(ckpt, str(path))
     version, meta, _ = read_container(path.read_bytes())
-    assert version == 2 and json.loads(meta)["version"] == 2
+    assert version == 3 and json.loads(meta)["version"] == 3
     again = load_checkpoint(str(path))
     for name, t in ckpt.params.items():
         np.testing.assert_array_equal(t.data, again.params[name].data)
@@ -226,7 +234,8 @@ def _draws_in_order(config, embed_dim):
     """init_params's tensors rebuilt in plain numpy, each matrix drawn from
     its stream in this order: emb.token, emb.pos; per layer one (H, 3, d, dh)
     q/k/v block, out.w, ff.w1, ff.w2; then proj.mu.w1, mu.w2, sigma.w1,
-    sigma.w2.  Norm gains are ones, every other vector zeros."""
+    sigma.w2.  Norm gains are ones, every other vector zeros; the k
+    projection and the mu head's output layer have no bias."""
     d, ff, heads = config.d, config.ff, config.n_heads
 
     def uniform(rng, shape):
@@ -243,7 +252,7 @@ def _draws_in_order(config, embed_dim):
         for j, kind in enumerate("qkv"):
             # head h in column block h
             want[f"{p}.attn.{kind}.w"] = qkv[:, j].transpose(1, 0, 2).reshape(d, d)
-            want[f"{p}.attn.{kind}.bias"] = np.zeros(d)
+        want.update({f"{p}.attn.q.bias": np.zeros(d), f"{p}.attn.v.bias": np.zeros(d)})
         want[f"{p}.attn.out.w"] = uniform(rng, (d, d))
         want[f"{p}.ff.w1"] = uniform(rng, (d, ff))
         want[f"{p}.ff.w2"] = uniform(rng, (ff, d))
@@ -256,7 +265,8 @@ def _draws_in_order(config, embed_dim):
     for head in ("mu", "sigma"):
         want[f"proj.{head}.w1"] = uniform(rng, (d, d))
         want[f"proj.{head}.w2"] = uniform(rng, (d, embed_dim))
-        want[f"proj.{head}.b1"], want[f"proj.{head}.b2"] = np.zeros(d), np.zeros(embed_dim)
+        want[f"proj.{head}.b1"] = np.zeros(d)
+    want["proj.sigma.b2"] = np.zeros(embed_dim)
     return want
 
 
@@ -283,6 +293,21 @@ def test_cli_maps_mismatched_tensors_to_data_error(tmp_path, caplog):
                  "--support", str(conll), "--input", str(conll)])
     assert code == 3
     assert "layer0.ff.w1" in caplog.text
+
+
+# each tensor v3 dropped, and a tensor of its shape that v3 keeps
+@pytest.mark.parametrize("name,twin", [("layer1.attn.k.bias", "layer1.attn.q.bias"),
+                                       ("proj.mu.b2", "proj.sigma.b2")])
+def test_v3_file_holding_a_tensor_v3_dropped_is_data_error(tmp_path, caplog, name, twin):
+    path = _edited_save(tmp_path, lambda params: params.update({name: params[twin]}))
+    with pytest.raises(CheckpointError, match=f"unexpected tensor {re.escape(name)}"):
+        load_checkpoint(str(path))
+    conll = tmp_path / "in.conll"
+    conll.write_text("alice\tI-person\n")
+    code = main(["--out", str(tmp_path / "out"), "predict", "--checkpoint", str(path),
+                 "--support", str(conll), "--input", str(conll)])
+    assert code == 3
+    assert name in caplog.text
 
 
 def test_cli_maps_bad_metadata_to_data_error(tmp_path):

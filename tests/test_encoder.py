@@ -145,7 +145,8 @@ def _reference_encode(params, config, seq, rng=None):
         return x if draws is None else ad.dropout(x, config.dropout, next(draws))
 
     def dense(x, w, b):
-        return ad.add(ad.matmul(x, params[w]), params[b])
+        out = ad.matmul(x, params[w])
+        return out if b is None else ad.add(out, params[b])
 
     def norm(x, prefix):
         return _reference_norm(x, params[f"{prefix}.norm_gain"], params[f"{prefix}.norm_bias"])
@@ -158,8 +159,9 @@ def _reference_encode(params, config, seq, rng=None):
     x = drop(norm(x, "emb"))
     for i in range(config.n_layers):
         p = f"layer{i}"
-        q, k, v = (ad.reshape(ad.transpose(dense(x, f"{p}.attn.{kind}.w",
-                                                 f"{p}.attn.{kind}.bias")), (H, dh, L))
+        bias = {"q": f"{p}.attn.q.bias", "k": None, "v": f"{p}.attn.v.bias"}
+        q, k, v = (ad.reshape(ad.transpose(dense(x, f"{p}.attn.{kind}.w", bias[kind])),
+                              (H, dh, L))
                    for kind in "qkv")
         scores = ad.scale(ad.matmul(ad.transpose(q), k), 1.0 / np.sqrt(dh))
         mixed = ad.matmul(v, ad.transpose(ad.row_softmax(scores)))
@@ -208,8 +210,8 @@ def test_eval_encode_builds_one_node_per_fused_block(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", counting)
     enc.encode(params, config, seq)
-    # 2 gathers, 1 add and 1 norm, then per layer 5 linears, 1 attention,
-    # 1 softplus, 2 residual adds and 2 norms
+    # 2 gathers, 1 add and 1 norm, then per layer 4 linears, 1 matmul (k),
+    # 1 attention, 1 softplus, 2 residual adds and 2 norms
     assert len(made) == 4 + 12 * config.n_layers
 
 

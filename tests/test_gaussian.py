@@ -136,6 +136,15 @@ def test_project_variance_positive_and_zero_params():
     np.testing.assert_allclose(out.sigma2.data, np.log(2.0) + gs.SIGMA_FLOOR, atol=1e-12)
 
 
+def test_project_variance_floor_is_one_in_a_million():
+    params = gs.init_projection_params(d=6, l=4, seed=0)
+    params["proj.sigma.w2"].data[...] = 0.0
+    params["proj.sigma.b2"].data[...] = -800.0  # softplus(-800) is exactly 0
+    rng = np.random.default_rng(9)
+    out = gs.project(params, Tensor(rng.normal(size=(3, 6))))
+    np.testing.assert_array_equal(out.sigma2.data, np.full((3, 4), 1e-6))
+
+
 def test_project_gradients_match_finite_differences():
     params = gs.init_projection_params(d=4, l=3, seed=1)
     rng = np.random.default_rng(8)

@@ -123,6 +123,33 @@ class TestContextContext:
                 expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("metric", ["sqeuclid", "symkl"])
+def test_ocl_with_several_positives_matches_numpy_oracle(metric):
+    # anchors I-A have three positives each, O one, and I-B none (skipped)
+    tags = ("I-A", "I-A", "O", "I-A", "I-B", "O", "I-A")
+    rng = np.random.default_rng(11)
+    mu, s2 = rng.normal(size=(7, 3)), rng.uniform(0.5, 2.0, size=(7, 3))
+    diff2 = (mu[:, None] - mu[None]) ** 2
+    if metric == "sqeuclid":
+        d = diff2.sum(axis=-1)
+    else:
+        a, b = s2[:, None], s2[None]
+        d = 0.25 * (a / b + b / a + diff2 * (1 / a + 1 / b)).sum(axis=-1) - mu.shape[1] / 2
+    want = {}
+    for i, tag in enumerate(tags):
+        pos = [j for j, t in enumerate(tags) if t == tag and j != i]
+        if pos:
+            cand = [j for j in range(len(tags)) if j != i]
+            want[i] = -np.log(np.mean(np.exp(-d[i, pos])) / np.exp(-d[i, cand]).sum())
+    batch = make_batch(mu, sigma2=s2, tags=tags)
+    config = LossConfig(metric=metric, loss_variant="ocl")
+    for i, value in want.items():
+        assert anchor_loss_in(i, batch, config).item() == pytest.approx(value, rel=1e-12)
+    out = context_context_loss(batch, config)
+    assert out.n_anchors == len(want) == 6
+    assert out.value.item() == pytest.approx(np.mean(list(want.values())), rel=1e-12)
+
+
 class TestContextLabel:
     def test_scalar_oracle(self):
         # d(token, gold)=0.5, d(token, other)=1.5 with tau=1
