@@ -260,34 +260,34 @@ def span_counts(gold: list[list[Span]], pred: list[list[Span]]) -> tuple[int, in
     return tp, fp, fn
 
 
-def _fit_and_score(checkpoint: Checkpoint, support: list[Sentence], label_set: LabelSet,
-                   config: TrainConfig, queries: list[Sentence]) -> tuple[int, int, int]:
-    """Fine-tune on the support, decode the queries against it; span tp, fp, fn."""
-    tuned, _ = finetune(checkpoint, support, label_set, checkpoint.label_map, config)
-    bank = build_support_bank(tuned, support)
-    gold = [extract_spans(s.tags) for s in queries]
-    pred = [extract_spans(tags) for tags in decode_sentences(tuned, queries, bank)]
-    return span_counts(gold, pred)
+def _score_units(checkpoint: Checkpoint, units: list[tuple]) -> list[tuple[int, int, int]]:
+    """Span tp, fp, fn of each unit (note, support, label set, config,
+    queries), in order: fine-tune the checkpoint on the support, bank the
+    support and decode the queries against it.  Units share only the
+    checkpoint, which none changes.  An error is re-raised with its unit's note."""
+    counts = []
+    for note, support, label_set, config, queries in units:
+        try:
+            tuned, _ = finetune(checkpoint, support, label_set, checkpoint.label_map, config)
+            bank = build_support_bank(tuned, support)
+            gold = [extract_spans(s.tags) for s in queries]
+            pred = [extract_spans(tags) for tags in decode_sentences(tuned, queries, bank)]
+            counts.append(span_counts(gold, pred))
+        except Exception as e:
+            e.add_note(note)
+            raise
+    return counts
 
 
 def evaluate_episodes(checkpoint: Checkpoint, episodes: list[Episode],
                       config: TrainConfig) -> EvalReport:
-    """Per episode: re-start from the source checkpoint, fine-tune on the
-    support, decode the queries; counts are pooled over all episodes before
-    F1 is computed.  An error is re-raised with the note `episode i`."""
+    """One `_score_units` unit per episode, noted `episode i`; F1 of the pooled counts."""
     if not episodes:
         raise DataError("no episodes to evaluate")
-    tp = fp = fn = 0
-    for idx, ep in enumerate(episodes):
-        try:
-            a, b, c = _fit_and_score(checkpoint, ep.support,
-                                     LabelSet(tuple(ep.classes), role="target"),
-                                     config, ep.query)
-        except Exception as e:
-            e.add_note(f"episode {idx}")
-            raise
-        tp, fp, fn = tp + a, fp + b, fn + c
-    return EvalReport(tp=tp, fp=fp, fn=fn)
+    counts = _score_units(checkpoint, [
+        (f"episode {i}", ep.support, LabelSet(tuple(ep.classes), role="target"), config,
+         ep.query) for i, ep in enumerate(episodes)])
+    return EvalReport(*map(sum, zip(*counts)))
 
 
 def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
@@ -297,38 +297,33 @@ def low_resource_eval(checkpoint: Checkpoint, target_label_set: LabelSet,
                       skip_failed_runs: bool = False) -> EvalReport:
     """T sampled supports; fine-tune on each and score the full test corpus.
 
-    Reports per-run F1 plus mean and sample standard deviation.  A sampling
-    failure aborts unless skip_failed_runs is set, in which case the run's
-    seed is recorded in `skipped_seeds`; DataError when no run remains.  An
-    error that ends a run, an unskipped sampling failure included, is
-    re-raised with the note `low-resource run seed s`.
+    Every seed's support is sampled before any is fine-tuned on; each sampled
+    seed is then one `_score_units` unit, noted `low-resource run seed s`.
+    Reports per-run F1, mean and sample standard deviation.  A sampling
+    failure aborts with the run's note, or with skip_failed_runs records the
+    seed in `skipped_seeds`; DataError when no run remains.
     """
     if not seeds:
         raise DataError("low-resource evaluation needs at least one seed")
-    per_run: list[float] = []
-    skipped: list[int] = []
-    pooled = (0, 0, 0)
+    units, skipped = [], []
     for seed in seeds:
+        note = f"low-resource run seed {seed}"
         try:
-            try:
-                sample = greedy_sample_support(support_corpus, target_label_set,
-                                               n_way, k_shot, seed=seed, strict_k=strict_k)
-            except DataError:
-                if not skip_failed_runs:
-                    raise
+            sample = greedy_sample_support(support_corpus, target_label_set,
+                                           n_way, k_shot, seed=seed, strict_k=strict_k)
+        except Exception as e:
+            if skip_failed_runs and isinstance(e, DataError):
                 skipped.append(seed)
                 continue
-            counts = _fit_and_score(checkpoint, sample.sentences, target_label_set,
-                                    replace(config, seed=seed), test_corpus)
-        except Exception as e:
-            e.add_note(f"low-resource run seed {seed}")
+            e.add_note(note)
             raise
-        per_run.append(EvalReport(*counts).f1)
-        pooled = tuple(a + b for a, b in zip(pooled, counts))
-    if not per_run:
-        raise DataError(f"every low-resource run failed to sample a support "
-                        f"(seeds {skipped})")
-    return EvalReport(*pooled, per_run=per_run, skipped_seeds=skipped)
+        units.append((note, sample.sentences, target_label_set, replace(config, seed=seed),
+                      test_corpus))
+    if not units:
+        raise DataError(f"every low-resource run failed to sample a support (seeds {skipped})")
+    counts = _score_units(checkpoint, units)
+    return EvalReport(*map(sum, zip(*counts)), per_run=[EvalReport(*c).f1 for c in counts],
+                      skipped_seeds=skipped)
 
 
 def dump_embeddings(checkpoint: Checkpoint, sentences: list[Sentence], path: str) -> int:

@@ -268,7 +268,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             ("vocab", fits_json(vocab, dict[str, int]) and set(RESERVED) <= vocab.keys()
              and len(vocab) == enc_cfg.vocab_size
              and sorted(vocab.values()) == list(range(len(vocab)))),
-            ("label_set", fits_json(classes, tuple[str, ...]) and len(classes) > 0),
+            ("label_set", fits_json(classes, tuple[str, ...]) and len(classes) > 0
+             and fits_json(meta["label_set"]["role"], str)),
             ("label_map", fits_json(meta["label_map"], dict[str, str])
              and meta["label_map"].keys() >= {*classes, "O"}),
             ("embed_dim", fits_json(meta["embed_dim"], int) and meta["embed_dim"] > 0)] if not ok]
@@ -414,12 +415,18 @@ def train_source(sentences: list[Sentence], label_set: LabelSet, label_map: Labe
 
 @dataclass
 class FinetuneResult:
-    loss_trace: list[float]
-    iterations: int
     hit_cap: bool
     used_context_context: bool
     metric: str
     log: list[LogEntry]
+
+    @property
+    def loss_trace(self) -> list[float]:
+        return [e.loss for e in self.log]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
 
 
 def retarget(checkpoint: Checkpoint, label_set: LabelSet,
@@ -450,27 +457,24 @@ def finetune(checkpoint: Checkpoint, support: list[Sentence],
     dropout_rng = make_rng(config.seed, "finetune_dropout")
     subsample_rng = make_rng(config.seed, "finetune_o_subsample")
 
-    trace: list[float] = []
     log: list[LogEntry] = []
     best: Optional[dict[str, np.ndarray]] = None
     hit_cap = False
     while True:
         out = _batch_loss(ckpt, packed, config, dropout_rng, subsample_rng)
         log.append(_log_entry(out, len(log), "non-finite fine-tuning loss at iteration {step}"))
-        trace.append(log[-1].loss)
-        if len(trace) > 1 and trace[-1] > trace[-2]:
+        if len(log) > 1 and log[-1].loss > log[-2].loss:
             break
         # the parameters the loss was computed at, before this step updates them
-        if config.keep_best and trace[-1] < min(trace[:-1], default=math.inf):
+        if config.keep_best and log[-1].loss < min((e.loss for e in log[:-1]), default=math.inf):
             best = {k: p.data.copy() for k, p in ckpt.params.items()}
         _update(ckpt, out, opt)
         del out  # the spent graph, which would otherwise live beside the next one
-        if len(trace) >= config.max_finetune_iters:
+        if len(log) >= config.max_finetune_iters:
             hit_cap = True
             break
     if best is not None:
         for k, p in ckpt.params.items():
             p.data = best[k]
-    return ckpt, FinetuneResult(loss_trace=trace, iterations=len(trace), hit_cap=hit_cap,
-                                used_context_context=loss_config.alpha > 0.0,
+    return ckpt, FinetuneResult(hit_cap=hit_cap, used_context_context=loss_config.alpha > 0.0,
                                 metric=loss_config.metric, log=log)

@@ -122,3 +122,29 @@ def test_packed_query_decoding_passes_every_query_through_the_checker(hooks):
     assert trace.calls["inference.decode_sentence"] == len(ep.query)
     assert trace.calls["inference.nn_decode"] == len(ep.query)
     assert checker.checked == len(ep.query) and checker.problems == []
+
+
+def test_low_resource_runs_reach_every_hook(hooks):
+    trace, checker = hooks
+    rng = np.random.default_rng(2)
+    config = TrainConfig(batch_size=4, embed_dim=8, max_len=48, max_finetune_iters=3)
+    source = gen.corpus(rng, list(gen.SOURCE_PHRASES), 4, gen.SOURCE_MAX_MENTIONS)
+    ckpt, _ = training.train_source(source, gen.source_label_set(), gen.label_map(),
+                                    config, encoder_overrides=ENC)
+    classes = list(gen.TARGET_PHRASES)[:2]
+    pool = gen.corpus(rng, classes, 8, gen.TARGET_MAX_MENTIONS)
+    test = gen.corpus(rng, classes, 5, gen.TARGET_MAX_MENTIONS)
+    seeds = [0, 1]
+    report = inference.low_resource_eval(ckpt, LabelSet(tuple(classes), role="target"), pool,
+                                         test, n_way=2, k_shot=1, seeds=seeds, config=config)
+    assert len(report.per_run) == len(seeds)
+    # every seed is sampled before any is fine-tuned on, all under the protocol's span
+    top = [sid for sid, span in enumerate(trace.spans) if span[0] == "inference.low_resource_eval"]
+    assert len(top) == 1
+    stages = ("data.greedy_sample_support", "training.finetune", "inference.build_support_bank")
+    assert [span[0] for span in trace.spans if span[3] == top[0] and span[0] in stages] == (
+        [stages[0]] * len(seeds) + [*stages[1:]] * len(seeds))
+    decoded = len(seeds) * len(test)
+    assert trace.calls["inference.decode_sentence"] == decoded
+    assert trace.calls["inference.nn_decode"] == decoded
+    assert checker.checked == decoded and checker.problems == []

@@ -157,6 +157,14 @@ def test_bad_metadata_rejected(tmp_path, meta, match):
     pytest.param(("embed_dim",), "4", "embed_dim", id="embed-dim-a-string"),
 ])
 def test_wrongly_typed_metadata_rejected(tmp_path, path, value, field):
+    ckpt = _retyped_save(tmp_path, path, value)
+    with pytest.raises(CheckpointError, match=f"{ckpt}: malformed checkpoint metadata: {field}"):
+        load_checkpoint(str(ckpt))
+
+
+def _retyped_save(tmp_path, path, value):
+    """The path of a save of the v1 fixture whose metadata holds `value` at
+    the key path `path`."""
     save_checkpoint(load_checkpoint(V1_CKPT), str(tmp_path / "v2.ckpt"))
     version, meta, tensors = read_container((tmp_path / "v2.ckpt").read_bytes())
     bad = json.loads(meta)
@@ -166,8 +174,22 @@ def test_wrongly_typed_metadata_rejected(tmp_path, path, value, field):
     node[path[-1]] = value
     ckpt = tmp_path / "typed.ckpt"
     write_container(str(ckpt), version, json.dumps(bad).encode(), tensors)
-    with pytest.raises(CheckpointError, match=f"{ckpt}: malformed checkpoint metadata: {field}"):
+    return ckpt
+
+
+# non-string JSON values; unchecked, each would load as a LabelSet role and re-save
+@pytest.mark.parametrize("role", [5, None, ["x"], {"a": 1}], ids=["int", "null", "list", "dict"])
+def test_label_set_role_that_is_not_a_string_is_data_error(tmp_path, caplog, role):
+    ckpt = _retyped_save(tmp_path, ("label_set", "role"), role)
+    with pytest.raises(CheckpointError,
+                       match=f"{ckpt}: malformed checkpoint metadata: label_set$"):
         load_checkpoint(str(ckpt))
+    conll = tmp_path / "in.conll"
+    conll.write_text("alice\tI-person\n")
+    code = main(["--out", str(tmp_path / "out"), "predict", "--checkpoint", str(ckpt),
+                 "--support", str(conll), "--input", str(conll)])
+    assert code == 3
+    assert "malformed checkpoint metadata: label_set" in caplog.text
 
 
 def test_bad_metadata_values_rejected(tmp_path):

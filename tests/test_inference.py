@@ -471,6 +471,16 @@ class TestEvaluateEpisodes:
             len(extract_spans(s.tags)) for ep in episodes for s in ep.query)
         assert 0.0 <= rep.f1 <= 1.0
 
+    def test_pooled_counts_are_the_sums_of_each_episode_alone(self, trained):
+        ckpt, config, corpus, _ = trained
+        episodes = [Episode(support=corpus[:4], query=corpus[4:8], n_way=2, k_shot=2),
+                    Episode(support=corpus[8:12], query=corpus[12:16], n_way=2, k_shot=2)]
+        alone = [evaluate_episodes(ckpt, [ep], config) for ep in episodes]
+        rep = evaluate_episodes(ckpt, episodes, config)
+        assert (rep.tp, rep.fp, rep.fn) == tuple(
+            sum(getattr(r, k) for r in alone) for k in ("tp", "fp", "fn"))
+        assert rep.per_run == [] and rep.skipped_seeds == []
+
     def test_no_episodes_rejected(self, trained):
         ckpt, config, _, _ = trained
         with pytest.raises(DataError):
@@ -534,6 +544,16 @@ class TestLowResourceEval:
         assert all(0.0 <= f <= 1.0 for f in rep.per_run)
         assert rep.mean == pytest.approx(float(np.mean(rep.per_run)))
 
+    def test_per_run_scores_equal_each_seed_run_alone(self, trained):
+        ckpt, config, corpus, label_set = trained
+        args = (ckpt, label_set, corpus, corpus[:6])
+        rep = low_resource_eval(*args, n_way=2, k_shot=1, seeds=[0, 1], config=config)
+        alone = [low_resource_eval(*args, n_way=2, k_shot=1, seeds=[s], config=config)
+                 for s in (0, 1)]
+        assert rep.per_run == [r.f1 for r in alone] == [r.per_run[0] for r in alone]
+        assert (rep.tp, rep.fp, rep.fn) == tuple(
+            sum(getattr(r, k) for r in alone) for k in ("tp", "fp", "fn"))
+
     def test_no_seeds_rejected(self, trained):
         ckpt, config, corpus, label_set = trained
         with pytest.raises(DataError):
@@ -594,6 +614,31 @@ class TestLowResourceEval:
             low_resource_eval(ckpt, label_set, corpus, corpus[:2],
                               n_way=2, k_shot=1, seeds=[0, 1], config=config)
         assert info.value.__notes__ == ["low-resource run seed 1"]
+
+    def test_sampling_failure_at_the_last_seed_comes_before_any_fine_tuning(
+            self, trained, monkeypatch):
+        ckpt, config, corpus, _ = trained
+        # a third class no corpus sentence has: the seeds that sample it fail
+        label_set, label_map = label_setup(("A", "B", "C"))
+        ckpt = dataclasses.replace(ckpt, label_map=label_map)
+
+        def samples(seed):
+            try:
+                greedy_sample_support(corpus, label_set, 2, 1, seed=seed)
+            except DataError:
+                return False
+            return True
+
+        good = [s for s in range(6) if samples(s)]
+        bad = next(s for s in range(6) if not samples(s))
+        assert good
+        counted = mock.Mock(wraps=finetune)
+        monkeypatch.setattr(inference, "finetune", counted)
+        with pytest.raises(DataError, match="cannot reach") as info:
+            low_resource_eval(ckpt, label_set, corpus, corpus[:2], n_way=2, k_shot=1,
+                              seeds=good + [bad], config=config)
+        assert info.value.__notes__ == [f"low-resource run seed {bad}"]
+        assert counted.call_count == 0
 
     def test_skipped_seeds_add_no_note(self, trained):
         ckpt, config, corpus, label_set = trained
